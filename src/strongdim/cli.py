@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -73,6 +74,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise GraphError(f"empty range {text!r}")
     return lo, hi
+
+
+def _worker_count(requested: int, cpus: int | None) -> int:
+    """Worker processes for ``verify --jobs``: at least 1, at most ``cpus``."""
+    if requested < 1:
+        raise GraphError(f"--jobs must be at least 1, got {requested}")
+    return min(requested, cpus or 1)
 
 
 def _ids(vertices) -> str:
@@ -192,8 +200,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tasks = [
         (n, m, args.brute_cap) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = _worker_count(args.jobs, os.cpu_count())
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_cell, tasks))
     else:
         reports = [_verify_cell(task) for task in tasks]

@@ -190,6 +190,11 @@ def complete_graph(n: int) -> Graph:
 FORMATS = ("edge-json", "dot")
 
 
+def _dot_escape(text: str) -> str:
+    """Body of a DOT double-quoted string whose value is ``text``."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def serialize(g: Graph, fmt: str = "edge-json") -> str:
     """Render ``g`` as an edge-JSON document or a Graphviz DOT description."""
     if fmt == "edge-json":
@@ -202,7 +207,7 @@ def serialize(g: Graph, fmt: str = "edge-json") -> str:
         labels = g.labels or {}
         for v in range(g.vertex_count):
             if v in labels:
-                lines.append(f'  "{v}" [label="{labels[v]}"];')
+                lines.append(f'  "{v}" [label="{_dot_escape(labels[v])}"];')
             elif g.degree(v) == 0:
                 lines.append(f'  "{v}";')
         for u, v in g.edges():

@@ -25,6 +25,7 @@ from .graphs import (
     build_graph,
 )
 from .strong_metric import (
+    InternalInconsistencyError,
     brute_force_sdim,
     is_strong_resolving_set,
     strong_resolving_graph,
@@ -43,6 +44,9 @@ class JahangirParams:
     m: int
 
     def __post_init__(self) -> None:
+        for value in (self.n, self.m):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise GraphError(f"jahangir parameters must be integers, got ({self.n!r}, {self.m!r})")
         if self.n < 2 or self.m < 3:
             raise GraphError(f"jahangir parameters need n >= 2 and m >= 3, got ({self.n}, {self.m})")
 
@@ -514,7 +518,9 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     alpha = cover.size
     ok, witness = is_strong_resolving_set(g, dm, cover.cover)
     if not ok:
-        raise RuntimeError(f"cover of the strong resolving graph left pair {witness} unresolved")
+        raise InternalInconsistencyError(
+            f"cover of the strong resolving graph left pair {witness} unresolved"
+        )
     pipeline = alpha
 
     even_regime = n % 2 == 0 and n > 5 and m >= 4

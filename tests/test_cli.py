@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from strongdim import cli
+from strongdim import GraphError, cli
 from strongdim.cli import main
 
 C4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
@@ -256,3 +260,36 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "--n", "8..6"])
         assert code == 2
         assert "empty range" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(capsys, ["verify", "--n", "6..6", "--m", "5..5", "--jobs", jobs])
+        assert code == 2
+        assert out == ""
+        assert "--jobs must be at least 1" in err
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("requested,cpus,expected", [(64, 2, 2), (3, 8, 3), (4, None, 1)])
+    def test_clamped_to_cpu_count(self, requested, cpus, expected):
+        assert cli._worker_count(requested, cpus) == expected
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(GraphError, match="at least 1"):
+            cli._worker_count(jobs, 4)
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strongdim", "sdim", "jahangir:6,5"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["sdim = 10", "method = vertex-cover-reduction"]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,24 @@ class TestSerialization:
         out = serialize(g, "dot")
         assert '"2" [label="lonely"];' in out
         assert '"0" -- "1";' in out
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = parse('{"n": 2, "edges": [[0, 1]], "labels": {"0": "a\\"b", "1": "c\\\\d"}}')
+        assert g.labels == {0: 'a"b', 1: "c\\d"}
+        out = serialize(g, "dot")
+        assert '"0" [label="a\\"b"];' in out
+        assert '"1" [label="c\\\\d"];' in out
+
+    @given(st.text(max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_dot_label_reads_back(self, label):
+        out = serialize(build_graph(1, [], labels={0: label}), "dot")
+        prefix, suffix = 'graph {\n  "0" [label="', '"];\n}\n'
+        assert out.startswith(prefix) and out.endswith(suffix)
+        body = out[len(prefix) : -len(suffix)]
+        # a DOT reader ends the string at the first quote not escaped by a backslash
+        assert re.fullmatch(r'(?:[^"\\]|\\.)*', body, flags=re.DOTALL)
+        assert re.sub(r"\\(.)", r"\1", body, flags=re.DOTALL) == label
 
     def test_unknown_format(self):
         with pytest.raises(GraphError, match="unsupported format"):

@@ -2,8 +2,11 @@ from collections import Counter
 
 import pytest
 
+from strongdim import jahangir
+
 from strongdim import (
     GraphError,
+    InternalInconsistencyError,
     JahangirParams,
     all_pairs_distances,
     build_jahangir,
@@ -42,6 +45,11 @@ class TestConstruction:
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (0, 5), (3, 0)])
     def test_bad_parameters(self, n, m):
         with pytest.raises(GraphError, match="jahangir parameters"):
+            JahangirParams(n, m)
+
+    @pytest.mark.parametrize("n,m", [(4.5, 3), (6, 5.0), (True, 4), (6, False), ("6", 5)])
+    def test_non_integer_parameters(self, n, m):
+        with pytest.raises(GraphError, match="must be integers"):
             JahangirParams(n, m)
 
     def test_j_2_8_shape(self):
@@ -314,6 +322,11 @@ class TestVerifyPredictions:
         assert report.pipeline_sdim == exact_min_vertex_cover(
             strong_resolving_graph(build_jahangir(JahangirParams(4, 4))[0])
         ).size
+
+    def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
+        monkeypatch.setattr(jahangir, "is_strong_resolving_set", lambda g, dm, s: (False, (0, 1)))
+        with pytest.raises(InternalInconsistencyError, match=r"left pair \(0, 1\) unresolved"):
+            verify_predictions(JahangirParams(6, 5))
 
     def test_report_dict_schema(self):
         doc = verify_predictions(JahangirParams(6, 4)).to_dict()

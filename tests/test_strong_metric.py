@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongdim import (
     DisconnectedGraphError,
@@ -21,6 +22,42 @@ from strongdim import (
     strongly_resolves,
 )
 from helpers import MMD_23, MMD_33, MMD_43, id_pairs, random_connected_graph
+
+
+@st.composite
+def connected_graphs(draw, max_order=14):
+    """Random spanning tree plus random extra edges, order 1 .. max_order."""
+    order = draw(st.integers(1, max_order))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, order)}
+    extra = draw(
+        st.lists(st.tuples(st.integers(0, order - 1), st.integers(0, order - 1)), max_size=order)
+    )
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    return build_graph(order, sorted(edges))
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    g = draw(connected_graphs())
+    everything = list(range(g.vertex_count))
+    subset = draw(
+        st.one_of(
+            st.just([]),
+            st.just(everything),
+            st.lists(st.sampled_from(everything), max_size=g.vertex_count),
+        )
+    )
+    return g, subset
+
+
+def scalar_strong_resolving_check(g, dm, subset):
+    """The definition pair by pair: first pair no chosen vertex strongly resolves."""
+    chosen = sorted(set(subset))
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            if not any(strongly_resolves(dm, w, u, v) for w in chosen):
+                return False, (u, v)
+    return True, None
 
 
 def jahangir_with_distances(n, m):
@@ -89,6 +126,15 @@ class TestIsStrongResolvingSet:
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
                     assert any(dm.dist[u][w] != dm.dist[v][w] for w in basis)
+
+    @given(graphs_with_subsets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_definition(self, case):
+        g, subset = case
+        dm = all_pairs_distances(g)
+        assert is_strong_resolving_set(g, dm, subset) == scalar_strong_resolving_check(
+            g, dm, subset
+        )
 
 
 class TestBruteForce:
@@ -166,6 +212,18 @@ class TestMmdPairs:
         with pytest.raises(DisconnectedGraphError):
             mmd_pairs(build_graph(4, [(0, 1), (2, 3)]))
 
+    @given(connected_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_definition(self, g):
+        dm = all_pairs_distances(g)
+        expected = {
+            (u, v)
+            for u in range(g.vertex_count)
+            for v in range(u + 1, g.vertex_count)
+            if is_maximally_distant(g, dm, u, v) and is_maximally_distant(g, dm, v, u)
+        }
+        assert mmd_pairs(g, dm).pairs == expected
+
 
 class TestStrongResolvingGraph:
     def test_c4_two_disjoint_edges(self):
@@ -217,3 +275,10 @@ class TestSdimViaCover:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             sdim_via_cover(build_graph(4, [(0, 1), (2, 3)]))
+
+    @given(connected_graphs(max_order=12))
+    @settings(max_examples=100, deadline=None)
+    def test_size_matches_brute_force(self, g):
+        result = sdim_via_cover(g)
+        assert result.size == brute_force_sdim(g).size
+        assert is_strong_resolving_set(g, all_pairs_distances(g), result.basis) == (True, None)
