@@ -26,6 +26,9 @@ from .jahangir import JahangirParams, VerificationReport, build_jahangir, sdim_f
 from .strong_metric import brute_force_sdim, mmd_pairs, sdim_via_cover, strong_resolving_graph
 from .vertex_cover import exact_min_vertex_cover, greedy_cover
 
+# brute force tries up to 2**cap subsets, so --brute-cap has a hard ceiling
+MAX_BRUTE_CAP = 20
+
 
 def _parse_jahangir_shorthand(text: str) -> JahangirParams:
     body = text.split(":", 1)[1]
@@ -83,6 +86,13 @@ def _worker_count(requested: int, cpus: int | None) -> int:
     return min(requested, cpus or 1)
 
 
+def _brute_cap(requested: int) -> int:
+    """The ``--brute-cap`` value, refused above :data:`MAX_BRUTE_CAP`."""
+    if requested > MAX_BRUTE_CAP:
+        raise GraphError(f"--brute-cap must be at most {MAX_BRUTE_CAP}, got {requested}")
+    return requested
+
+
 def _ids(vertices) -> str:
     return " ".join(str(v) for v in sorted(vertices))
 
@@ -105,6 +115,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sdim(args: argparse.Namespace) -> int:
+    brute_cap = _brute_cap(args.brute_cap)
     g, params = _load_graph(args.graph)
     method = args.method
     if method == "formula":
@@ -117,7 +128,7 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
         print("method = formula")
         return 0
     if method == "brute":
-        result = brute_force_sdim(g, args.brute_cap)
+        result = brute_force_sdim(g, brute_cap)
     elif method == "pipeline":
         result = sdim_via_cover(g)
     else:  # auto
@@ -197,9 +208,8 @@ def _render_table(reports: list[VerificationReport]) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(args.n)
     m_lo, m_hi = _parse_range(args.m)
-    tasks = [
-        (n, m, args.brute_cap) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)
-    ]
+    cap = _brute_cap(args.brute_cap)
+    tasks = [(n, m, cap) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
     jobs = _worker_count(args.jobs, os.cpu_count())
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -275,3 +285,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

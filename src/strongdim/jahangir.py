@@ -7,9 +7,12 @@ cycle of length n + 2, and consecutive internal cycles share one spoke edge.
 
 For these graphs the strong metric dimension has closed forms in three
 parameter regimes, along with explicit descriptions of the strong resolving
-graph's edges and of an optimal vertex cover.  :func:`verify_predictions`
-rebuilds all of that from scratch (BFS distances, MMD pairs, exact cover)
-and reports any disagreement with the closed forms.
+graph's edges and of an optimal vertex cover.  Every prediction is keyed by
+:func:`regime`, the one place the regime conditions are written; the
+extremal-distance pair sets are relabelled edge families.
+:func:`verify_predictions` rebuilds all of that from scratch through
+:func:`~strongdim.strong_metric.cover_pipeline` (BFS distances, MMD pairs,
+exact cover, re-check) and reports any disagreement with the closed forms.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ from .graphs import (
     all_pairs_distances,
     build_graph,
 )
-from .strong_metric import (
-    InternalInconsistencyError,
-    brute_force_sdim,
-    is_strong_resolving_set,
-    strong_resolving_graph,
-)
-from .vertex_cover import exact_min_vertex_cover, is_vertex_cover
+from .strong_metric import brute_force_sdim, cover_pipeline
+from .vertex_cover import is_vertex_cover
 
 EVEN_CASES = ("even-a", "even-b", "even-c")
 ODD_CASES = ("odd-a", "odd-b", "odd-c")
@@ -90,9 +88,7 @@ class JahangirLabeling:
         return "c" if vid == self.hub else f"u{vid + 1}"
 
     def labels(self) -> dict[int, str]:
-        out = {v: f"u{v + 1}" for v in range(self.rim_size)}
-        out[self.hub] = "c"
-        return out
+        return {v: self.name(v) for v in range(self.rim_size + 1)}
 
     def spoke_ids(self) -> tuple[int, ...]:
         return tuple(self.rim_id(self.n * k + 1) for k in range(self.m))
@@ -116,34 +112,50 @@ def build_jahangir(params: JahangirParams) -> tuple[Graph, JahangirLabeling]:
     return build_graph(params.order, edge_list, lab.labels()), lab
 
 
-def sdim_formula(params: JahangirParams) -> int | None:
-    """Closed-form strong metric dimension, or None outside the known regimes.
+def regime(params: JahangirParams) -> str | None:
+    """The closed-form regime of J(n, m): "base", "even", "odd", or None.
 
-    Covered: m = 3 with n in {2, 3, 4} (value 3); m >= 4 with even n > 5
-    (value m(n-2)/2); m >= 4 with odd n >= 5 (value m(n-1)/2 + m - 3).
+    "base" is m = 3 with n in {2, 3, 4}; "even" is even n > 5 with m >= 4;
+    "odd" is odd n >= 5 with m >= 4.  None marks exploratory parameters.
     """
     n, m = params.n, params.m
     if m == 3 and n in (2, 3, 4):
-        return 3
+        return "base"
     if m >= 4 and n % 2 == 0 and n > 5:
-        return m * (n - 2) // 2
+        return "even"
     if m >= 4 and n % 2 == 1 and n >= 5:
+        return "odd"
+    return None
+
+
+def sdim_formula(params: JahangirParams) -> int | None:
+    """Closed-form strong metric dimension, or None outside the known regimes.
+
+    Values: 3 in the base regime, m(n-2)/2 in the even regime and
+    m(n-1)/2 + m - 3 in the odd regime (see :func:`regime`).
+    """
+    n, m = params.n, params.m
+    kind = regime(params)
+    if kind == "base":
+        return 3
+    if kind == "even":
+        return m * (n - 2) // 2
+    if kind == "odd":
         return m * (n - 1) // 2 + m - 3
     return None
 
 
-def _require_even_regime(params: JahangirParams) -> None:
-    if params.n % 2 != 0 or params.n <= 5 or params.m < 4:
+def _require_regime(params: JahangirParams, name: str) -> None:
+    if regime(params) != name:
+        needs = "even n > 5" if name == "even" else "odd n >= 5"
         raise GraphError(
-            f"even-n predictions need even n > 5 and m >= 4, got ({params.n}, {params.m})"
+            f"{name}-n predictions need {needs} and m >= 4, got ({params.n}, {params.m})"
         )
 
 
-def _require_odd_regime(params: JahangirParams) -> None:
-    if params.n % 2 != 1 or params.n < 5 or params.m < 4:
-        raise GraphError(
-            f"odd-n predictions need odd n >= 5 and m >= 4, got ({params.n}, {params.m})"
-        )
+def _nonconsecutive(m: int) -> list[tuple[int, int]]:
+    """Index pairs k < k2 of internal cycles that share no spoke edge."""
+    return [(k, k2) for k in range(m) for k2 in range(k + 1, m) if k2 - k not in (1, m - 1)]
 
 
 # ---------- predicted strong-resolving-graph edges ----------
@@ -157,7 +169,7 @@ def srg_edge_families_even(params: JahangirParams) -> dict[str, frozenset[tuple[
     non-consecutive cycles.  "within": same-segment pairs whose rim
     positions differ by n/2 + 1.
     """
-    _require_even_regime(params)
+    _require_regime(params, "even")
     n, m = params.n, params.m
     lab = JahangirLabeling(n, m)
     half = n // 2
@@ -165,12 +177,7 @@ def srg_edge_families_even(params: JahangirParams) -> dict[str, frozenset[tuple[
     for k in range(m):
         adjacent.add(lab.pair(n * k + half + 1, n * (k + 1) + half + 2))
         adjacent.add(lab.pair(n * k + half + 1, n * (k - 1) + half))
-    distant: set[tuple[int, int]] = set()
-    for k in range(m):
-        for k2 in range(k + 1, m):
-            if k2 - k in (1, m - 1):
-                continue
-            distant.add(lab.pair(n * k + half + 1, n * k2 + half + 1))
+    distant = {lab.pair(n * k + half + 1, n * k2 + half + 1) for k, k2 in _nonconsecutive(m)}
     within: set[tuple[int, int]] = set()
     for k in range(m):
         for i in range(2, half):
@@ -191,26 +198,21 @@ def srg_edge_families_odd(params: JahangirParams) -> dict[str, frozenset[tuple[i
     non-consecutive cycles; "within" pairs same-segment positions that
     differ by h+1 or h+2.
     """
-    _require_odd_regime(params)
+    _require_regime(params, "odd")
     n, m = params.n, params.m
     lab = JahangirLabeling(n, m)
     half = n // 2
     adjacent: set[tuple[int, int]] = set()
     for k in range(m):
+        # every consecutive-cycle pair, listed once: from segment k to k+1
         adjacent.add(lab.pair(n * k + half, n * (k + 1) + half + 1))
-        adjacent.add(lab.pair(n * k + half + 1, n * (k - 1) + half))
         adjacent.add(lab.pair(n * k + half + 1, n * (k + 1) + half + 2))
-        adjacent.add(lab.pair(n * k + half + 2, n * (k - 1) + half + 1))
         adjacent.add(lab.pair(n * k + half + 2, n * (k + 1) + half + 3))
-        adjacent.add(lab.pair(n * k + half + 3, n * (k - 1) + half + 2))
     distant: set[tuple[int, int]] = set()
-    for k in range(m):
-        for k2 in range(k + 1, m):
-            if k2 - k in (1, m - 1):
-                continue
-            for a in (half + 1, half + 2):
-                for b in (half + 1, half + 2):
-                    distant.add(lab.pair(n * k + a, n * k2 + b))
+    for k, k2 in _nonconsecutive(m):
+        for a in (half + 1, half + 2):
+            for b in (half + 1, half + 2):
+                distant.add(lab.pair(n * k + a, n * k2 + b))
     within: set[tuple[int, int]] = set()
     for k in range(m):
         for i in range(2, half + 1):
@@ -225,18 +227,6 @@ def srg_edge_families_odd(params: JahangirParams) -> dict[str, frozenset[tuple[i
     }
 
 
-def predicted_srg_edges_even(params: JahangirParams) -> frozenset[tuple[int, int]]:
-    """Union of the even-regime edge families."""
-    families = srg_edge_families_even(params)
-    return frozenset().union(*families.values())
-
-
-def predicted_srg_edges_odd(params: JahangirParams) -> frozenset[tuple[int, int]]:
-    """Union of the odd-regime edge families."""
-    families = srg_edge_families_odd(params)
-    return frozenset().union(*families.values())
-
-
 # ---------- predicted optimal covers ----------
 
 
@@ -246,7 +236,7 @@ def predicted_cover_even(params: JahangirParams) -> frozenset[int]:
     Per segment: the midpoint vertex plus the vertices at positions
     2 .. n/2 - 1.  Size m(n-2)/2.
     """
-    _require_even_regime(params)
+    _require_regime(params, "even")
     n, m = params.n, params.m
     lab = JahangirLabeling(n, m)
     half = n // 2
@@ -266,7 +256,7 @@ def predicted_cover_odd(params: JahangirParams) -> frozenset[int]:
     positions 2 .. h of every segment but the last, and positions
     h+3 .. n of the last segment.  Size m(n-1)/2 + m - 3.
     """
-    _require_odd_regime(params)
+    _require_regime(params, "odd")
     n, m = params.n, params.m
     lab = JahangirLabeling(n, m)
     half = n // 2
@@ -284,6 +274,16 @@ def predicted_cover_odd(params: JahangirParams) -> frozenset[int]:
 
 
 # ---------- characterized long-distance pairs ----------
+
+# case -> (tag, edge family): every extremal pair set but odd-a's is a
+# relabelled SRG edge family
+_EXTREMAL_FAMILY = {
+    "even-a": ("n_plus_1", "adjacent"),
+    "even-b": ("n_plus_2", "distant"),
+    "even-c": ("half_plus_1", "within"),
+    "odd-b": ("n_plus_1", "distant"),
+    "odd-c": ("half_plus_1", "within"),
+}
 
 
 def extremal_distance_pairs(
@@ -303,64 +303,27 @@ def extremal_distance_pairs(
     - odd-c, "half_plus_1": same-segment degree-2 pairs at distance
       (n-1)/2 + 1
     """
-    n, m = params.n, params.m
-    lab = JahangirLabeling(n, m)
-    half = n // 2
     if case in EVEN_CASES:
-        _require_even_regime(params)
+        families = srg_edge_families_even(params)
     elif case in ODD_CASES:
-        _require_odd_regime(params)
+        families = srg_edge_families_odd(params)
     else:
         raise GraphError(f"unknown case {case!r}, expected one of {EVEN_CASES + ODD_CASES}")
-
-    if case == "even-a":
-        pairs: set[tuple[int, int]] = set()
-        for k in range(m):
-            pairs.add(lab.pair(n * k + half + 1, n * (k + 1) + half + 2))
-            pairs.add(lab.pair(n * k + half, n * (k + 1) + half + 1))
-        return {"n_plus_1": frozenset(pairs)}
-    if case == "even-b":
-        pairs = set()
-        for k in range(m):
-            for k2 in range(k + 1, m):
-                if k2 - k not in (1, m - 1):
-                    pairs.add(lab.pair(n * k + half + 1, n * k2 + half + 1))
-        return {"n_plus_2": frozenset(pairs)}
-    if case == "even-c":
-        return {"half_plus_1": srg_edge_families_even(params)["within"]}
     if case == "odd-a":
-        longest: set[tuple[int, int]] = set()
-        off_diametrical: set[tuple[int, int]] = set()
-        for k in range(m):
-            longest.add(lab.pair(n * k + half + 1, n * (k + 1) + half + 2))
-            off_diametrical.add(lab.pair(n * k + half, n * (k + 1) + half + 1))
-            off_diametrical.add(lab.pair(n * k + half + 2, n * (k + 1) + half + 3))
-        return {
-            "n_plus_1": frozenset(longest),
-            "n_off_diametrical": frozenset(off_diametrical),
-        }
-    if case == "odd-b":
-        pairs = set()
-        for k in range(m):
-            for k2 in range(k + 1, m):
-                if k2 - k not in (1, m - 1):
-                    for a in (half + 1, half + 2):
-                        for b in (half + 1, half + 2):
-                            pairs.add(lab.pair(n * k + a, n * k2 + b))
-        return {"n_plus_1": frozenset(pairs)}
-    # odd-c
-    return {"half_plus_1": srg_edge_families_odd(params)["within"]}
+        # the odd "adjacent" family splits into the m pairs at distance n+1
+        # and the 2m pairs at distance n that avoid every diametrical path
+        n, m = params.n, params.m
+        lab = JahangirLabeling(n, m)
+        half = n // 2
+        longest = frozenset(lab.pair(n * k + half + 1, n * (k + 1) + half + 2) for k in range(m))
+        return {"n_plus_1": longest, "n_off_diametrical": families["adjacent"] - longest}
+    tag, family = _EXTREMAL_FAMILY[case]
+    return {tag: families[family]}
 
 
-def _diametrical_endpoints(dm: DistanceMatrix) -> tuple[int, list[tuple[int, int]]]:
+def _diametrical_endpoints(dm: DistanceMatrix) -> list[tuple[int, int]]:
     diam = max(max(row) for row in dm.dist)
-    ends = [
-        (a, b)
-        for a in range(dm.order)
-        for b in range(dm.order)
-        if dm.dist[a][b] == diam
-    ]
-    return diam, ends
+    return [(a, b) for a, row in enumerate(dm.dist) for b, dab in enumerate(row) if dab == diam]
 
 
 def _on_diametrical_path(
@@ -371,10 +334,23 @@ def _on_diametrical_path(
     # orientations of (x, y)
     d = dm.dist
     dxy = d[x][y]
-    for a, b in ends:
-        if d[a][x] + dxy + d[y][b] == d[a][b]:
-            return True
-    return False
+    return any(d[a][x] + dxy + d[y][b] == d[a][b] for a, b in ends)
+
+
+def _scan_cycle_pairs(
+    dm: DistanceMatrix, lab: JahangirLabeling, ks: Iterable[tuple[int, int]], target: int
+) -> frozenset[tuple[int, int]]:
+    """Pairs at distance ``target`` with one end on internal cycle k, the other on k2."""
+    d = dm.dist
+    found: set[tuple[int, int]] = set()
+    for k, k2 in ks:
+        right = lab.cycle_ids(k2)
+        for x in lab.cycle_ids(k):
+            row = d[x]
+            for y in right:
+                if x != y and row[y] == target:
+                    found.add((x, y) if x < y else (y, x))
+    return frozenset(found)
 
 
 def measured_distance_pairs(
@@ -392,21 +368,8 @@ def measured_distance_pairs(
     if case not in EVEN_CASES + ODD_CASES:
         raise GraphError(f"unknown case {case!r}, expected one of {EVEN_CASES + ODD_CASES}")
 
-    def scan_cycle_pairs(ks: Iterable[tuple[int, int]], target: int) -> frozenset[tuple[int, int]]:
-        found: set[tuple[int, int]] = set()
-        for k, k2 in ks:
-            left = lab.cycle_ids(k)
-            right = lab.cycle_ids(k2)
-            for x in left:
-                for y in right:
-                    if x != y and d[x][y] == target:
-                        found.add((x, y) if x < y else (y, x))
-        return frozenset(found)
-
     consecutive = [(k, (k + 1) % m) for k in range(m)]
-    nonconsecutive = [
-        (k, k2) for k in range(m) for k2 in range(k + 1, m) if k2 - k not in (1, m - 1)
-    ]
+    nonconsecutive = _nonconsecutive(m)
 
     def scan_within(target: int) -> frozenset[tuple[int, int]]:
         found: set[tuple[int, int]] = set()
@@ -419,21 +382,19 @@ def measured_distance_pairs(
         return frozenset(found)
 
     if case == "even-a":
-        return {"n_plus_1": scan_cycle_pairs(consecutive, n + 1)}
+        return {"n_plus_1": _scan_cycle_pairs(dm, lab, consecutive, n + 1)}
     if case == "even-b":
-        return {"n_plus_2": scan_cycle_pairs(nonconsecutive, n + 2)}
+        return {"n_plus_2": _scan_cycle_pairs(dm, lab, nonconsecutive, n + 2)}
     if case == "even-c":
         return {"half_plus_1": scan_within(half + 1)}
     if case == "odd-a":
-        longest = scan_cycle_pairs(consecutive, n + 1)
-        at_n = scan_cycle_pairs(consecutive, n)
-        _, ends = _diametrical_endpoints(dm)
-        off = frozenset(
-            (x, y) for x, y in at_n if not _on_diametrical_path(dm, ends, x, y)
-        )
+        longest = _scan_cycle_pairs(dm, lab, consecutive, n + 1)
+        at_n = _scan_cycle_pairs(dm, lab, consecutive, n)
+        ends = _diametrical_endpoints(dm)
+        off = frozenset((x, y) for x, y in at_n if not _on_diametrical_path(dm, ends, x, y))
         return {"n_plus_1": longest, "n_off_diametrical": off}
     if case == "odd-b":
-        return {"n_plus_1": scan_cycle_pairs(nonconsecutive, n + 1)}
+        return {"n_plus_1": _scan_cycle_pairs(dm, lab, nonconsecutive, n + 1)}
     # odd-c
     return {"half_plus_1": scan_within(half + 1)}
 
@@ -513,20 +474,9 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     n, m = params.n, params.m
     g, lab = build_jahangir(params)
     dm = all_pairs_distances(g)
-    srg = strong_resolving_graph(g, dm)
-    cover = exact_min_vertex_cover(srg)
-    alpha = cover.size
-    ok, witness = is_strong_resolving_set(g, dm, cover.cover)
-    if not ok:
-        raise InternalInconsistencyError(
-            f"cover of the strong resolving graph left pair {witness} unresolved"
-        )
-    pipeline = alpha
-
-    even_regime = n % 2 == 0 and n > 5 and m >= 4
-    odd_regime = n % 2 == 1 and n >= 5 and m >= 4
-    base_regime = m == 3 and n in (2, 3, 4)
-    exploratory = not (even_regime or odd_regime or base_regime)
+    srg, result = cover_pipeline(g, dm)
+    alpha = result.size
+    kind = regime(params)
 
     discrepancies: list[Discrepancy] = []
     notes: list[str] = []
@@ -534,15 +484,16 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     cover_valid: bool | None = None
     cover_size: int | None = None
 
-    if even_regime or odd_regime:
-        if even_regime:
-            predicted_edges = predicted_srg_edges_even(params)
+    if kind in ("even", "odd"):
+        if kind == "even":
+            families = srg_edge_families_even(params)
             predicted_cover = predicted_cover_even(params)
             cases = EVEN_CASES
         else:
-            predicted_edges = predicted_srg_edges_odd(params)
+            families = srg_edge_families_odd(params)
             predicted_cover = predicted_cover_odd(params)
             cases = ODD_CASES
+        predicted_edges = frozenset().union(*families.values())
         actual_edges = frozenset(srg.edges())
         srg_match = predicted_edges == actual_edges
         if not srg_match:
@@ -555,10 +506,9 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
                     f"computed but unpredicted: [{_named_pairs(lab, extra)}]",
                 )
             )
-        cover_ok, uncovered = is_vertex_cover(srg, predicted_cover)
-        cover_valid = cover_ok
+        cover_valid, uncovered = is_vertex_cover(srg, predicted_cover)
         cover_size = len(predicted_cover)
-        if not cover_ok:
+        if not cover_valid:
             assert uncovered is not None
             discrepancies.append(
                 Discrepancy(
@@ -573,28 +523,19 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
                     f"predicted cover has {cover_size} vertices but the optimum is {alpha}",
                 )
             )
-        if odd_regime:
-            # the "lies on no diametrical path" side condition is resolved by
-            # an explicit endpoint scan; say so whenever it excluded pairs
-            consecutive = [(k, (k + 1) % m) for k in range(m)]
-            at_n = set()
-            for k, k2 in consecutive:
-                for x in lab.cycle_ids(k):
-                    for y in lab.cycle_ids(k2):
-                        if x != y and dm.dist[x][y] == n:
-                            at_n.add((x, y) if x < y else (y, x))
-            _, ends = _diametrical_endpoints(dm)
-            excluded = {
-                pair for pair in at_n if _on_diametrical_path(dm, ends, pair[0], pair[1])
-            }
-            if excluded:
-                notes.append(
-                    f"{len(excluded)} distance-{n} pairs lie on a diametrical path "
-                    "(endpoint-scan criterion) and are excluded from the MMD prediction"
-                )
         for case in cases:
             expected = extremal_distance_pairs(params, case)
             observed = measured_distance_pairs(g, dm, lab, case)
+            if case == "odd-a":
+                # the "lies on no diametrical path" side condition is resolved by
+                # an explicit endpoint scan; say so whenever it excluded pairs
+                at_n = _scan_cycle_pairs(dm, lab, [(k, (k + 1) % m) for k in range(m)], n)
+                excluded = at_n - observed["n_off_diametrical"]
+                if excluded:
+                    notes.append(
+                        f"{len(excluded)} distance-{n} pairs lie on a diametrical path "
+                        "(endpoint-scan criterion) and are excluded from the MMD prediction"
+                    )
             if expected != observed:
                 parts = []
                 for tag in sorted(set(expected) | set(observed)):
@@ -608,34 +549,34 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
                 discrepancies.append(Discrepancy(f"distance-pairs-{case}", "; ".join(parts)))
 
     formula = sdim_formula(params)
-    if formula is not None and formula != pipeline:
+    if formula is not None and formula != alpha:
         discrepancies.append(
             Discrepancy(
                 "sdim-formula",
-                f"closed form gives {formula} but the cover pipeline gives {pipeline}",
+                f"closed form gives {formula} but the cover pipeline gives {alpha}",
             )
         )
     brute: int | None = None
     if g.vertex_count <= brute_cap:
         brute = brute_force_sdim(g, brute_cap).size
-        if brute != pipeline:
+        if brute != alpha:
             discrepancies.append(
                 Discrepancy(
                     "sdim-brute",
-                    f"exhaustive search gives {brute} but the cover pipeline gives {pipeline}",
+                    f"exhaustive search gives {brute} but the cover pipeline gives {alpha}",
                 )
             )
 
     return VerificationReport(
         n=n,
         m=m,
-        exploratory=exploratory,
+        exploratory=kind is None,
         srg_edges_match=srg_match,
         predicted_cover_valid=cover_valid,
         predicted_cover_size=cover_size,
         alpha_computed=alpha,
         formula_sdim=formula,
-        pipeline_sdim=pipeline,
+        pipeline_sdim=alpha,
         brute_sdim=brute,
         discrepancies=tuple(discrepancies),
         notes=tuple(notes),

@@ -5,7 +5,7 @@ shortest path between the other and ``w``.  The strong metric dimension of a
 connected graph is the size of a smallest set that strongly resolves every
 vertex pair.  It equals the minimum vertex cover of the strong resolving
 graph, whose edges are exactly the mutually maximally distant (MMD) pairs,
-which is what :func:`sdim_via_cover` exploits.
+which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
 
 The two whole-graph scans work on Python integers used as vertex bitsets
 (bit ``v`` stands for vertex ``v``).  :func:`is_strong_resolving_set` builds,
@@ -216,11 +216,11 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
     return build_graph(g.vertex_count, sorted(pairs.pairs), g.labels)
 
 
-def sdim_via_cover(g: Graph, dm: DistanceMatrix | None = None) -> StrongBasisResult:
-    """Strong metric dimension as a minimum vertex cover of the strong resolving graph.
+def cover_pipeline(g: Graph, dm: DistanceMatrix | None = None) -> tuple[Graph, StrongBasisResult]:
+    """The strong resolving graph and a minimum strong resolving set read off its optimal cover.
 
-    The returned basis is re-checked against the definition; a failure
-    would mean the reduction itself is broken, so it raises
+    The basis is re-checked against the definition; a failure would mean
+    the reduction itself is broken, so it raises
     :class:`InternalInconsistencyError` rather than returning quietly.
     """
     if not is_connected(g):
@@ -234,4 +234,9 @@ def sdim_via_cover(g: Graph, dm: DistanceMatrix | None = None) -> StrongBasisRes
         raise InternalInconsistencyError(
             f"optimal cover of the strong resolving graph left pair {witness} unresolved"
         )
-    return StrongBasisResult(cover.size, cover.cover, "vertex-cover-reduction")
+    return srg, StrongBasisResult(cover.size, cover.cover, "vertex-cover-reduction")
+
+
+def sdim_via_cover(g: Graph, dm: DistanceMatrix | None = None) -> StrongBasisResult:
+    """Strong metric dimension as a minimum vertex cover of the strong resolving graph."""
+    return cover_pipeline(g, dm)[1]

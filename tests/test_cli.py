@@ -280,16 +280,53 @@ class TestWorkerCount:
             cli._worker_count(jobs, 4)
 
 
-def test_python_dash_m_entry_point():
+class TestBruteCap:
+    def test_ceiling_accepted(self):
+        assert cli._brute_cap(cli.MAX_BRUTE_CAP) == cli.MAX_BRUTE_CAP
+
+    def test_above_ceiling_rejected(self):
+        with pytest.raises(GraphError, match=f"at most {cli.MAX_BRUTE_CAP}"):
+            cli._brute_cap(cli.MAX_BRUTE_CAP + 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sdim", "jahangir:6,5", "--method", "brute", "--brute-cap", "40"],
+            ["verify", "--n", "6..6", "--m", "5..5", "--brute-cap", "40"],
+        ],
+    )
+    def test_cli_rejects_before_searching(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute force ran despite the rejected cap")
+
+        monkeypatch.setattr(cli, "brute_force_sdim", refuse)
+        monkeypatch.setattr(cli, "verify_predictions", refuse)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "--brute-cap must be at most" in err
+
+
+def _run_module(module):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "strongdim", "sdim", "jahangir:6,5"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "sdim", "jahangir:6,5"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = _run_module("strongdim")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["sdim = 10", "method = vertex-cover-reduction"]
+
+
+def test_python_dash_m_cli_module():
+    proc = _run_module("strongdim.cli")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == ["sdim = 10", "method = vertex-cover-reduction"]

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from strongdim import jahangir
+from strongdim import strong_metric
 
 from strongdim import (
     GraphError,
@@ -16,8 +16,7 @@ from strongdim import (
     measured_distance_pairs,
     predicted_cover_even,
     predicted_cover_odd,
-    predicted_srg_edges_even,
-    predicted_srg_edges_odd,
+    regime,
     sdim_formula,
     srg_edge_families_even,
     srg_edge_families_odd,
@@ -39,6 +38,7 @@ from helpers import (
 
 EVEN_GRID = [(n, m) for n in (6, 8, 10, 12) for m in range(4, 9)]
 ODD_GRID = [(n, m) for n in (5, 7, 9, 11) for m in range(4, 9)]
+REGIME_GRID = [(n, m) for n in range(2, 17) for m in range(3, 13)]
 
 
 class TestConstruction:
@@ -114,6 +114,30 @@ class TestFormula:
         assert sdim_formula(JahangirParams(n, m)) == expected
 
 
+class TestRegime:
+    @pytest.mark.parametrize("n,m", REGIME_GRID)
+    def test_formula_exists_exactly_in_a_regime(self, n, m):
+        p = JahangirParams(n, m)
+        assert (regime(p) is None) == (sdim_formula(p) is None)
+
+    @pytest.mark.parametrize("n,m", REGIME_GRID)
+    def test_family_predictions_need_their_regime(self, n, m):
+        p = JahangirParams(n, m)
+        for name, families in (("even", srg_edge_families_even), ("odd", srg_edge_families_odd)):
+            if regime(p) == name:
+                families(p)
+            else:
+                with pytest.raises(GraphError, match=f"{name}-n predictions"):
+                    families(p)
+
+    @pytest.mark.parametrize(
+        "n,m,expected",
+        [(2, 3, "base"), (4, 3, "base"), (5, 3, None), (4, 4, None), (6, 4, "even"), (5, 4, "odd")],
+    )
+    def test_values(self, n, m, expected):
+        assert regime(JahangirParams(n, m)) == expected
+
+
 class TestEvenFamilies:
     def test_golden_6_5(self):
         p = JahangirParams(6, 5)
@@ -140,7 +164,8 @@ class TestEvenFamilies:
     def test_matches_computed_srg(self):
         p = JahangirParams(8, 5)
         g, _ = build_jahangir(p)
-        assert predicted_srg_edges_even(p) == frozenset(strong_resolving_graph(g).edges())
+        predicted = frozenset().union(*srg_edge_families_even(p).values())
+        assert predicted == frozenset(strong_resolving_graph(g).edges())
 
     def test_regime_enforced(self):
         with pytest.raises(GraphError, match="even-n predictions"):
@@ -177,7 +202,8 @@ class TestOddFamilies:
     def test_matches_computed_srg(self):
         p = JahangirParams(7, 5)
         g, _ = build_jahangir(p)
-        assert predicted_srg_edges_odd(p) == frozenset(strong_resolving_graph(g).edges())
+        predicted = frozenset().union(*srg_edge_families_odd(p).values())
+        assert predicted == frozenset(strong_resolving_graph(g).edges())
 
     def test_regime_enforced(self):
         with pytest.raises(GraphError, match="odd-n predictions"):
@@ -268,14 +294,20 @@ class TestExtremalDistancePairs:
         with pytest.raises(GraphError, match="unknown case"):
             extremal_distance_pairs(JahangirParams(6, 5), "even-z")
 
-    @pytest.mark.parametrize("n,m,case", [(6, 4, c) for c in ("even-a", "even-b", "even-c")])
+    @pytest.mark.parametrize(
+        "n,m,case",
+        [(n, m, c) for n, m in ((6, 4), (8, 5), (14, 6)) for c in ("even-a", "even-b", "even-c")],
+    )
     def test_matches_measured_even_sample(self, n, m, case):
         p = JahangirParams(n, m)
         g, lab = build_jahangir(p)
         dm = all_pairs_distances(g)
         assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, dm, lab, case)
 
-    @pytest.mark.parametrize("n,m,case", [(9, 6, c) for c in ("odd-a", "odd-b", "odd-c")])
+    @pytest.mark.parametrize(
+        "n,m,case",
+        [(n, m, c) for n, m in ((9, 6), (5, 4), (11, 7)) for c in ("odd-a", "odd-b", "odd-c")],
+    )
     def test_matches_measured_odd_sample(self, n, m, case):
         p = JahangirParams(n, m)
         g, lab = build_jahangir(p)
@@ -324,7 +356,9 @@ class TestVerifyPredictions:
         ).size
 
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(jahangir, "is_strong_resolving_set", lambda g, dm, s: (False, (0, 1)))
+        monkeypatch.setattr(
+            strong_metric, "is_strong_resolving_set", lambda g, dm, s: (False, (0, 1))
+        )
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(0, 1\) unresolved"):
             verify_predictions(JahangirParams(6, 5))
 
