@@ -309,6 +309,13 @@ def extremal_distance_pairs(
         families = srg_edge_families_odd(params)
     else:
         raise GraphError(f"unknown case {case!r}, expected one of {EVEN_CASES + ODD_CASES}")
+    return _extremal_pairs(params, families, case)
+
+
+def _extremal_pairs(
+    params: JahangirParams, families: dict[str, frozenset[tuple[int, int]]], case: str
+) -> dict[str, frozenset[tuple[int, int]]]:
+    """:func:`extremal_distance_pairs` read off already built edge families."""
     if case == "odd-a":
         # the odd "adjacent" family splits into the m pairs at distance n+1
         # and the 2m pairs at distance n that avoid every diametrical path
@@ -353,6 +360,19 @@ def _scan_cycle_pairs(
     return frozenset(found)
 
 
+def _measure_odd_a(
+    dm: DistanceMatrix, lab: JahangirLabeling
+) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
+    """The "odd-a" measurement and the unfiltered consecutive-cycle pairs at distance n."""
+    n, m = lab.n, lab.m
+    consecutive = [(k, (k + 1) % m) for k in range(m)]
+    longest = _scan_cycle_pairs(dm, lab, consecutive, n + 1)
+    at_n = _scan_cycle_pairs(dm, lab, consecutive, n)
+    ends = _diametrical_endpoints(dm)
+    off = frozenset((x, y) for x, y in at_n if not _on_diametrical_path(dm, ends, x, y))
+    return {"n_plus_1": longest, "n_off_diametrical": off}, at_n
+
+
 def measured_distance_pairs(
     g: Graph, dm: DistanceMatrix, lab: JahangirLabeling, case: str
 ) -> dict[str, frozenset[tuple[int, int]]]:
@@ -388,11 +408,7 @@ def measured_distance_pairs(
     if case == "even-c":
         return {"half_plus_1": scan_within(half + 1)}
     if case == "odd-a":
-        longest = _scan_cycle_pairs(dm, lab, consecutive, n + 1)
-        at_n = _scan_cycle_pairs(dm, lab, consecutive, n)
-        ends = _diametrical_endpoints(dm)
-        off = frozenset((x, y) for x, y in at_n if not _on_diametrical_path(dm, ends, x, y))
-        return {"n_plus_1": longest, "n_off_diametrical": off}
+        return _measure_odd_a(dm, lab)[0]
     if case == "odd-b":
         return {"n_plus_1": _scan_cycle_pairs(dm, lab, nonconsecutive, n + 1)}
     # odd-c
@@ -524,18 +540,19 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
                 )
             )
         for case in cases:
-            expected = extremal_distance_pairs(params, case)
-            observed = measured_distance_pairs(g, dm, lab, case)
+            expected = _extremal_pairs(params, families, case)
             if case == "odd-a":
                 # the "lies on no diametrical path" side condition is resolved by
                 # an explicit endpoint scan; say so whenever it excluded pairs
-                at_n = _scan_cycle_pairs(dm, lab, [(k, (k + 1) % m) for k in range(m)], n)
+                observed, at_n = _measure_odd_a(dm, lab)
                 excluded = at_n - observed["n_off_diametrical"]
                 if excluded:
                     notes.append(
                         f"{len(excluded)} distance-{n} pairs lie on a diametrical path "
                         "(endpoint-scan criterion) and are excluded from the MMD prediction"
                     )
+            else:
+                observed = measured_distance_pairs(g, dm, lab, case)
             if expected != observed:
                 parts = []
                 for tag in sorted(set(expected) | set(observed)):

@@ -1,8 +1,13 @@
 """Exact and heuristic vertex covers, plus maximum independent sets.
 
-The exact solver is a deterministic branch and bound: given the fixed
-branching rule below it always returns the same optimal cover for the
-same input, which keeps downstream results reproducible.
+Both covers work on Python integers used as vertex bitsets.  The exact
+solver is a branch and reduce over one mask of the vertices still in play:
+degree-0 and degree-1 reductions at every node, a greedy clique-cover
+lower bound for pruning, and branching on a maximum-degree vertex.  Its
+relabelling and branching rule are fixed, so it always returns the same
+optimal cover for the same input, which keeps downstream results
+reproducible.  :func:`matching_lower_bound` is a weaker, cheaper bound
+kept for callers that sanity-check a cover's size.
 """
 
 from __future__ import annotations
@@ -38,37 +43,18 @@ def is_vertex_cover(g: Graph, subset: Iterable[int]) -> tuple[bool, tuple[int, i
     return True, None
 
 
-def _max_degree_vertex(adj: list[set[int]]) -> int:
-    # max degree, ties broken toward the lowest id
-    best, best_deg = -1, -1
-    for v, nbrs in enumerate(adj):
-        if len(nbrs) > best_deg:
-            best, best_deg = v, len(nbrs)
-    return best
-
-
-def _remove_vertex(adj: list[set[int]], v: int) -> None:
-    for u in adj[v]:
-        adj[u].discard(v)
-    adj[v] = set()
-
-
 def matching_lower_bound(g: Graph) -> int:
     """Size of a greedily built maximal matching, a lower bound on cover size.
 
     Vertices are scanned in increasing id order and each one is matched to
     its lowest-id unmatched neighbor, so the bound is deterministic.
     """
-    return _matching_size([set(nbrs) for nbrs in g.adjacency])
-
-
-def _matching_size(adj: list[set[int]]) -> int:
-    matched = [False] * len(adj)
+    matched = [False] * g.vertex_count
     size = 0
-    for u in range(len(adj)):
+    for u in range(g.vertex_count):
         if matched[u]:
             continue
-        for v in sorted(adj[u]):
+        for v in sorted(g.adjacency[u]):
             if not matched[v]:
                 matched[u] = matched[v] = True
                 size += 1
@@ -82,66 +68,120 @@ def greedy_cover(g: Graph) -> CoverResult:
     The result is only guaranteed optimal when it meets the matching lower
     bound; the ``optimal`` flag records that.
     """
-    adj = [set(nbrs) for nbrs in g.adjacency]
+    nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+    live = (1 << g.vertex_count) - 1
     cover: list[int] = []
     while True:
-        v = _max_degree_vertex(adj)
-        if v < 0 or not adj[v]:
+        best, best_deg = -1, 0
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            deg = (nbr[v] & live).bit_count()
+            if deg > best_deg:
+                best, best_deg = v, deg
+            elif not deg:
+                live ^= low
+        if best < 0:
             break
-        cover.append(v)
-        _remove_vertex(adj, v)
+        cover.append(best)
+        live ^= 1 << best
     size = len(cover)
     return CoverResult(tuple(sorted(cover)), size, size == matching_lower_bound(g), 0)
 
 
-def exact_min_vertex_cover(g: Graph, *, max_vertices: int = 256) -> CoverResult:
-    """Minimum vertex cover by branch and bound.
+def _clique_cover_bound(nbr: list[int], live: int) -> int:
+    """Lower bound on the minimum cover of the subgraph induced by ``live``.
 
-    Deterministic by construction: degree-1 vertices are reduced first
-    (their neighbor joins the cover), branching picks the maximum-degree
-    vertex with the lowest id and tries "in the cover" before "excluded,
-    so all neighbors in", and an incumbent is replaced only by a strictly
-    smaller cover.  The greedy cover seeds the incumbent and a maximal
-    matching on the residual graph prunes hopeless branches.
+    ``live`` is partitioned greedily into cliques: the lowest unassigned
+    vertex opens a clique, which then takes, lowest first, every unassigned
+    vertex adjacent to all its members.  A cover needs all but one vertex
+    of each clique, so the bound is |live| minus the number of cliques.
     """
-    if g.vertex_count > max_vertices:
-        raise SizeLimitError(
-            f"graph has {g.vertex_count} vertices, exact cover cap is {max_vertices}"
-        )
-    seed = greedy_cover(g)
-    best_cover = list(seed.cover)
-    best_size = seed.size
+    cliques = 0
+    rest = live
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cliques += 1
+        cand = nbr[low.bit_length() - 1] & rest
+        while cand:
+            low = cand & -cand
+            rest ^= low
+            cand &= nbr[low.bit_length() - 1]
+    return live.bit_count() - cliques
+
+
+def exact_min_vertex_cover(g: Graph, *, max_vertices: int = 256) -> CoverResult:
+    """Minimum vertex cover by branch and reduce on vertex bitsets.
+
+    Vertices are relabelled once by ascending degree (lowest id on ties),
+    and position ``i`` of that order is bit ``i`` of every mask.  A search
+    node is the mask of vertices still in play, so a branch copies nothing.
+    Each node reduces to a fixpoint, dropping isolated vertices and putting
+    the neighbor of a degree-1 vertex into the cover, then prunes when the
+    vertices taken plus :func:`_clique_cover_bound` of the rest cannot beat
+    the best cover found.  Otherwise it branches on the maximum-degree
+    vertex (lowest position on ties): first "in the cover", then "excluded,
+    so all its neighbors in".  Each level removes at least one vertex, so
+    the recursion is at most ``vertex_count`` deep.
+
+    Deterministic by construction: the relabelling and the branching rule
+    are fixed, and the best cover is replaced only by a strictly smaller
+    one, so the same input always gives the same cover and node count.
+    """
+    n = g.vertex_count
+    if n > max_vertices:
+        raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {max_vertices}")
+    order = sorted(range(n), key=lambda v: len(g.adjacency[v]))
+    position = {v: i for i, v in enumerate(order)}
+    nbr = [sum(1 << position[u] for u in g.adjacency[v]) for v in order]
+    best_chosen = 0
+    best_size = n + 1
     nodes_explored = 0
 
-    def search(adj: list[set[int]], chosen: set[int]) -> None:
-        nonlocal best_cover, best_size, nodes_explored
+    def search(live: int, chosen: int) -> None:
+        nonlocal best_chosen, best_size, nodes_explored
         nodes_explored += 1
         while True:
-            leaf = next((v for v in range(len(adj)) if len(adj[v]) == 1), None)
-            if leaf is None:
+            # one round over the live vertices; the last round, which
+            # takes nothing, also finds the branching vertex
+            taken = False
+            branch, branch_deg = 0, 0
+            rest = live
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not live & low:
+                    continue  # removed earlier in this round
+                near = nbr[low.bit_length() - 1] & live
+                if not near:
+                    live ^= low
+                elif not near & (near - 1):
+                    chosen |= near
+                    live &= ~(low | near)
+                    taken = True
+                else:
+                    deg = near.bit_count()
+                    if deg > branch_deg:
+                        branch, branch_deg = low, deg
+            if not taken:
                 break
-            neighbor = next(iter(adj[leaf]))
-            chosen.add(neighbor)
-            _remove_vertex(adj, neighbor)
-        if not any(adj):
-            if len(chosen) < best_size:
-                best_cover = sorted(chosen)
-                best_size = len(chosen)
+        size = chosen.bit_count()
+        if not live:
+            if size < best_size:
+                best_chosen, best_size = chosen, size
             return
-        if len(chosen) + _matching_size(adj) >= best_size:
+        if size + _clique_cover_bound(nbr, live) >= best_size:
             return
-        v = _max_degree_vertex(adj)
-        branch = [set(s) for s in adj]
-        _remove_vertex(branch, v)
-        search(branch, chosen | {v})
-        neighbors = sorted(adj[v])
-        branch = [set(s) for s in adj]
-        for w in neighbors:
-            _remove_vertex(branch, w)
-        search(branch, chosen | set(neighbors))
+        search(live ^ branch, chosen | branch)
+        near = nbr[branch.bit_length() - 1] & live
+        search(live & ~(branch | near), chosen | near)
 
-    search([set(nbrs) for nbrs in g.adjacency], set())
-    return CoverResult(tuple(best_cover), best_size, True, nodes_explored)
+    search((1 << n) - 1, 0)
+    cover = tuple(sorted(order[i] for i in range(n) if best_chosen >> i & 1))
+    return CoverResult(cover, best_size, True, nodes_explored)
 
 
 def max_independent_set(g: Graph, *, max_vertices: int = 256) -> tuple[int, ...]:

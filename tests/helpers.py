@@ -24,6 +24,15 @@ def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Gra
     return build_graph(order, sorted(edges))
 
 
+def large_random_graphs(count=10) -> list[Graph]:
+    """Connected graphs of order 60-80, graph i drawn from ``random.Random(i)``.
+
+    Too large for brute force, so their strong metric dimensions are pinned
+    by a golden capture instead of an oracle.
+    """
+    return [random_connected_graph(random.Random(seed), 60, 80) for seed in range(count)]
+
+
 def random_graph(rng: random.Random, min_order=1, max_order=10) -> Graph:
     """Random graph of arbitrary density, possibly disconnected."""
     order = rng.randint(min_order, max_order)

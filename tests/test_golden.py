@@ -1,15 +1,24 @@
-"""Byte-for-byte regression of ``verify`` output on the reference grids.
+"""Regression of outputs captured before code they depend on was rewritten.
 
-The files under ``tests/golden/`` were captured from ``python -m strongdim
-verify ...`` before the verification code was restructured; any change to
-the reports, their notes, the JSON layout or the table must show up here.
-Regenerate them only on purpose, with the commands in ``GOLDENS``.
+The ``verify`` files under ``tests/golden/`` were captured from ``python -m
+strongdim verify ...`` before the verification code was restructured; any
+change to the reports, their notes, the JSON layout or the table must show
+up here.  Regenerate them only on purpose, with the commands in ``GOLDENS``.
+
+``sdim_random_60-80.json`` pins the strong metric dimension of the graphs of
+:func:`helpers.large_random_graphs`, which are too large for the brute-force
+oracle; it was captured before the exact cover search was rewritten, with
+``PYTHONPATH=src:tests python -c "import json, test_golden;
+print(json.dumps(test_golden.random_sdim_rows(), indent=1))"``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from helpers import large_random_graphs
+from strongdim import sdim_via_cover
 from strongdim.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -28,3 +37,15 @@ def test_verify_output_is_byte_identical(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def random_sdim_rows() -> list[dict]:
+    return [
+        {"seed": seed, "order": g.vertex_count, "edges": len(g.edges()), "sdim": sdim_via_cover(g).size}
+        for seed, g in enumerate(large_random_graphs())
+    ]
+
+
+def test_sdim_above_brute_force_size():
+    golden = json.loads((GOLDEN_DIR / "sdim_random_60-80.json").read_text(encoding="utf-8"))
+    assert random_sdim_rows() == golden

@@ -17,8 +17,10 @@ from strongdim import (
     matching_lower_bound,
     max_independent_set,
     path_graph,
+    sdim_formula,
     strong_resolving_graph,
 )
+from strongdim.vertex_cover import _clique_cover_bound
 from helpers import exhaustive_min_cover_size, random_graph
 
 
@@ -37,6 +39,15 @@ def sparse_graphs(draw, max_order=20):
         if u != v
     }
     return build_graph(order, sorted(edges))
+
+
+@st.composite
+def graphs_of_density(draw, max_order=14):
+    order = draw(st.integers(0, max_order))
+    density = draw(st.floats(0.1, 0.8))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < density]
+    return build_graph(order, edges)
 
 
 class TestIsVertexCover:
@@ -71,6 +82,10 @@ class TestGreedyCover:
         result = greedy_cover(star)
         assert result.cover == (0,) and result.size == 1 and result.optimal
 
+    def test_ties_go_to_the_lowest_id(self):
+        # every C4 vertex has degree 2: taking 0 leaves 2 as the only degree-2 vertex
+        assert greedy_cover(cycle_graph(4)).cover == (0, 2)
+
     def test_c5_valid_and_small(self):
         g = cycle_graph(5)
         result = greedy_cover(g)
@@ -101,6 +116,14 @@ class TestExactCover:
     def test_odd_example_srg(self):
         assert exact_min_vertex_cover(srg_of(5, 5)).size == 12
 
+    def test_forests_need_no_branching(self):
+        # degree-0/1 reductions to a fixpoint solve a forest at the root
+        tree = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+        forest = build_graph(6, [(0, 1), (2, 3)])
+        for g, size in ((path_graph(9), 4), (tree, 2), (forest, 2)):
+            result = exact_min_vertex_cover(g)
+            assert (result.size, result.nodes_explored) == (size, 1)
+
     def test_cap(self):
         g = build_graph(10, [(0, 1)])
         with pytest.raises(SizeLimitError):
@@ -122,6 +145,28 @@ class TestExactCover:
             result = exact_min_vertex_cover(g)
             assert is_vertex_cover(g, result.cover) == (True, None)
             assert result.size == exhaustive_min_cover_size(g), f"seed {seed}"
+
+    @given(graphs_of_density())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_exhaustive_oracle(self, g):
+        result = exact_min_vertex_cover(g)
+        assert is_vertex_cover(g, result.cover) == (True, None)
+        assert result.size == len(result.cover) == exhaustive_min_cover_size(g)
+
+    @given(graphs_of_density())
+    @settings(max_examples=120, deadline=None)
+    def test_clique_cover_bound_never_exceeds_optimum(self, g):
+        nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        live = (1 << g.vertex_count) - 1
+        assert _clique_cover_bound(nbr, live) <= exhaustive_min_cover_size(g)
+
+    def test_srg_at_the_vertex_cap(self):
+        params = JahangirParams(5, 51)
+        g = srg_of(5, 51)
+        assert g.vertex_count == 256
+        result = exact_min_vertex_cover(g)
+        assert result.size == sdim_formula(params)
+        assert is_vertex_cover(g, result.cover) == (True, None)
 
     @given(sparse_graphs())
     @settings(max_examples=60, deadline=None)
