@@ -1,13 +1,17 @@
 """Exact and heuristic vertex covers, plus maximum independent sets.
 
 Both covers work on Python integers used as vertex bitsets.  The exact
-solver is a branch and reduce over one mask of the vertices still in play:
-degree-0 and degree-1 reductions at every node, a greedy clique-cover
-lower bound for pruning, and branching on a maximum-degree vertex.  Its
-relabelling and branching rule are fixed, so it always returns the same
-optimal cover for the same input, which keeps downstream results
-reproducible.  :func:`matching_lower_bound` is a weaker, cheaper bound
-kept for callers that sanity-check a cover's size.
+core is a maximum independent set search in the style of Tomita and
+Kameda (2007) and San Segundo et al.'s bit-parallel BBMC (2011): degree-0 and
+degree-1 reductions at the root only, then a branch and bound whose nodes
+partition their candidates greedily into cliques.  The clique numbers both
+bound a node and choose the vertices it branches on; the recursion is at
+most α + 1 deep.  :func:`exact_min_vertex_cover` returns the complement of
+that set, with ``nodes_explored`` counting the search nodes, the root as 1.
+The relabelling and branching order are fixed, so the same input always
+gives the same optimal cover, which keeps downstream results reproducible.
+:func:`matching_lower_bound` is a cheap bound kept for callers that
+sanity-check a cover's size.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def matching_lower_bound(g: Graph) -> int:
     for u in range(g.vertex_count):
         if matched[u]:
             continue
-        for v in sorted(g.adjacency[u]):
+        for v in g.adjacency[u]:
             if not matched[v]:
                 matched[u] = matched[v] = True
                 size += 1
@@ -91,45 +95,37 @@ def greedy_cover(g: Graph) -> CoverResult:
     return CoverResult(tuple(sorted(cover)), size, size == matching_lower_bound(g), 0)
 
 
-def _clique_cover_bound(nbr: list[int], live: int) -> int:
-    """Lower bound on the minimum cover of the subgraph induced by ``live``.
+def _clique_partition(nbr: list[int], cand: int) -> list[int]:
+    """Greedy partition of the vertices in ``cand`` into cliques, as masks.
 
-    ``live`` is partitioned greedily into cliques: the lowest unassigned
-    vertex opens a clique, which then takes, lowest first, every unassigned
-    vertex adjacent to all its members.  A cover needs all but one vertex
-    of each clique, so the bound is |live| minus the number of cliques.
+    The lowest unassigned position opens a clique, which then takes, lowest
+    first, every unassigned vertex adjacent to all its members.  An
+    independent set meets each clique at most once, so the vertices of the
+    k-th clique can extend an independent set by at most k: this is the
+    greedy colouring of the complement graph that bounds a maximum-clique
+    search.
     """
-    cliques = 0
-    rest = live
+    classes = []
+    rest = cand
     while rest:
         low = rest & -rest
         rest ^= low
-        cliques += 1
-        cand = nbr[low.bit_length() - 1] & rest
-        while cand:
-            low = cand & -cand
+        clique = low
+        near = nbr[low.bit_length() - 1] & rest
+        while near:
+            low = near & -near
             rest ^= low
-            cand &= nbr[low.bit_length() - 1]
-    return live.bit_count() - cliques
+            clique |= low
+            near &= nbr[low.bit_length() - 1]
+        classes.append(clique)
+    return classes
 
 
-def exact_min_vertex_cover(g: Graph, *, max_vertices: int = 256) -> CoverResult:
-    """Minimum vertex cover by branch and reduce on vertex bitsets.
+def _mis_search(g: Graph, max_vertices: int) -> tuple[list[int], int, int]:
+    """Maximum independent set as ``(order, mask, nodes)``.
 
-    Vertices are relabelled once by ascending degree (lowest id on ties),
-    and position ``i`` of that order is bit ``i`` of every mask.  A search
-    node is the mask of vertices still in play, so a branch copies nothing.
-    Each node reduces to a fixpoint, dropping isolated vertices and putting
-    the neighbor of a degree-1 vertex into the cover, then prunes when the
-    vertices taken plus :func:`_clique_cover_bound` of the rest cannot beat
-    the best cover found.  Otherwise it branches on the maximum-degree
-    vertex (lowest position on ties): first "in the cover", then "excluded,
-    so all its neighbors in".  Each level removes at least one vertex, so
-    the recursion is at most ``vertex_count`` deep.
-
-    Deterministic by construction: the relabelling and the branching rule
-    are fixed, and the best cover is replaced only by a strictly smaller
-    one, so the same input always gives the same cover and node count.
+    Bit ``i`` of ``mask`` stands for vertex ``order[i]``; ``nodes`` counts
+    search nodes, the root included.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -137,60 +133,91 @@ def exact_min_vertex_cover(g: Graph, *, max_vertices: int = 256) -> CoverResult:
     order = sorted(range(n), key=lambda v: len(g.adjacency[v]))
     position = {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << position[u] for u in g.adjacency[v]) for v in order]
-    best_chosen = 0
-    best_size = n + 1
-    nodes_explored = 0
 
-    def search(live: int, chosen: int) -> None:
-        nonlocal best_chosen, best_size, nodes_explored
-        nodes_explored += 1
-        while True:
-            # one round over the live vertices; the last round, which
-            # takes nothing, also finds the branching vertex
-            taken = False
-            branch, branch_deg = 0, 0
-            rest = live
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not live & low:
-                    continue  # removed earlier in this round
-                near = nbr[low.bit_length() - 1] & live
-                if not near:
-                    live ^= low
-                elif not near & (near - 1):
-                    chosen |= near
-                    live &= ~(low | near)
-                    taken = True
-                else:
-                    deg = near.bit_count()
-                    if deg > branch_deg:
-                        branch, branch_deg = low, deg
-            if not taken:
-                break
-        size = chosen.bit_count()
-        if not live:
-            if size < best_size:
-                best_chosen, best_size = chosen, size
-            return
-        if size + _clique_cover_bound(nbr, live) >= best_size:
-            return
-        search(live ^ branch, chosen | branch)
-        near = nbr[branch.bit_length() - 1] & live
-        search(live & ~(branch | near), chosen | near)
+    # Root reductions to a fixpoint: an isolated vertex joins the set, and
+    # so does a degree-1 vertex, whose neighbor then leaves play.
+    live = (1 << n) - 1
+    forced = 0
+    taken = True
+    while taken:
+        taken = False
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not live & low:
+                continue  # removed earlier in this round
+            near = nbr[low.bit_length() - 1] & live
+            if not near:
+                forced |= low
+                live ^= low
+            elif not near & (near - 1):
+                forced |= low
+                live &= ~(low | near)
+                taken = True
 
-    search((1 << n) - 1, 0)
-    cover = tuple(sorted(order[i] for i in range(n) if best_chosen >> i & 1))
-    return CoverResult(cover, best_size, True, nodes_explored)
+    best_set = 0
+    best_size = 0
+    nodes = 0
+
+    def search(cand: int, size: int, chosen: int) -> None:
+        nonlocal best_set, best_size, nodes
+        nodes += 1
+        if not cand:
+            if size > best_size:
+                best_set, best_size = chosen, size
+            return
+        classes = _clique_partition(nbr, cand)
+        # only a vertex in clique k > best - size can lead to a larger set;
+        # the highest cliques go first, highest position first within one
+        for k in range(len(classes), best_size - size, -1):
+            clique = classes[k - 1]
+            while clique:
+                if size + k <= best_size:
+                    return
+                v = clique.bit_length() - 1
+                bit = 1 << v
+                clique ^= bit
+                cand ^= bit
+                search(cand & ~nbr[v], size + 1, chosen | bit)
+
+    search(live, 0, 0)
+    return order, forced | best_set, nodes
 
 
 def max_independent_set(g: Graph, *, max_vertices: int = 256) -> tuple[int, ...]:
-    """Maximum independent set as the complement of an optimal cover."""
-    result = exact_min_vertex_cover(g, max_vertices=max_vertices)
-    in_cover = set(result.cover)
-    independent = tuple(v for v in range(g.vertex_count) if v not in in_cover)
-    for u in independent:
-        for v in g.adjacency[u]:
-            if v not in in_cover:
-                raise RuntimeError(f"complement of cover is not independent at edge ({u}, {v})")
-    return independent
+    """Maximum independent set by colouring-bounded branch and bound.
+
+    Vertices are relabelled once by ascending degree (lowest id on ties),
+    and position ``i`` of that order is bit ``i`` of every mask.  At the
+    root, isolated and degree-1 vertices join the set to a fixpoint (the
+    neighbor of a degree-1 vertex leaves play); no reduction runs below
+    the root.  Each search node partitions its candidates greedily into
+    cliques (:func:`_clique_partition`).  Each clique holds at most one
+    vertex of an independent set, so a vertex in the k-th clique extends
+    the current set by at most k.  Only vertices with k above the best size
+    minus the current size are branched on, highest k first, and the node
+    stops once the current size plus k cannot beat the best set found.
+    Each level adds one vertex to the set, so the recursion is at most
+    α + 1 deep, α being the independence number.
+
+    Deterministic by construction: the relabelling and the branching order
+    are fixed, and the best set is replaced only by a strictly larger one,
+    so the same input always gives the same set and node count.
+    """
+    order, mask, _ = _mis_search(g, max_vertices)
+    return tuple(sorted(order[i] for i in range(g.vertex_count) if mask >> i & 1))
+
+
+def exact_min_vertex_cover(g: Graph, *, max_vertices: int = 256) -> CoverResult:
+    """Minimum vertex cover as the complement of a maximum independent set.
+
+    The set comes from the search behind :func:`max_independent_set`, so the
+    result is optimal and deterministic.  ``nodes_explored`` counts the
+    search nodes of that search, the root included: 1 means the root
+    reductions solved the graph without branching.  Graphs above
+    ``max_vertices`` vertices raise :class:`SizeLimitError`.
+    """
+    order, mask, nodes = _mis_search(g, max_vertices)
+    cover = tuple(sorted(order[i] for i in range(g.vertex_count) if not mask >> i & 1))
+    return CoverResult(cover, len(cover), True, nodes)

@@ -33,6 +33,23 @@ def large_random_graphs(count=10) -> list[Graph]:
     return [random_connected_graph(random.Random(seed), 60, 80) for seed in range(count)]
 
 
+def pinned_250_vertex_graph() -> Graph:
+    """The 250-vertex graph the exact cover is timed on: 649 edges, optimum 207.
+
+    perfbench's ``_random_connected`` recipe without its final relabelling,
+    drawn from ``random.Random(7)``: vertex v > 0 hangs off a uniform earlier
+    vertex, then random pairs are added until 400 new edges have landed.
+    """
+    rng = random.Random(7)
+    order = 250
+    edges = {(rng.randrange(v), v) for v in range(1, order)}
+    target = len(edges) + 400
+    while len(edges) < target:
+        u, v = rng.sample(range(order), 2)
+        edges.add((min(u, v), max(u, v)))
+    return build_graph(order, sorted(edges))
+
+
 def random_graph(rng: random.Random, min_order=1, max_order=10) -> Graph:
     """Random graph of arbitrary density, possibly disconnected."""
     order = rng.randint(min_order, max_order)

@@ -20,8 +20,8 @@ from strongdim import (
     sdim_formula,
     strong_resolving_graph,
 )
-from strongdim.vertex_cover import _clique_cover_bound
-from helpers import exhaustive_min_cover_size, random_graph
+from strongdim.vertex_cover import _clique_partition
+from helpers import exhaustive_min_cover_size, pinned_250_vertex_graph, random_graph
 
 
 def srg_of(n, m):
@@ -124,6 +124,23 @@ class TestExactCover:
             result = exact_min_vertex_cover(g)
             assert (result.size, result.nodes_explored) == (size, 1)
 
+    def test_even_regime_srgs_solve_at_the_root(self):
+        # the root reductions alone solve these; without them the search branches
+        for n, m in ((20, 12), (6, 42)):
+            g = srg_of(n, m)
+            result = exact_min_vertex_cover(g)
+            assert result.size == sdim_formula(JahangirParams(n, m))
+            assert result.nodes_explored == 1
+
+    def test_pinned_250_vertex_graph(self):
+        g = pinned_250_vertex_graph()
+        assert (g.vertex_count, g.edge_count()) == (250, 649)
+        srg = strong_resolving_graph(g)
+        assert srg.edge_count() == 7230
+        result = exact_min_vertex_cover(srg)
+        assert result.size == len(result.cover) == 207
+        assert is_vertex_cover(srg, result.cover) == (True, None)
+
     def test_cap(self):
         g = build_graph(10, [(0, 1)])
         with pytest.raises(SizeLimitError):
@@ -155,10 +172,22 @@ class TestExactCover:
 
     @given(graphs_of_density())
     @settings(max_examples=120, deadline=None)
-    def test_clique_cover_bound_never_exceeds_optimum(self, g):
+    def test_clique_partition_bounds_independence_number(self, g):
         nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
         live = (1 << g.vertex_count) - 1
-        assert _clique_cover_bound(nbr, live) <= exhaustive_min_cover_size(g)
+        classes = _clique_partition(nbr, live)
+        for clique in classes:
+            members = [v for v in range(g.vertex_count) if clique >> v & 1]
+            for i, u in enumerate(members):
+                for v in members[i + 1 :]:
+                    assert g.has_edge(u, v)
+        union = 0
+        for clique in classes:
+            assert clique and not union & clique
+            union |= clique
+        assert union == live
+        # an independent set meets each clique at most once
+        assert len(classes) >= g.vertex_count - exhaustive_min_cover_size(g)
 
     def test_srg_at_the_vertex_cap(self):
         params = JahangirParams(5, 51)
@@ -185,6 +214,19 @@ class TestMaxIndependentSet:
     def test_three_k2_plus_isolated(self):
         # strong resolving graph of J(3,3): three disjoint edges, four isolated
         assert len(max_independent_set(srg_of(3, 3))) == 7
+
+    @given(graphs_of_density())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_exhaustive_oracle(self, g):
+        mis = max_independent_set(g)
+        for i, u in enumerate(mis):
+            for v in mis[i + 1 :]:
+                assert not g.has_edge(u, v)
+        assert len(mis) == g.vertex_count - exhaustive_min_cover_size(g)
+
+    def test_cap(self):
+        with pytest.raises(SizeLimitError):
+            max_independent_set(build_graph(10, [(0, 1)]), max_vertices=5)
 
     @given(sparse_graphs(max_order=16))
     @settings(max_examples=40, deadline=None)
