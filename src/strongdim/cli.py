@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .graphs import (
     FORMATS,
@@ -26,7 +25,8 @@ from .jahangir import JahangirParams, VerificationReport, build_jahangir, sdim_f
 from .strong_metric import brute_force_sdim, mmd_pairs, sdim_via_cover, strong_resolving_graph
 from .vertex_cover import exact_min_vertex_cover, greedy_cover
 
-# brute force tries up to 2**cap subsets, so --brute-cap has a hard ceiling
+# brute force prunes its subset search but stays exponential in the worst
+# case and has no node budget yet, so --brute-cap has a hard ceiling
 MAX_BRUTE_CAP = 20
 
 
@@ -212,6 +212,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tasks = [(n, m, cap) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
     jobs = _worker_count(args.jobs, os.cpu_count())
     if jobs > 1:
+        # imported here: loading multiprocessing costs about 2 MB of memory,
+        # which every other command and every library user of cli would pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_cell, tasks))
     else:

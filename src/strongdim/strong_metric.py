@@ -16,12 +16,23 @@ of vertices maximally distant from it and keeps the pairs found in both
 directions: O(V * (V + E)) comparisons.
 :func:`strongly_resolves` and :func:`is_maximally_distant` stay the scalar
 definitions both are tested against.
+
+:func:`brute_force_sdim` is the independent judge: it works from the
+definition alone and shares no code with the scans above or the cover
+search.  It keeps, per vertex pair, the bitset of its strong resolvers
+(inclusion-minimal ones only) and looks for a smallest set meeting them all
+by a depth-first search over vertex ids, taking each id before skipping it.
+The search prunes a branch when some pending bitset has no id left at or
+above the current one, or when a greedy packing of pairwise disjoint
+pending bitsets needs more vertices than the size still allowed.  It visits
+the sets of one size in lexicographic order, so it returns the same basis
+as trying every subset in that order, usually after a small fraction of
+the work, but it is still exponential in the worst case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .graphs import (
@@ -124,12 +135,92 @@ def is_strong_resolving_set(
     return True, None
 
 
-def brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResult:
-    """Smallest strong resolving set by exhaustive subset search.
+def _minimal_resolver_masks(g: Graph) -> list[int]:
+    """Inclusion-minimal resolver bitsets of the vertex pairs, by popcount.
 
-    Subsets are enumerated in increasing cardinality and lexicographic
-    order within each cardinality, and the first success is returned, so
-    the basis is deterministic.  Refuses graphs larger than ``size_cap``.
+    The resolver bitset of a pair {u, v} holds every ``w`` that strongly
+    resolves it, tested with the scalar inequality of
+    :func:`strongly_resolves`.  A set meets every bitset iff it meets every
+    inclusion-minimal one, so duplicates and supersets are dropped.  Every
+    bitset holds ``u`` and ``v`` themselves, so none is empty.
+    """
+    n = g.vertex_count
+    d = all_pairs_distances(g).dist
+    bits = [1 << w for w in range(n)]
+    masks = set()
+    for u in range(n):
+        du = d[u]
+        for v in range(u + 1, n):
+            dv = d[v]
+            duv = du[v]
+            mask = 0
+            for duw, dvw, bit in zip(du, dv, bits):
+                if duw == duv + dvw or dvw == duv + duw:
+                    mask |= bit
+            masks.add(mask)
+    minimal: list[int] = []
+    # a proper subset has a smaller popcount, so it is kept before its supersets
+    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if all(kept & mask != kept for kept in minimal):
+            minimal.append(mask)
+    return minimal
+
+
+def _first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None, int]:
+    """The lexicographically first k-set of vertex ids meeting every mask, and the nodes searched.
+
+    Depth-first over vertex ids: at id ``i`` the search takes ``i`` first,
+    then skips it, so k-sets are reached in :func:`itertools.combinations`
+    order and the first hit is the lexicographically first one.  A node is
+    pruned when a pending mask has no bit at or above ``i``, or when a greedy
+    packing of pairwise disjoint pending masks, cut to ids at or above ``i``,
+    needs more vertices than the ``budget`` left: each packed mask needs a
+    vertex of its own.  Returns ``(None, nodes)`` when no k-set exists.
+    Recursion is at most one level per vertex id.
+    """
+    chosen: list[int] = []
+    nodes = 0
+
+    def search(i: int, pending: list[int], budget: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        packed = 0
+        need = 0
+        for mask in pending:
+            reach = mask >> i
+            if not reach:
+                return False
+            if not reach & packed:
+                packed |= reach
+                need += 1
+                if need > budget:
+                    return False
+        if not pending:
+            return True
+        chosen.append(i)
+        if search(i + 1, [mask for mask in pending if not mask >> i & 1], budget - 1):
+            return True
+        chosen.pop()
+        return search(i + 1, pending, budget)
+
+    found = search(0, masks, k)
+    return (tuple(chosen) if found else None), nodes
+
+
+def brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResult:
+    """Smallest strong resolving set by exhaustive search from the definition.
+
+    Each vertex pair gets the bitset of vertices that strongly resolve it,
+    and only the inclusion-minimal bitsets are kept
+    (:func:`_minimal_resolver_masks`).  For k = 0, 1, ... a pruned
+    depth-first search (:func:`_first_hitting_set`) looks for a k-set
+    meeting all of them.  Within one k it reaches sets in lexicographic
+    order and its prunes only cut branches that hold no k-set, so the
+    result is the smallest size and the lexicographically first basis of
+    that size, the set that trying every k-subset in order would return.
+    Worst-case time is still exponential in the order.  Shares no code with
+    :func:`is_strong_resolving_set`, :func:`mmd_pairs` or the cover search,
+    so it can judge them.  Refuses graphs larger than ``size_cap``.
     """
     if g.vertex_count > size_cap:
         raise SizeLimitError(
@@ -137,27 +228,11 @@ def brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResult:
         )
     if not is_connected(g):
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")
-    n = g.vertex_count
-    d = all_pairs_distances(g).dist
-    # one bitmask per vertex pair: which vertices strongly resolve it
-    masks: list[int] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            duv = d[u][v]
-            mask = 0
-            for w in range(n):
-                if d[u][w] == duv + d[v][w] or d[v][w] == duv + d[u][w]:
-                    mask |= 1 << w
-            masks.append(mask)
-    # checking scarcely-resolved pairs first makes rejection cheap
-    masks.sort(key=lambda m: m.bit_count())
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            wmask = 0
-            for w in combo:
-                wmask |= 1 << w
-            if all(wmask & mask for mask in masks):
-                return StrongBasisResult(k, combo, "brute-force")
+    masks = _minimal_resolver_masks(g)
+    for k in range(g.vertex_count + 1):
+        basis, _ = _first_hitting_set(masks, k)
+        if basis is not None:
+            return StrongBasisResult(k, basis, "brute-force")
     raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
 
 

@@ -8,7 +8,17 @@ JahangirLabeling, so a listing like (4, 11) means the pair u4-u11.
 import random
 from itertools import combinations
 
-from strongdim import Graph, JahangirLabeling, build_graph
+from strongdim import (
+    DisconnectedGraphError,
+    Graph,
+    InternalInconsistencyError,
+    JahangirLabeling,
+    SizeLimitError,
+    StrongBasisResult,
+    all_pairs_distances,
+    build_graph,
+    is_connected,
+)
 
 
 def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Graph:
@@ -72,6 +82,43 @@ def exhaustive_min_cover_size(g: Graph) -> int:
             if all(u in chosen or v in chosen for u, v in edge_list):
                 return k
     raise AssertionError("unreachable: the full vertex set covers everything")
+
+
+def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResult:
+    """Smallest strong resolving set by trying every subset: the oracle for ``brute_force_sdim``.
+
+    The enumeration ``brute_force_sdim`` ran before its pruned search:
+    subsets in increasing cardinality, lexicographic within a cardinality,
+    first success returned, with the same size cap and the same errors.
+    """
+    if g.vertex_count > size_cap:
+        raise SizeLimitError(
+            f"graph has {g.vertex_count} vertices, brute force cap is {size_cap}"
+        )
+    if not is_connected(g):
+        raise DisconnectedGraphError("strong metric dimension needs a connected graph")
+    n = g.vertex_count
+    d = all_pairs_distances(g).dist
+    # one bitmask per vertex pair: which vertices strongly resolve it
+    masks: list[int] = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            duv = d[u][v]
+            mask = 0
+            for w in range(n):
+                if d[u][w] == duv + d[v][w] or d[v][w] == duv + d[u][w]:
+                    mask |= 1 << w
+            masks.append(mask)
+    # checking scarcely-resolved pairs first makes rejection cheap
+    masks.sort(key=lambda m: m.bit_count())
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            wmask = 0
+            for w in combo:
+                wmask |= 1 << w
+            if all(wmask & mask for mask in masks):
+                return StrongBasisResult(k, combo, "brute-force")
+    raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
 
 
 def id_pairs(lab: JahangirLabeling, listing) -> frozenset:

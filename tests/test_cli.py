@@ -307,17 +307,21 @@ class TestBruteCap:
         assert "--brute-cap must be at most" in err
 
 
-def _run_module(module):
+def _run_python(*argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, "sdim", "jahangir:6,5"],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def _run_module(module):
+    return _run_python("-m", module, "sdim", "jahangir:6,5")
 
 
 def test_python_dash_m_entry_point():
@@ -330,3 +334,10 @@ def test_python_dash_m_cli_module():
     proc = _run_module("strongdim.cli")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == ["sdim = 10", "method = vertex-cover-reduction"]
+
+
+def test_importing_cli_leaves_multiprocessing_unloaded():
+    # the process pool is imported only when verify runs with --jobs > 1
+    proc = _run_python("-c", "import sys, strongdim.cli; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

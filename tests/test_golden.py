@@ -3,7 +3,10 @@
 The ``verify`` files under ``tests/golden/`` were captured from ``python -m
 strongdim verify ...`` before the verification code was restructured; any
 change to the reports, their notes, the JSON layout or the table must show
-up here.  Regenerate them only on purpose, with the commands in ``GOLDENS``.
+up here.  ``verify_n2-12_m3-8_brute20.json`` raises the brute-force cap to
+20, so brute force also judges the cells of order 17-19; it was captured
+before the brute-force search was rewritten.  Regenerate them only on
+purpose, with the commands in ``GOLDENS``.
 
 ``sdim_random_60-80.json`` pins the strong metric dimension of the graphs of
 :func:`helpers.large_random_graphs`, which are too large for the brute-force
@@ -27,6 +30,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDENS = {
     "verify_default.json": ["verify", "--json"],
     "verify_n2-12_m3-8.json": ["verify", "--json", "--n", "2..12", "--m", "3..8"],
+    "verify_n2-12_m3-8_brute20.json": [
+        "verify", "--json", "--n", "2..12", "--m", "3..8", "--brute-cap", "20",
+    ],
     "verify_default_table.txt": ["verify"],
 }
 

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,20 @@ class TestDistances:
         dm = all_pairs_distances(g)
         assert dm.dist[0][2] == UNREACHABLE
         assert dm.dist[2][0] == UNREACHABLE
+
+    def test_repeated_calls_hold_no_memory(self):
+        # an order-sized tuple built from a generator left one spare tuple per
+        # call on the interpreter's free list (one allocated block each)
+        edges = cycle_graph(16).edges()
+        g = build_graph(16, edges)
+        for make in (lambda: build_graph(16, edges), lambda: all_pairs_distances(g)):
+            for _ in range(10):
+                make()
+            gc.collect()
+            before = sys.getallocatedblocks()
+            for _ in range(300):
+                make()
+            assert sys.getallocatedblocks() - before < 100
 
     @given(graphs(max_order=40))
     @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from strongdim import (
     build_graph,
     build_jahangir,
     brute_force_sdim,
+    complete_graph,
     cycle_graph,
     is_maximally_distant,
     is_strong_resolving_set,
@@ -21,7 +22,15 @@ from strongdim import (
     strong_resolving_graph,
     strongly_resolves,
 )
-from helpers import MMD_23, MMD_33, MMD_43, id_pairs, random_connected_graph
+from strongdim.strong_metric import _first_hitting_set, _minimal_resolver_masks
+from helpers import (
+    MMD_23,
+    MMD_33,
+    MMD_43,
+    enumerate_brute_force_sdim,
+    id_pairs,
+    random_connected_graph,
+)
 
 
 @st.composite
@@ -33,6 +42,22 @@ def connected_graphs(draw, max_order=14):
         st.lists(st.tuples(st.integers(0, order - 1), st.integers(0, order - 1)), max_size=order)
     )
     edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    return build_graph(order, sorted(edges))
+
+
+@st.composite
+def graphs_of_any_density(draw, max_order=12):
+    """Order 0 .. max_order at an edge density from empty to complete.
+
+    Half the draws also get a random spanning tree, so sparse connected
+    graphs are as common as disconnected ones.
+    """
+    order = draw(st.integers(0, max_order))
+    density = draw(st.sampled_from((0.0, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < density}
+    if draw(st.booleans()):
+        edges |= {(rng.randrange(v), v) for v in range(1, order)}
     return build_graph(order, sorted(edges))
 
 
@@ -58,6 +83,14 @@ def scalar_strong_resolving_check(g, dm, subset):
             if not any(strongly_resolves(dm, w, u, v) for w in chosen):
                 return False, (u, v)
     return True, None
+
+
+def brute_outcome(search, g):
+    """``search(g)``, or the type of the error it raised."""
+    try:
+        return search(g)
+    except (DisconnectedGraphError, SizeLimitError) as exc:
+        return type(exc)
 
 
 def jahangir_with_distances(n, m):
@@ -160,6 +193,62 @@ class TestBruteForce:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             brute_force_sdim(build_graph(3, [(0, 1)]))
+
+    @given(graphs_of_any_density())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration_oracle(self, g):
+        assert brute_outcome(brute_force_sdim, g) == brute_outcome(enumerate_brute_force_sdim, g)
+
+    def test_pinned_corpus_order_13_to_16(self):
+        for seed in range(20):
+            g = random_connected_graph(random.Random(1300 + seed), 13, 16)
+            assert brute_force_sdim(g) == enumerate_brute_force_sdim(g), seed
+
+    def test_agrees_with_cover_above_old_cap(self):
+        for seed in range(20):
+            g = random_connected_graph(random.Random(1700 + seed), 17, 20)
+            result = brute_force_sdim(g, size_cap=20)
+            assert result.size == sdim_via_cover(g).size, seed
+            dm = all_pairs_distances(g)
+            assert is_strong_resolving_set(g, dm, result.basis) == (True, None)
+
+    def test_cycles_and_complete_graphs_above_old_cap(self):
+        for n in range(17, 21):
+            assert brute_force_sdim(cycle_graph(n), size_cap=20).size == (n + 1) // 2
+            assert brute_force_sdim(complete_graph(n), size_cap=20).size == n - 1
+
+
+class TestBruteForceSearch:
+    def test_minimal_masks_match_definition(self):
+        for seed in range(10):
+            g = random_connected_graph(random.Random(seed), max_order=10)
+            dm = all_pairs_distances(g)
+            n = g.vertex_count
+            resolvers = {
+                frozenset(w for w in range(n) if strongly_resolves(dm, w, u, v))
+                for u in range(n)
+                for v in range(u + 1, n)
+            }
+            minimal = {r for r in resolvers if not any(other < r for other in resolvers)}
+            masks = _minimal_resolver_masks(g)
+            assert len(masks) == len(minimal)
+            assert {frozenset(w for w in range(n) if mask >> w & 1) for mask in masks} == minimal
+            assert [mask.bit_count() for mask in masks] == sorted(len(r) for r in minimal)
+
+    def test_packing_bound_prunes_at_the_root(self):
+        # three disjoint masks need three vertices, so k = 2 fails without branching
+        masks = [0b11, 0b1100, 0b110000]
+        assert _first_hitting_set(masks, 2) == (None, 1)
+        assert _first_hitting_set(masks, 3)[0] == (0, 2, 4)
+
+    def test_resolver_at_the_current_id_can_be_taken(self):
+        # vertex 2 is the last resolver of {2}; the search must still take it
+        assert _first_hitting_set([0b100, 0b11], 2)[0] == (0, 2)
+
+    def test_first_k_set_in_combination_order(self):
+        masks = [0b0110, 0b1100, 0b1010]
+        # the 2-sets meeting all three are {1,2}, {1,3}, {2,3}; {1,2} is first
+        assert _first_hitting_set(masks, 2)[0] == (1, 2)
 
 
 class TestMaximallyDistant:
