@@ -12,6 +12,8 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 # Sentinel for "no path".  Compares above any true distance; code must never
 # do arithmetic with it, connectivity is checked explicitly instead.
@@ -40,12 +42,14 @@ class Graph:
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``.  ``labels``
     optionally maps vertex ids to display names; it never affects the
-    structure, only serialization and diagnostics.
+    structure, only serialization and diagnostics.  :func:`build_graph`
+    stores it as a read-only view of its own copy, so a validated graph
+    cannot be relabelled afterwards.
     """
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
-    labels: dict[int, str] | None = None
+    labels: Mapping[int, str] | None = None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -92,7 +96,7 @@ def check_vertex(order: int, v: int) -> None:
 def build_graph(
     vertex_count: int,
     edge_list: list[tuple[int, int]],
-    labels: dict[int, str] | None = None,
+    labels: Mapping[int, str] | None = None,
 ) -> Graph:
     """Construct a :class:`Graph`, validating every edge.
 
@@ -117,7 +121,7 @@ def build_graph(
     if labels is not None:
         for v in labels:
             check_vertex(vertex_count, v)
-        labels = dict(labels)
+        labels = MappingProxyType(dict(labels))
     adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
     return Graph(vertex_count, adjacency, labels)
 

@@ -11,8 +11,10 @@ graph's edges and of an optimal vertex cover.  Every prediction is keyed by
 :func:`regime`, the one place the regime conditions are written; the
 extremal-distance pair sets are relabelled edge families.
 :func:`verify_predictions` rebuilds all of that from scratch through
-:func:`~strongdim.strong_metric.cover_pipeline` (BFS distances, MMD pairs,
-exact cover, re-check) and reports any disagreement with the closed forms.
+:func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact cover,
+re-check) and reports any disagreement with the closed forms.  Only the
+extremal-distance scans of the even and odd regimes read an all-pairs
+distance matrix, so only those cells build one.
 """
 
 from __future__ import annotations
@@ -489,8 +491,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     """
     n, m = params.n, params.m
     g, lab = build_jahangir(params)
-    dm = all_pairs_distances(g)
-    srg, result = cover_pipeline(g, dm)
+    srg, result = cover_pipeline(g)
     alpha = result.size
     kind = regime(params)
 
@@ -501,6 +502,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     cover_size: int | None = None
 
     if kind in ("even", "odd"):
+        dm = all_pairs_distances(g)  # read only by the extremal-distance scans
         if kind == "even":
             families = srg_edge_families_even(params)
             predicted_cover = predicted_cover_even(params)

@@ -8,14 +8,19 @@ graph, whose edges are exactly the mutually maximally distant (MMD) pairs,
 which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
 
 The two whole-graph scans work on Python integers used as vertex bitsets
-(bit ``v`` stands for vertex ``v``).  :func:`is_strong_resolving_set` builds,
-for each chosen vertex, the interval bitsets of shortest paths in one pass
-over its BFS layers: O(|S| * (V + E)) big-integer ORs instead of
-O(V^2 * |S|) comparisons.  :func:`mmd_pairs` builds, per vertex, the bitset
-of vertices maximally distant from it and keeps the pairs found in both
-directions: O(V * (V + E)) comparisons.
-:func:`strongly_resolves` and :func:`is_maximally_distant` stay the scalar
-definitions both are tested against.
+(bit ``v`` stands for vertex ``v``) and read no distance matrix, so the
+pipeline never builds the dense all-pairs one.  :func:`mmd_pairs` grows the
+distance balls of all vertices together, one radius per round, and reads
+off each vertex's maximally distant vertices from its sphere and its
+neighbours' balls: O(diam * (V + E)) big-integer operations with two radii
+live at a time.  :func:`is_strong_resolving_set` runs one BFS per chosen
+vertex and pushes the interval bitsets of shortest paths forward layer by
+layer: O(|S| * (V + E)) big-integer ORs instead of O(V^2 * |S|)
+comparisons.  The two share no distance data, so the re-check judges the
+cover independently of MMD detection.  :func:`strongly_resolves` and
+:func:`is_maximally_distant` stay the scalar definitions both are tested
+against; they, like :func:`brute_force_sdim`, read a
+:class:`~strongdim.graphs.DistanceMatrix`.
 
 :func:`brute_force_sdim` is the independent judge: it works from the
 definition alone and shares no code with the scans above or the cover
@@ -96,15 +101,19 @@ def is_strong_resolving_set(
     """Check whether ``subset`` strongly resolves every vertex pair.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
-    unresolved pair in sorted order.  Requires a connected graph.
+    unresolved pair in sorted order.  Requires a connected graph.  ``dm``
+    is not read: the distances come from a BFS of ``g`` per chosen vertex.
+    ``perfbench`` still passes it positionally; the parameter can go once
+    it stops.
 
-    For each chosen ``w`` one forward pass over the BFS layers of ``w``
-    gives the interval bitset I(w, v) of vertices on some shortest w-v
-    path, and ``on_path[v]`` collects their union over the subset.  A pair
-    {u, v} is resolved iff ``v`` is in ``on_path[u]`` or ``u`` is in
-    ``on_path[v]``.  Cost: O(|subset| * (V + E)) big-integer ORs plus at
-    most V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons
-    for the scalar definition.
+    For each chosen ``w`` one BFS from ``w`` gives the interval bitset
+    I(w, v) of vertices on some shortest w-v path: when ``v`` is taken
+    from its layer's frontier, I(w, v) is complete and is ORed into every
+    neighbour in the next layer.  ``on_path[v]`` collects the intervals'
+    union over the subset.  A pair {u, v} is resolved iff ``v`` is in
+    ``on_path[u]`` or ``u`` is in ``on_path[v]``.  Cost:
+    O(|subset| * (V + E)) big-integer ORs plus at most V^2 / 2 single-bit
+    tests, against O(V^2 * |subset|) comparisons for the scalar definition.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("strong resolution is defined for connected graphs")
@@ -116,16 +125,28 @@ def is_strong_resolving_set(
     bit = [1 << v for v in range(n)]
     on_path = [0] * n
     for w in chosen:
-        dw = dm.dist[w]
-        interval = [0] * n
-        for v in sorted(range(n), key=dw.__getitem__):
-            dv = dw[v]
-            acc = bit[v]
-            for p in adj[v]:
-                if dw[p] < dv:
-                    acc |= interval[p]
-            interval[v] = acc
-            on_path[v] |= acc
+        # interval[u] is complete when u is taken from the frontier: all its
+        # predecessors sit in the previous layer and have pushed into it
+        layer = [-1] * n
+        interval = bit[:]
+        layer[w] = 0
+        frontier = [w]
+        k = 0
+        while frontier:
+            k += 1
+            nxt = []
+            for u in frontier:
+                iu = interval[u]
+                on_path[u] |= iu
+                for x in adj[u]:
+                    lx = layer[x]
+                    if lx < 0:
+                        layer[x] = k
+                        interval[x] |= iu
+                        nxt.append(x)
+                    elif lx == k:
+                        interval[x] |= iu
+            frontier = nxt
     full = (1 << n) - 1
     for u in range(n):
         # pairs (u, v), v > u, not resolved through on_path[u]; ascending v
@@ -250,29 +271,45 @@ def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
 def mmd_pairs(g: Graph, dm: DistanceMatrix | None = None) -> MmdPairSet:
     """All pairs that are maximally distant from each other.
 
-    ``far[v]`` is the bitset of vertices ``u`` with no neighbor farther
-    from ``v`` than ``u`` is; (u, v) is MMD iff each lies in the other's
-    set.  Cost: O(V * (V + E)) with one big-integer OR per hit.
+    ``ball[v]`` holds the vertices within distance k of ``v``; a round
+    grows every ball by one, ``ball[v] | OR of ball[w] for w in N(v)``.
+    At radius k, ``u`` is maximally distant from every ``v`` at distance
+    exactly k (the sphere ``ball[u] & ~inner[u]``) that lies within
+    distance k of all neighbours of ``u``, so ``far[u]`` collects the
+    sphere ANDed with the neighbours' balls.  (u, v) is MMD iff each lies
+    in the other's ``far``.  The rounds stop when no ball grows, after
+    diam + 1 of them.  Cost: O(diam * (V + E)) big-integer operations.
+    ``dm`` is not read; ``perfbench`` still passes it positionally, and the
+    parameter can go once it stops.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
-    if dm is None:
-        dm = all_pairs_distances(g)
     n = g.vertex_count
     adj = g.adjacency
     bit = [1 << v for v in range(n)]
     far = [0] * n
-    for v in range(n):
-        dv = dm.dist[v]
-        mask = 0
+    ball = bit  # radius 0
+    grew = n > 1
+    while grew:
+        inner = ball
+        ball = []
+        for v in range(n):
+            acc = inner[v]
+            for w in adj[v]:
+                acc |= inner[w]
+            ball.append(acc)
+        grew = False
         for u in range(n):
-            du = dv[u]
+            sphere = ball[u] & ~inner[u]
+            if not sphere:
+                continue
+            grew = True
             for w in adj[u]:
-                if dv[w] > du:
+                sphere &= ball[w]
+                if not sphere:
                     break
             else:
-                mask |= bit[u]
-        far[v] = mask & ~bit[v]
+                far[u] |= sphere
     found = {
         (u, v)
         for u in range(n)
@@ -285,7 +322,8 @@ def mmd_pairs(g: Graph, dm: DistanceMatrix | None = None) -> MmdPairSet:
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
     """Graph on the same vertices whose edges are the MMD pairs of ``g``.
 
-    Labels carry over so derived output stays readable.
+    Labels carry over so derived output stays readable.  ``dm`` is not
+    read (see :func:`mmd_pairs`).
     """
     pairs = mmd_pairs(g, dm)
     return build_graph(g.vertex_count, sorted(pairs.pairs), g.labels)
@@ -297,11 +335,12 @@ def cover_pipeline(g: Graph, dm: DistanceMatrix | None = None) -> tuple[Graph, S
     The basis is re-checked against the definition; a failure would mean
     the reduction itself is broken, so it raises
     :class:`InternalInconsistencyError` rather than returning quietly.
+    Both the MMD detection and the re-check work from BFS over ``g``, so no
+    all-pairs distance matrix is built.  ``dm`` is not read (see
+    :func:`mmd_pairs`).
     """
     if not is_connected(g):
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")
-    if dm is None:
-        dm = all_pairs_distances(g)
     srg = strong_resolving_graph(g, dm)
     cover = exact_min_vertex_cover(srg)
     ok, witness = is_strong_resolving_set(g, dm, cover.cover)
@@ -313,5 +352,8 @@ def cover_pipeline(g: Graph, dm: DistanceMatrix | None = None) -> tuple[Graph, S
 
 
 def sdim_via_cover(g: Graph, dm: DistanceMatrix | None = None) -> StrongBasisResult:
-    """Strong metric dimension as a minimum vertex cover of the strong resolving graph."""
+    """Strong metric dimension as a minimum vertex cover of the strong resolving graph.
+
+    ``dm`` is not read (see :func:`cover_pipeline`).
+    """
     return cover_pipeline(g, dm)[1]

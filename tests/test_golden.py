@@ -8,6 +8,15 @@ up here.  ``verify_n2-12_m3-8_brute20.json`` raises the brute-force cap to
 before the brute-force search was rewritten.  Regenerate them only on
 purpose, with the commands in ``GOLDENS``.
 
+``sdim_jahangir_cells.json`` maps each ``jahangir:n,m`` input of
+``SDIM_CELLS`` (the closed-form cells of order 241-256 that perfbench's
+``jahangir-sdim`` workload runs) to the full stdout of ``python -m strongdim
+sdim jahangir:n,m``: size, method and basis.  It was captured, by the calls
+:func:`sdim_cell_outputs` makes, before MMD detection and the re-check
+stopped reading the distance matrix; regenerate it with
+``PYTHONPATH=src:tests python -c "import json, test_golden;
+print(json.dumps(test_golden.sdim_cell_outputs(), indent=1))"``.
+
 ``sdim_random_60-80.json`` pins the strong metric dimension of the graphs of
 :func:`helpers.large_random_graphs`, which are too large for the brute-force
 oracle; it was captured before the exact cover search was rewritten, with
@@ -15,6 +24,8 @@ oracle; it was captured before the exact cover search was rewritten, with
 print(json.dumps(test_golden.random_sdim_rows(), indent=1))"``.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -43,6 +54,30 @@ def test_verify_output_is_byte_identical(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+SDIM_CELLS = (
+    "jahangir:20,12", "jahangir:12,21", "jahangir:10,25", "jahangir:6,42",
+    "jahangir:25,10", "jahangir:9,28", "jahangir:7,36", "jahangir:5,51",
+)
+
+
+def sdim_cell_outputs() -> dict[str, str]:
+    out = {}
+    for cell in SDIM_CELLS:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(["sdim", cell]) == 0
+        out[cell] = buffer.getvalue()
+    return out
+
+
+@pytest.mark.parametrize("cell", SDIM_CELLS)
+def test_sdim_cli_output_is_byte_identical(capsys, cell):
+    golden = json.loads((GOLDEN_DIR / "sdim_jahangir_cells.json").read_text(encoding="utf-8"))
+    code = main(["sdim", cell])
+    assert code == 0
+    assert capsys.readouterr().out == golden[cell]
 
 
 def random_sdim_rows() -> list[dict]:

@@ -70,6 +70,17 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, [(0, 2)])
 
+    def test_labels_are_read_only(self):
+        source = {0: "a", 1: "b"}
+        g = build_graph(2, [(0, 1)], labels=source)
+        with pytest.raises(TypeError):
+            g.labels[0] = "z"
+        source[0] = "z"
+        assert g.labels == {0: "a", 1: "b"}
+        back = parse(serialize(g))
+        assert back == g and back.labels == {0: "a", 1: "b"}
+        assert '"1" [label="b"];' in serialize(g, "dot")
+
     @given(graphs(connected=False))
     @settings(max_examples=50, deadline=None)
     def test_adjacency_sorted_and_symmetric(self, g):

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from strongdim import strong_metric
+from strongdim import jahangir, strong_metric
 
 from strongdim import (
     GraphError,
@@ -354,6 +354,18 @@ class TestVerifyPredictions:
         assert report.pipeline_sdim == exact_min_vertex_cover(
             strong_resolving_graph(build_jahangir(JahangirParams(4, 4))[0])
         ).size
+
+    def test_distance_matrix_only_for_the_regime_scans(self, monkeypatch):
+        orders = []
+
+        def counted(g):
+            orders.append(g.vertex_count)
+            return all_pairs_distances(g)
+
+        monkeypatch.setattr(jahangir, "all_pairs_distances", counted)
+        for n, m in ((3, 3), (4, 4), (6, 5), (5, 5)):  # base, exploratory, even, odd
+            assert verify_predictions(JahangirParams(n, m)).passed
+        assert orders == [31, 26]
 
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
         monkeypatch.setattr(

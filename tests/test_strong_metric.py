@@ -18,10 +18,12 @@ from strongdim import (
     is_strong_resolving_set,
     mmd_pairs,
     path_graph,
+    sdim_formula,
     sdim_via_cover,
     strong_resolving_graph,
     strongly_resolves,
 )
+from strongdim import strong_metric
 from strongdim.strong_metric import _first_hitting_set, _minimal_resolver_masks
 from helpers import (
     MMD_23,
@@ -91,6 +93,30 @@ def brute_outcome(search, g):
         return search(g)
     except (DisconnectedGraphError, SizeLimitError) as exc:
         return type(exc)
+
+
+def long_diameter_graphs():
+    """Graphs whose diameter runs past the Hypothesis orders, as pytest params."""
+    cases = [pytest.param(cycle_graph(n), id=f"C{n}") for n in range(3, 42)]
+    cases += [pytest.param(path_graph(n), id=f"P{n}") for n in range(2, 41)]
+    for n, m in ((12, 5), (15, 4), (2, 20), (25, 3)):
+        cases.append(pytest.param(build_jahangir(JahangirParams(n, m))[0], id=f"J({n},{m})"))
+    for seed in range(12):
+        g = random_connected_graph(random.Random(seed), 20, 60)
+        cases.append(pytest.param(g, id=f"random{seed}"))
+    return cases
+
+
+LONG_DIAMETER_GRAPHS = long_diameter_graphs()
+
+
+def scalar_mmd_pairs(g, dm):
+    return {
+        (u, v)
+        for u in range(g.vertex_count)
+        for v in range(u + 1, g.vertex_count)
+        if is_maximally_distant(g, dm, u, v) and is_maximally_distant(g, dm, v, u)
+    }
 
 
 def jahangir_with_distances(n, m):
@@ -168,6 +194,18 @@ class TestIsStrongResolvingSet:
         assert is_strong_resolving_set(g, dm, subset) == scalar_strong_resolving_check(
             g, dm, subset
         )
+
+    @pytest.mark.parametrize("g", LONG_DIAMETER_GRAPHS)
+    def test_matches_scalar_definition_at_long_diameter(self, g):
+        dm = all_pairs_distances(g)
+        basis = list(sdim_via_cover(g).basis)
+        short = basis[: len(basis) // 2] + basis[len(basis) // 2 + 1 :]
+        for subset in (range(g.vertex_count), basis, short):
+            assert is_strong_resolving_set(g, dm, subset) == scalar_strong_resolving_check(
+                g, dm, subset
+            )
+        # a minimum basis less one vertex resolves too little: the witness path runs
+        assert not is_strong_resolving_set(g, dm, short)[0]
 
 
 class TestBruteForce:
@@ -305,13 +343,12 @@ class TestMmdPairs:
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_definition(self, g):
         dm = all_pairs_distances(g)
-        expected = {
-            (u, v)
-            for u in range(g.vertex_count)
-            for v in range(u + 1, g.vertex_count)
-            if is_maximally_distant(g, dm, u, v) and is_maximally_distant(g, dm, v, u)
-        }
-        assert mmd_pairs(g, dm).pairs == expected
+        assert mmd_pairs(g, dm).pairs == scalar_mmd_pairs(g, dm)
+
+    @pytest.mark.parametrize("g", LONG_DIAMETER_GRAPHS)
+    def test_matches_scalar_definition_at_long_diameter(self, g):
+        dm = all_pairs_distances(g)
+        assert mmd_pairs(g).pairs == scalar_mmd_pairs(g, dm)
 
 
 class TestStrongResolvingGraph:
@@ -364,6 +401,21 @@ class TestSdimViaCover:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             sdim_via_cover(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_builds_no_distance_matrix(self, monkeypatch):
+        jahangir, _ = build_jahangir(JahangirParams(9, 6))
+        graphs = [jahangir, random_connected_graph(random.Random(3), 40, 40)]
+        expected = [sdim_via_cover(g) for g in graphs]
+
+        def refuse(g):
+            raise AssertionError("the sdim pipeline built an all-pairs distance matrix")
+
+        monkeypatch.setattr(strong_metric, "all_pairs_distances", refuse)
+        assert [sdim_via_cover(g) for g in graphs] == expected
+        assert expected[0].size == sdim_formula(JahangirParams(9, 6))
+        # the patch is live: brute force still builds its own matrix
+        with pytest.raises(AssertionError):
+            brute_force_sdim(path_graph(3))
 
     @given(connected_graphs(max_order=12))
     @settings(max_examples=100, deadline=None)
