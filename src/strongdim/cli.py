@@ -87,7 +87,9 @@ def _worker_count(requested: int, cpus: int | None) -> int:
 
 
 def _brute_cap(requested: int) -> int:
-    """The ``--brute-cap`` value, refused above :data:`MAX_BRUTE_CAP`."""
+    """The ``--brute-cap`` value, refused below 0 or above :data:`MAX_BRUTE_CAP`."""
+    if requested < 0:
+        raise GraphError(f"--brute-cap must be at least 0, got {requested}")
     if requested > MAX_BRUTE_CAP:
         raise GraphError(f"--brute-cap must be at most {MAX_BRUTE_CAP}, got {requested}")
     return requested

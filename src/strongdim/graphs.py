@@ -262,10 +262,14 @@ def parse(text: str, fmt: str = "edge-json") -> Graph:
             raise ParseError("'labels' must be an object mapping ids to names")
         labels = {}
         for key, value in raw_labels.items():
+            # only the canonical spelling serialize writes: int() would also
+            # take "01", " +1 " or "1_0", so two keys could name one vertex
             try:
                 vid = int(key)
             except (TypeError, ValueError):
-                raise ParseError(f"labels: key {key!r} is not a vertex id") from None
+                vid = None
+            if vid is None or key != str(vid):
+                raise ParseError(f"labels: key {key!r} is not a vertex id")
             if not isinstance(value, str):
                 raise ParseError(f"labels[{key!r}]: name must be a string, got {value!r}")
             labels[vid] = value

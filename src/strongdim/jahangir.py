@@ -8,12 +8,15 @@ cycle of length n + 2, and consecutive internal cycles share one spoke edge.
 For these graphs the strong metric dimension has closed forms in three
 parameter regimes, along with explicit descriptions of the strong resolving
 graph's edges and of an optimal vertex cover.  Every prediction is keyed by
-:func:`regime`, the one place the regime conditions are written; the
-extremal-distance pair sets are relabelled edge families.
-:func:`verify_predictions` rebuilds all of that from scratch through
-:func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact cover,
-re-check) and reports any disagreement with the closed forms.  Only the
-extremal-distance scans of the even and odd regimes read an all-pairs
+:func:`regime`, the one place the regime conditions are written.  Two
+private tables drive the checks: ``_CASES`` gives each extremal-distance
+case its tag, the edge family it relabels, its scan scope (consecutive
+cycles, non-consecutive cycles, or within a segment) and its distance, and
+``_PREDICTIONS`` gives each regime its edge-family builder, cover builder
+and cases.  :func:`verify_predictions` rebuilds all of that from scratch
+through :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact
+cover, re-check) and reports any disagreement with the closed forms.  Only
+the extremal-distance scans of the even and odd regimes read an all-pairs
 distance matrix, so only those cells build one.
 """
 
@@ -31,10 +34,6 @@ from .graphs import (
 )
 from .strong_metric import brute_force_sdim, cover_pipeline
 from .vertex_cover import is_vertex_cover
-
-EVEN_CASES = ("even-a", "even-b", "even-c")
-ODD_CASES = ("odd-a", "odd-b", "odd-c")
-
 
 @dataclass(frozen=True)
 class JahangirParams:
@@ -277,15 +276,33 @@ def predicted_cover_odd(params: JahangirParams) -> frozenset[int]:
 
 # ---------- characterized long-distance pairs ----------
 
-# case -> (tag, edge family): every extremal pair set but odd-a's is a
-# relabelled SRG edge family
-_EXTREMAL_FAMILY = {
-    "even-a": ("n_plus_1", "adjacent"),
-    "even-b": ("n_plus_2", "distant"),
-    "even-c": ("half_plus_1", "within"),
-    "odd-b": ("n_plus_1", "distant"),
-    "odd-c": ("half_plus_1", "within"),
+
+# case -> (tag, SRG edge family, scan scope, distance offset, off-path tag):
+# the family is the scope's pairs at distance n + offset between
+# "consecutive" or "nonconsecutive" internal cycles, or n//2 + offset
+# "within" one segment.  An off-path tag adds the scope's pairs one closer
+# that lie on no diametrical path.  A case's name starts with its regime.
+_CASES = {
+    "even-a": ("n_plus_1", "adjacent", "consecutive", 1, None),
+    "even-b": ("n_plus_2", "distant", "nonconsecutive", 2, None),
+    "even-c": ("half_plus_1", "within", "within", 1, None),
+    "odd-a": ("n_plus_1", "adjacent", "consecutive", 1, "n_off_diametrical"),
+    "odd-b": ("n_plus_1", "distant", "nonconsecutive", 1, None),
+    "odd-c": ("half_plus_1", "within", "within", 1, None),
 }
+EVEN_CASES = tuple(case for case in _CASES if case.startswith("even-"))
+ODD_CASES = tuple(case for case in _CASES if case.startswith("odd-"))
+
+# regime -> (edge families, predicted cover, extremal-distance cases)
+_PREDICTIONS = {
+    "even": (srg_edge_families_even, predicted_cover_even, EVEN_CASES),
+    "odd": (srg_edge_families_odd, predicted_cover_odd, ODD_CASES),
+}
+
+
+def _check_case(case: str) -> None:
+    if case not in _CASES:
+        raise GraphError(f"unknown case {case!r}, expected one of {tuple(_CASES)}")
 
 
 def extremal_distance_pairs(
@@ -305,78 +322,73 @@ def extremal_distance_pairs(
     - odd-c, "half_plus_1": same-segment degree-2 pairs at distance
       (n-1)/2 + 1
     """
-    if case in EVEN_CASES:
-        families = srg_edge_families_even(params)
-    elif case in ODD_CASES:
-        families = srg_edge_families_odd(params)
-    else:
-        raise GraphError(f"unknown case {case!r}, expected one of {EVEN_CASES + ODD_CASES}")
-    return _extremal_pairs(params, families, case)
+    _check_case(case)
+    families_of = _PREDICTIONS[case.partition("-")[0]][0]
+    return _extremal_pairs(params, families_of(params), case)
 
 
 def _extremal_pairs(
     params: JahangirParams, families: dict[str, frozenset[tuple[int, int]]], case: str
 ) -> dict[str, frozenset[tuple[int, int]]]:
     """:func:`extremal_distance_pairs` read off already built edge families."""
-    if case == "odd-a":
-        # the odd "adjacent" family splits into the m pairs at distance n+1
-        # and the 2m pairs at distance n that avoid every diametrical path
-        n, m = params.n, params.m
-        lab = JahangirLabeling(n, m)
-        half = n // 2
-        longest = frozenset(lab.pair(n * k + half + 1, n * (k + 1) + half + 2) for k in range(m))
-        return {"n_plus_1": longest, "n_off_diametrical": families["adjacent"] - longest}
-    tag, family = _EXTREMAL_FAMILY[case]
-    return {tag: families[family]}
+    tag, family, _, _, off_tag = _CASES[case]
+    if off_tag is None:
+        return {tag: families[family]}
+    # the odd "adjacent" family splits into the m pairs at distance n+1
+    # and the 2m pairs at distance n that avoid every diametrical path
+    n, m = params.n, params.m
+    lab = JahangirLabeling(n, m)
+    half = n // 2
+    longest = frozenset(lab.pair(n * k + half + 1, n * (k + 1) + half + 2) for k in range(m))
+    return {tag: longest, off_tag: families[family] - longest}
 
 
-def _diametrical_endpoints(dm: DistanceMatrix) -> list[tuple[int, int]]:
-    diam = max(max(row) for row in dm.dist)
-    return [(a, b) for a, row in enumerate(dm.dist) for b, dab in enumerate(row) if dab == diam]
-
-
-def _on_diametrical_path(
-    dm: DistanceMatrix, ends: list[tuple[int, int]], x: int, y: int
-) -> bool:
-    # {x, y} lies on some diametrical path: a .. x .. y .. b with the three
-    # legs summing exactly; scanning ordered endpoint pairs covers both
-    # orientations of (x, y)
-    d = dm.dist
-    dxy = d[x][y]
-    return any(d[a][x] + dxy + d[y][b] == d[a][b] for a, b in ends)
-
-
-def _scan_cycle_pairs(
-    dm: DistanceMatrix, lab: JahangirLabeling, ks: Iterable[tuple[int, int]], target: int
+def _pairs_at(
+    dm: DistanceMatrix, lab: JahangirLabeling, scope: str, target: int
 ) -> frozenset[tuple[int, int]]:
-    """Pairs at distance ``target`` with one end on internal cycle k, the other on k2."""
+    """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``."""
+    m = lab.m
+    if scope == "within":
+        inner = [lab.inner_cycle_ids(k) for k in range(m)]
+        rows = ((x, ids[i + 1 :]) for ids in inner for i, x in enumerate(ids))
+    else:
+        ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
+        cycles = [lab.cycle_ids(k) for k in range(m)]
+        rows = ((x, cycles[k2]) for k, k2 in ks for x in cycles[k])
     d = dm.dist
     found: set[tuple[int, int]] = set()
-    for k, k2 in ks:
-        right = lab.cycle_ids(k2)
-        for x in lab.cycle_ids(k):
-            row = d[x]
-            for y in right:
-                if x != y and row[y] == target:
-                    found.add((x, y) if x < y else (y, x))
+    for x, ys in rows:
+        row = d[x]
+        for y in ys:
+            if x != y and row[y] == target:
+                found.add((x, y) if x < y else (y, x))
     return frozenset(found)
 
 
-def _measure_odd_a(
-    dm: DistanceMatrix, lab: JahangirLabeling
+def _measure(
+    dm: DistanceMatrix, lab: JahangirLabeling, case: str
 ) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
-    """The "odd-a" measurement and the unfiltered consecutive-cycle pairs at distance n."""
-    n, m = lab.n, lab.m
-    consecutive = [(k, (k + 1) % m) for k in range(m)]
-    longest = _scan_cycle_pairs(dm, lab, consecutive, n + 1)
-    at_n = _scan_cycle_pairs(dm, lab, consecutive, n)
-    ends = _diametrical_endpoints(dm)
-    off = frozenset((x, y) for x, y in at_n if not _on_diametrical_path(dm, ends, x, y))
-    return {"n_plus_1": longest, "n_off_diametrical": off}, at_n
+    """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
+    tag, _, scope, offset, off_tag = _CASES[case]
+    target = (lab.n // 2 if scope == "within" else lab.n) + offset
+    measured = {tag: _pairs_at(dm, lab, scope, target)}
+    if off_tag is None:
+        return measured, frozenset()
+    # {x, y} lies on a diametrical path a .. x .. y .. b when the three legs
+    # sum exactly; scanning ordered endpoint pairs covers both orientations
+    d = dm.dist
+    diam = max(max(r) for r in d)
+    ends = [(a, b) for a, r in enumerate(d) for b, dab in enumerate(r) if dab == diam]
+    near = _pairs_at(dm, lab, scope, target - 1)
+    on_path = frozenset(
+        (x, y) for x, y in near if any(d[a][x] + d[x][y] + d[y][b] == d[a][b] for a, b in ends)
+    )
+    measured[off_tag] = near - on_path
+    return measured, on_path
 
 
 def measured_distance_pairs(
-    g: Graph, dm: DistanceMatrix, lab: JahangirLabeling, case: str
+    dm: DistanceMatrix, lab: JahangirLabeling, case: str
 ) -> dict[str, frozenset[tuple[int, int]]]:
     """BFS-side counterpart of :func:`extremal_distance_pairs`.
 
@@ -384,37 +396,8 @@ def measured_distance_pairs(
     distance condition, so comparing it with the closed-form sets checks
     the characterization in both directions at once.
     """
-    n, m = lab.n, lab.m
-    half = n // 2
-    d = dm.dist
-    if case not in EVEN_CASES + ODD_CASES:
-        raise GraphError(f"unknown case {case!r}, expected one of {EVEN_CASES + ODD_CASES}")
-
-    consecutive = [(k, (k + 1) % m) for k in range(m)]
-    nonconsecutive = _nonconsecutive(m)
-
-    def scan_within(target: int) -> frozenset[tuple[int, int]]:
-        found: set[tuple[int, int]] = set()
-        for k in range(m):
-            inner = lab.inner_cycle_ids(k)
-            for ix, x in enumerate(inner):
-                for y in inner[ix + 1 :]:
-                    if d[x][y] == target:
-                        found.add((x, y) if x < y else (y, x))
-        return frozenset(found)
-
-    if case == "even-a":
-        return {"n_plus_1": _scan_cycle_pairs(dm, lab, consecutive, n + 1)}
-    if case == "even-b":
-        return {"n_plus_2": _scan_cycle_pairs(dm, lab, nonconsecutive, n + 2)}
-    if case == "even-c":
-        return {"half_plus_1": scan_within(half + 1)}
-    if case == "odd-a":
-        return _measure_odd_a(dm, lab)[0]
-    if case == "odd-b":
-        return {"n_plus_1": _scan_cycle_pairs(dm, lab, nonconsecutive, n + 1)}
-    # odd-c
-    return {"half_plus_1": scan_within(half + 1)}
+    _check_case(case)
+    return _measure(dm, lab, case)[0]
 
 
 # ---------- end-to-end verification ----------
@@ -501,16 +484,11 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     cover_valid: bool | None = None
     cover_size: int | None = None
 
-    if kind in ("even", "odd"):
+    if kind in _PREDICTIONS:
+        families_of, cover_of, cases = _PREDICTIONS[kind]
         dm = all_pairs_distances(g)  # read only by the extremal-distance scans
-        if kind == "even":
-            families = srg_edge_families_even(params)
-            predicted_cover = predicted_cover_even(params)
-            cases = EVEN_CASES
-        else:
-            families = srg_edge_families_odd(params)
-            predicted_cover = predicted_cover_odd(params)
-            cases = ODD_CASES
+        families = families_of(params)
+        predicted_cover = cover_of(params)
         predicted_edges = frozenset().union(*families.values())
         actual_edges = frozenset(srg.edges())
         srg_match = predicted_edges == actual_edges
@@ -543,18 +521,15 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
             )
         for case in cases:
             expected = _extremal_pairs(params, families, case)
-            if case == "odd-a":
-                # the "lies on no diametrical path" side condition is resolved by
-                # an explicit endpoint scan; say so whenever it excluded pairs
-                observed, at_n = _measure_odd_a(dm, lab)
-                excluded = at_n - observed["n_off_diametrical"]
-                if excluded:
-                    notes.append(
-                        f"{len(excluded)} distance-{n} pairs lie on a diametrical path "
-                        "(endpoint-scan criterion) and are excluded from the MMD prediction"
-                    )
-            else:
-                observed = measured_distance_pairs(g, dm, lab, case)
+            observed, excluded = _measure(dm, lab, case)
+            if excluded:
+                # the "lies on no diametrical path" side condition is resolved
+                # by an endpoint scan; say so whenever it excluded pairs (the
+                # one case with that condition scans distance n)
+                notes.append(
+                    f"{len(excluded)} distance-{n} pairs lie on a diametrical path "
+                    "(endpoint-scan criterion) and are excluded from the MMD prediction"
+                )
             if expected != observed:
                 parts = []
                 for tag in sorted(set(expected) | set(observed)):

@@ -96,15 +96,15 @@ def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
 
 
 def is_strong_resolving_set(
-    g: Graph, dm: DistanceMatrix, subset: Iterable[int]
+    g: Graph, dm: DistanceMatrix | None, subset: Iterable[int]
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check whether ``subset`` strongly resolves every vertex pair.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
     unresolved pair in sorted order.  Requires a connected graph.  ``dm``
-    is not read: the distances come from a BFS of ``g`` per chosen vertex.
-    ``perfbench`` still passes it positionally; the parameter can go once
-    it stops.
+    is not read (pass None): the distances come from a BFS of ``g`` per
+    chosen vertex.  ``perfbench`` still passes it positionally; the
+    parameter can go once it stops.
 
     For each chosen ``w`` one BFS from ``w`` gives the interval bitset
     I(w, v) of vertices on some shortest w-v path: when ``v`` is taken
@@ -268,7 +268,7 @@ def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
     return all(d[w][v] <= duv for w in g.adjacency[u])
 
 
-def mmd_pairs(g: Graph, dm: DistanceMatrix | None = None) -> MmdPairSet:
+def mmd_pairs(g: Graph) -> MmdPairSet:
     """All pairs that are maximally distant from each other.
 
     ``ball[v]`` holds the vertices within distance k of ``v``; a round
@@ -279,8 +279,6 @@ def mmd_pairs(g: Graph, dm: DistanceMatrix | None = None) -> MmdPairSet:
     sphere ANDed with the neighbours' balls.  (u, v) is MMD iff each lies
     in the other's ``far``.  The rounds stop when no ball grows, after
     diam + 1 of them.  Cost: O(diam * (V + E)) big-integer operations.
-    ``dm`` is not read; ``perfbench`` still passes it positionally, and the
-    parameter can go once it stops.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
@@ -323,27 +321,27 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
     """Graph on the same vertices whose edges are the MMD pairs of ``g``.
 
     Labels carry over so derived output stays readable.  ``dm`` is not
-    read (see :func:`mmd_pairs`).
+    read: :func:`mmd_pairs` works from ``g`` alone.  ``perfbench`` still
+    passes it positionally; the parameter can go once it stops.
     """
-    pairs = mmd_pairs(g, dm)
+    pairs = mmd_pairs(g)
     return build_graph(g.vertex_count, sorted(pairs.pairs), g.labels)
 
 
-def cover_pipeline(g: Graph, dm: DistanceMatrix | None = None) -> tuple[Graph, StrongBasisResult]:
+def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:
     """The strong resolving graph and a minimum strong resolving set read off its optimal cover.
 
     The basis is re-checked against the definition; a failure would mean
     the reduction itself is broken, so it raises
     :class:`InternalInconsistencyError` rather than returning quietly.
     Both the MMD detection and the re-check work from BFS over ``g``, so no
-    all-pairs distance matrix is built.  ``dm`` is not read (see
-    :func:`mmd_pairs`).
+    all-pairs distance matrix is built.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")
-    srg = strong_resolving_graph(g, dm)
+    srg = strong_resolving_graph(g)
     cover = exact_min_vertex_cover(srg)
-    ok, witness = is_strong_resolving_set(g, dm, cover.cover)
+    ok, witness = is_strong_resolving_set(g, None, cover.cover)
     if not ok:
         raise InternalInconsistencyError(
             f"optimal cover of the strong resolving graph left pair {witness} unresolved"
@@ -351,9 +349,6 @@ def cover_pipeline(g: Graph, dm: DistanceMatrix | None = None) -> tuple[Graph, S
     return srg, StrongBasisResult(cover.size, cover.cover, "vertex-cover-reduction")
 
 
-def sdim_via_cover(g: Graph, dm: DistanceMatrix | None = None) -> StrongBasisResult:
-    """Strong metric dimension as a minimum vertex cover of the strong resolving graph.
-
-    ``dm`` is not read (see :func:`cover_pipeline`).
-    """
-    return cover_pipeline(g, dm)[1]
+def sdim_via_cover(g: Graph) -> StrongBasisResult:
+    """Strong metric dimension as a minimum vertex cover of the strong resolving graph."""
+    return cover_pipeline(g)[1]

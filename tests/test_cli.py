@@ -293,6 +293,8 @@ class TestBruteCap:
         [
             ["sdim", "jahangir:6,5", "--method", "brute", "--brute-cap", "40"],
             ["verify", "--n", "6..6", "--m", "5..5", "--brute-cap", "40"],
+            ["sdim", "jahangir:6,5", "--method", "brute", "--brute-cap", "-3"],
+            ["verify", "--n", "6..6", "--m", "5..5", "--brute-cap", "-1"],
         ],
     )
     def test_cli_rejects_before_searching(self, capsys, monkeypatch, argv):
@@ -304,7 +306,13 @@ class TestBruteCap:
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "--brute-cap must be at most" in err
+        bound = "at least 0" if argv[-1].startswith("-") else f"at most {cli.MAX_BRUTE_CAP}"
+        assert f"--brute-cap must be {bound}, got {argv[-1]}" in err
+
+    def test_below_zero_rejected(self):
+        assert cli._brute_cap(0) == 0
+        with pytest.raises(GraphError, match="at least 0, got -1"):
+            cli._brute_cap(-1)
 
 
 def _run_python(*argv):

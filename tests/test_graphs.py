@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import re
 import sys
@@ -240,6 +241,23 @@ class TestParse:
     def test_labels(self):
         g = parse('{"n":2,"edges":[[0,1]],"labels":{"0":"x"}}')
         assert g.labels == {0: "x"}
+
+    @pytest.mark.parametrize("key", ["01", " +1 ", "1_0", "+1", "-0", "1.0", ""])
+    def test_non_canonical_label_key(self, key):
+        doc = json.dumps({"n": 2, "edges": [[0, 1]], "labels": {key: "a"}})
+        with pytest.raises(ParseError, match=f"key {re.escape(repr(key))} is not a vertex id"):
+            parse(doc)
+
+    def test_label_keys_naming_one_vertex_twice(self):
+        # int() reads both keys as vertex 1, and "a" would be dropped silently
+        with pytest.raises(ParseError, match="key '01' is not a vertex id"):
+            parse('{"n":2,"edges":[[0,1]],"labels":{"01":"a","1":"b"}}')
+
+    def test_labelled_round_trip(self):
+        # ids of one and two digits, every vertex named
+        g = build_graph(12, [(v, v + 1) for v in range(11)], {v: f"v{v}" for v in range(12)})
+        back = parse(serialize(g))
+        assert back == g and back.labels == g.labels
 
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):

@@ -5,10 +5,14 @@ import pytest
 from strongdim import jahangir, strong_metric
 
 from strongdim import (
+    DistanceMatrix,
     GraphError,
     InternalInconsistencyError,
+    JahangirLabeling,
     JahangirParams,
+    StrongBasisResult,
     all_pairs_distances,
+    build_graph,
     build_jahangir,
     exact_min_vertex_cover,
     extremal_distance_pairs,
@@ -293,6 +297,9 @@ class TestExtremalDistancePairs:
     def test_unknown_case(self):
         with pytest.raises(GraphError, match="unknown case"):
             extremal_distance_pairs(JahangirParams(6, 5), "even-z")
+        g, lab = build_jahangir(JahangirParams(6, 5))
+        with pytest.raises(GraphError, match="unknown case 'even-z'"):
+            measured_distance_pairs(all_pairs_distances(g), lab, "even-z")
 
     @pytest.mark.parametrize(
         "n,m,case",
@@ -302,7 +309,7 @@ class TestExtremalDistancePairs:
         p = JahangirParams(n, m)
         g, lab = build_jahangir(p)
         dm = all_pairs_distances(g)
-        assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, dm, lab, case)
+        assert extremal_distance_pairs(p, case) == measured_distance_pairs(dm, lab, case)
 
     @pytest.mark.parametrize(
         "n,m,case",
@@ -312,7 +319,7 @@ class TestExtremalDistancePairs:
         p = JahangirParams(n, m)
         g, lab = build_jahangir(p)
         dm = all_pairs_distances(g)
-        assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, dm, lab, case)
+        assert extremal_distance_pairs(p, case) == measured_distance_pairs(dm, lab, case)
 
 
 class TestVerifyPredictions:
@@ -389,3 +396,108 @@ class TestVerifyPredictions:
             assert key in doc
         assert doc["n"] == 6 and doc["m"] == 4
         assert doc["discrepancies"] == []
+
+
+def _with_distance(u: int, v: int, value: int):
+    """An ``all_pairs_distances`` that misreports d(u, v) = d(v, u) as ``value``."""
+    def skewed(g):
+        rows = [list(row) for row in all_pairs_distances(g).dist]
+        rows[u][v] = rows[v][u] = value
+        return DistanceMatrix(g.vertex_count, tuple(tuple(row) for row in rows))
+
+    return skewed
+
+
+class TestDiscrepancyReports:
+    """Every Discrepancy branch, reached by feeding verify_predictions wrong data.
+
+    The fakes go in through module attributes (``jahangir.all_pairs_distances``,
+    ``jahangir.cover_pipeline``), the names verify_predictions looks up per call.
+    """
+
+    ODD_NOTE = (
+        "{} distance-5 pairs lie on a diametrical path (endpoint-scan criterion) "
+        "and are excluded from the MMD prediction"
+    )
+
+    @pytest.mark.parametrize(
+        "n,m,positions,value,discrepancies,excluded",
+        [
+            # consecutive cycles: an n+1 pair pulled in to distance n
+            (6, 5, (4, 11), 6, [("distance-pairs-even-a",
+                "n_plus_1: predicted-only [u4-u11], observed-only []")], None),
+            # non-consecutive cycles: an n+2 pair pulled in to n+1
+            (6, 5, (4, 16), 7, [("distance-pairs-even-b",
+                "n_plus_2: predicted-only [u4-u16], observed-only []")], None),
+            # within a segment: a distance-3 pair pushed out to n/2+1
+            (6, 5, (2, 5), 4, [("distance-pairs-even-c",
+                "half_plus_1: predicted-only [], observed-only [u2-u5]")], None),
+            # a diametrical pair pulled in to distance n: it joins the
+            # distance-n pairs and its paths stop being diametrical
+            (5, 5, (3, 9), 5, [("distance-pairs-odd-a",
+                "n_off_diametrical: predicted-only [], observed-only "
+                "[u2-u9, u3-u10, u3-u8, u3-u9, u4-u9]; "
+                "n_plus_1: predicted-only [u3-u9], observed-only []")], 16),
+            # a non-consecutive n+1 pair pushed out to a new diameter n+2,
+            # leaving it the only diametrical pair
+            (5, 5, (3, 13), 7, [
+                ("distance-pairs-odd-a",
+                 "n_off_diametrical: predicted-only [], observed-only "
+                 "[u12-u19, u13-u18, u13-u20, u14-u19, u17-u24, u18-u23, u18-u25, "
+                 "u19-u24, u2-u9, u3-u10, u3-u23, u3-u8, u4-u22, u4-u24, u4-u9, "
+                 "u5-u23, u7-u14, u8-u13, u8-u15, u9-u14]"),
+                ("distance-pairs-odd-b",
+                 "n_plus_1: predicted-only [u3-u13], observed-only []"),
+            ], None),
+            # within a segment: a distance-2 pair pushed out to (n-1)/2+1
+            (5, 5, (2, 4), 3, [("distance-pairs-odd-c",
+                "half_plus_1: predicted-only [], observed-only [u2-u4]")], 20),
+        ],
+    )
+    def test_skewed_distance(self, monkeypatch, n, m, positions, value, discrepancies, excluded):
+        lab = JahangirLabeling(n, m)
+        u, v = (lab.rim_id(pos) for pos in positions)
+        monkeypatch.setattr(jahangir, "all_pairs_distances", _with_distance(u, v, value))
+        report = verify_predictions(JahangirParams(n, m))
+        assert [(d.kind, d.detail) for d in report.discrepancies] == discrepancies
+        assert report.notes == (() if excluded is None else (self.ODD_NOTE.format(excluded),))
+        assert not report.passed
+
+    def test_skewed_pipeline(self, monkeypatch):
+        # the pipeline "finds" one SRG edge too few (u2-u6) and one too many
+        # (u1-u6, which the predicted cover misses) and a cover one too large
+        real = jahangir.cover_pipeline
+
+        def skewed(g):
+            srg, result = real(g)
+            edges = (set(srg.edges()) - {(1, 5)}) | {(0, 5)}
+            bigger = StrongBasisResult(result.size + 1, result.basis, result.method)
+            return build_graph(srg.vertex_count, sorted(edges), srg.labels), bigger
+
+        monkeypatch.setattr(jahangir, "cover_pipeline", skewed)
+        report = verify_predictions(JahangirParams(6, 5))
+        assert [(d.kind, d.detail) for d in report.discrepancies] == [
+            ("srg-edges", "predicted but absent: [u2-u6]; computed but unpredicted: [u1-u6]"),
+            ("cover-invalid", "predicted cover misses edge u1-u6"),
+            ("cover-size", "predicted cover has 10 vertices but the optimum is 11"),
+            ("sdim-formula", "closed form gives 10 but the cover pipeline gives 11"),
+        ]
+        assert (report.alpha_computed, report.srg_edges_match, report.predicted_cover_valid) == (
+            11, False, False
+        )
+        assert report.notes == ()
+
+    def test_skewed_pipeline_base_case(self, monkeypatch):
+        real = jahangir.cover_pipeline
+
+        def skewed(g):
+            srg, result = real(g)
+            return srg, StrongBasisResult(result.size - 1, result.basis[1:], result.method)
+
+        monkeypatch.setattr(jahangir, "cover_pipeline", skewed)
+        report = verify_predictions(JahangirParams(2, 3))
+        assert [(d.kind, d.detail) for d in report.discrepancies] == [
+            ("sdim-formula", "closed form gives 3 but the cover pipeline gives 2"),
+            ("sdim-brute", "exhaustive search gives 3 but the cover pipeline gives 2"),
+        ]
+        assert report.brute_sdim == 3

@@ -180,7 +180,7 @@ class TestIsStrongResolvingSet:
         for seed in range(10):
             g = random_connected_graph(random.Random(seed), max_order=10)
             dm = all_pairs_distances(g)
-            basis = sdim_via_cover(g, dm).basis
+            basis = sdim_via_cover(g).basis
             assert is_strong_resolving_set(g, dm, basis) == (True, None)
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
@@ -327,7 +327,7 @@ class TestMmdPairs:
         for seed in range(8):
             g = random_connected_graph(random.Random(seed), max_order=10)
             dm = all_pairs_distances(g)
-            pairs = mmd_pairs(g, dm).pairs
+            pairs = mmd_pairs(g).pairs
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
                     both = is_maximally_distant(g, dm, u, v) and is_maximally_distant(
@@ -343,7 +343,7 @@ class TestMmdPairs:
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_definition(self, g):
         dm = all_pairs_distances(g)
-        assert mmd_pairs(g, dm).pairs == scalar_mmd_pairs(g, dm)
+        assert mmd_pairs(g).pairs == scalar_mmd_pairs(g, dm)
 
     @pytest.mark.parametrize("g", LONG_DIAMETER_GRAPHS)
     def test_matches_scalar_definition_at_long_diameter(self, g):
@@ -395,7 +395,7 @@ class TestSdimViaCover:
         for seed in range(10):
             g = random_connected_graph(random.Random(seed), max_order=12)
             dm = all_pairs_distances(g)
-            result = sdim_via_cover(g, dm)
+            result = sdim_via_cover(g)
             assert is_strong_resolving_set(g, dm, result.basis) == (True, None)
 
     def test_rejects_disconnected(self):
