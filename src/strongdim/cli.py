@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success (and on fully verified grids), 1 when a
-verification or cross-check found a mismatch, 2 on usage or input errors.
+verification or cross-check found a mismatch, 2 on usage or input errors,
+among them a graph file or stdin that cannot be read or is not UTF-8 and an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ def _load_graph(source: str) -> tuple[Graph, JahangirParams | None]:
         params = _parse_jahangir_shorthand(source)
         g, _ = build_jahangir(params)
         return g, params
-    if source == "-":
-        return parse(sys.stdin.read()), None
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+        if source == "-":
+            # decoded as UTF-8 like a file, whatever the locale makes of stdin
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {source!r}: {exc}") from exc
     return parse(text), None
 
@@ -60,9 +65,12 @@ def _load_graph(source: str) -> tuple[Graph, JahangirParams | None]:
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {output!r}: {exc}") from exc
 
 
 def _parse_range(text: str) -> tuple[int, int]:

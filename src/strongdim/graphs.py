@@ -4,6 +4,15 @@ Vertices are the integers ``0 .. vertex_count - 1``.  Graphs are immutable
 once built; every constructor goes through :func:`build_graph`, which
 enforces the representation invariants (sorted neighbor lists, symmetry,
 no self-loops, no parallel edges).
+
+Distances come in two shapes.  :func:`distance_balls` grows every vertex's
+ball of radius r = 0, 1, ... together, as Python integers used as vertex
+bitsets (bit ``v`` stands for vertex ``v``): O(diam * (V + E)) big-integer
+ORs for all of them.  It is the one ball-growing loop of the program; MMD
+detection, the extremal-distance scans of ``verify`` and :func:`diameter`
+read it.  :func:`all_pairs_distances` is the dense matrix of one BFS per
+vertex, kept for the brute-force oracle, the scalar definitions and an
+explicit ``diameter(g, dm)``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 # Sentinel for "no path".  Compares above any true distance; code must never
 # do arithmetic with it, connectivity is checked explicitly instead.
@@ -152,6 +161,42 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g.vertex_count, rows)
 
 
+def distance_balls(g: Graph) -> Iterator[list[int]]:
+    """Every vertex's ball of radius r = 0, 1, ..., as bitsets, up to the fixed point.
+
+    The list yielded at radius r holds, for each vertex ``v``, the bitset of
+    vertices within distance r of ``v``; radius 0 holds ``v`` alone.  A round
+    grows every ball by one, ``ball[v] | OR of ball[w] for w in N(v)``, and
+    the generator stops before yielding a round in which no ball grew.  On
+    a connected graph it therefore yields diam + 1 lists, the last one all
+    full.  On a disconnected graph each ball stops at its component and the
+    count is the largest component diameter + 1; the empty graph yields one
+    empty list.  Each list is new, so a consumer may keep any of them, but
+    must not modify them: the next round is grown from the last one yielded.
+    """
+    adj = g.adjacency
+    ball = [1 << v for v in range(g.vertex_count)]
+    while True:
+        yield ball
+        grown = []
+        for v, nbrs in enumerate(adj):
+            acc = ball[v]
+            for w in nbrs:
+                acc |= ball[w]
+            grown.append(acc)
+        if grown == ball:
+            return
+        ball = grown
+
+
+def members(mask: int) -> Iterator[int]:
+    """Vertices whose bits are set in ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (vacuously for order <= 1)."""
     if g.vertex_count <= 1:
@@ -161,13 +206,17 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph, dm: DistanceMatrix | None = None) -> int:
-    """Largest pairwise distance.  Raises on a disconnected graph."""
+    """Largest pairwise distance.  Raises on a disconnected graph.
+
+    Read off ``dm`` when one is passed, else counted as the radii of
+    :func:`distance_balls`, which builds no matrix.
+    """
     if g.vertex_count == 0:
         raise GraphError("diameter of the empty graph is undefined")
     if not is_connected(g):
         raise DisconnectedGraphError("diameter requires a connected graph")
     if dm is None:
-        dm = all_pairs_distances(g)
+        return sum(1 for _ in distance_balls(g)) - 1
     return max(max(row) for row in dm.dist)
 
 
@@ -272,6 +321,11 @@ def parse(text: str, fmt: str = "edge-json") -> Graph:
                 raise ParseError(f"labels: key {key!r} is not a vertex id")
             if not isinstance(value, str):
                 raise ParseError(f"labels[{key!r}]: name must be a string, got {value!r}")
+            # JSON escapes can spell lone surrogates, which no UTF-8 output can hold
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"labels[{key!r}]: name is not valid Unicode text") from None
             labels[vid] = value
     try:
         return build_graph(n, edge_list, labels)

@@ -15,9 +15,15 @@ cycles, non-consecutive cycles, or within a segment) and its distance, and
 ``_PREDICTIONS`` gives each regime its edge-family builder, cover builder
 and cases.  :func:`verify_predictions` rebuilds all of that from scratch
 through :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact
-cover, re-check) and reports any disagreement with the closed forms.  Only
-the extremal-distance scans of the even and odd regimes read an all-pairs
-distance matrix, so only those cells build one.
+cover, re-check) and reports any disagreement with the closed forms.
+
+The extremal-distance scans of the even and odd regimes read every radius
+of :func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds
+a dense all-pairs distance matrix.  The pairs at distance t are read off
+the spheres ``ball[t][x] & ~ball[t-1][x]``, each ANDed with one vertex mask
+per cycle or segment, the diameter D is the number of radii minus one, and
+the diametrical-path condition of odd-a is tested on spheres as well (see
+:func:`_on_diametrical_path`).
 """
 
 from __future__ import annotations
@@ -26,11 +32,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import (
-    DistanceMatrix,
     Graph,
     GraphError,
-    all_pairs_distances,
     build_graph,
+    distance_balls,
+    members,
 )
 from .strong_metric import brute_force_sdim, cover_pipeline
 from .vertex_cover import is_vertex_cover
@@ -343,61 +349,94 @@ def _extremal_pairs(
     return {tag: longest, off_tag: families[family] - longest}
 
 
+def _sphere(balls: list[list[int]], r: int, x: int) -> int:
+    """Bitset of the vertices at distance exactly ``r`` from ``x``."""
+    if r >= len(balls):
+        return 0
+    return balls[r][x] & ~balls[r - 1][x] if r else balls[0][x]
+
+
+def _vertex_mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
 def _pairs_at(
-    dm: DistanceMatrix, lab: JahangirLabeling, scope: str, target: int
+    balls: list[list[int]], lab: JahangirLabeling, scope: str, target: int
 ) -> frozenset[tuple[int, int]]:
-    """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``."""
+    """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``.
+
+    Each vertex ``x`` of a cycle or segment is paired with one mask: the
+    other degree-2 vertices of its segment ("within"), or the union of the
+    cycles its cycle is scanned against.  The pairs are the members of
+    that mask on the sphere of radius ``target`` around ``x``.
+    """
     m = lab.m
     if scope == "within":
-        inner = [lab.inner_cycle_ids(k) for k in range(m)]
-        rows = ((x, ids[i + 1 :]) for ids in inner for i, x in enumerate(ids))
+        segments = [lab.inner_cycle_ids(k) for k in range(m)]
+        rows = [(ids, _vertex_mask(ids)) for ids in segments]
     else:
         ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
         cycles = [lab.cycle_ids(k) for k in range(m)]
-        rows = ((x, cycles[k2]) for k, k2 in ks for x in cycles[k])
-    d = dm.dist
+        partners = [0] * m
+        for k, k2 in ks:
+            partners[k] |= _vertex_mask(cycles[k2])
+        rows = list(zip(cycles, partners))
     found: set[tuple[int, int]] = set()
-    for x, ys in rows:
-        row = d[x]
-        for y in ys:
-            if x != y and row[y] == target:
+    for ids, mask in rows:
+        for x in ids:
+            for y in members(_sphere(balls, target, x) & mask):
                 found.add((x, y) if x < y else (y, x))
     return frozenset(found)
 
 
+def _on_diametrical_path(balls: list[list[int]], x: int, y: int, t: int) -> bool:
+    """Whether the pair x, y at distance ``t`` lies on a path a .. x .. y .. b with d(a, b) = D.
+
+    Such a path exists iff d(a, x) + t + d(y, b) = d(a, b) = D for some
+    vertices a, b, that is iff for some r in 0 .. D - t a vertex ``a`` on
+    the sphere of radius r around ``x`` has, on its own sphere of radius
+    D, a vertex of the sphere of radius D - t - r around ``y``.  Ordered
+    endpoints cover both orientations, so x before y suffices.
+    """
+    diam = len(balls) - 1
+    for r in range(diam - t + 1):
+        ends = _sphere(balls, diam - t - r, y)
+        if ends and any(_sphere(balls, diam, a) & ends for a in members(_sphere(balls, r, x))):
+            return True
+    return False
+
+
 def _measure(
-    dm: DistanceMatrix, lab: JahangirLabeling, case: str
+    balls: list[list[int]], lab: JahangirLabeling, case: str
 ) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
     tag, _, scope, offset, off_tag = _CASES[case]
     target = (lab.n // 2 if scope == "within" else lab.n) + offset
-    measured = {tag: _pairs_at(dm, lab, scope, target)}
+    measured = {tag: _pairs_at(balls, lab, scope, target)}
     if off_tag is None:
         return measured, frozenset()
-    # {x, y} lies on a diametrical path a .. x .. y .. b when the three legs
-    # sum exactly; scanning ordered endpoint pairs covers both orientations
-    d = dm.dist
-    diam = max(max(r) for r in d)
-    ends = [(a, b) for a, r in enumerate(d) for b, dab in enumerate(r) if dab == diam]
-    near = _pairs_at(dm, lab, scope, target - 1)
+    near = _pairs_at(balls, lab, scope, target - 1)
     on_path = frozenset(
-        (x, y) for x, y in near if any(d[a][x] + d[x][y] + d[y][b] == d[a][b] for a, b in ends)
+        (x, y) for x, y in near if _on_diametrical_path(balls, x, y, target - 1)
     )
     measured[off_tag] = near - on_path
     return measured, on_path
 
 
 def measured_distance_pairs(
-    dm: DistanceMatrix, lab: JahangirLabeling, case: str
+    g: Graph, lab: JahangirLabeling, case: str
 ) -> dict[str, frozenset[tuple[int, int]]]:
     """BFS-side counterpart of :func:`extremal_distance_pairs`.
 
-    Scans the actual distance matrix for pairs meeting each case's
+    Scans the distance balls of ``g`` for pairs meeting each case's
     distance condition, so comparing it with the closed-form sets checks
     the characterization in both directions at once.
     """
     _check_case(case)
-    return _measure(dm, lab, case)[0]
+    return _measure(list(distance_balls(g)), lab, case)[0]
 
 
 # ---------- end-to-end verification ----------
@@ -486,7 +525,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
 
     if kind in _PREDICTIONS:
         families_of, cover_of, cases = _PREDICTIONS[kind]
-        dm = all_pairs_distances(g)  # read only by the extremal-distance scans
+        balls = list(distance_balls(g))  # read only by the extremal-distance scans
         families = families_of(params)
         predicted_cover = cover_of(params)
         predicted_edges = frozenset().union(*families.values())
@@ -521,7 +560,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
             )
         for case in cases:
             expected = _extremal_pairs(params, families, case)
-            observed, excluded = _measure(dm, lab, case)
+            observed, excluded = _measure(balls, lab, case)
             if excluded:
                 # the "lies on no diametrical path" side condition is resolved
                 # by an endpoint scan; say so whenever it excluded pairs (the

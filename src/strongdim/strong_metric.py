@@ -9,13 +9,13 @@ which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
 
 The two whole-graph scans work on Python integers used as vertex bitsets
 (bit ``v`` stands for vertex ``v``) and read no distance matrix, so the
-pipeline never builds the dense all-pairs one.  :func:`mmd_pairs` grows the
-distance balls of all vertices together, one radius per round, and reads
-off each vertex's maximally distant vertices from its sphere and its
-neighbours' balls: O(diam * (V + E)) big-integer operations with two radii
-live at a time.  :func:`is_strong_resolving_set` runs one BFS per chosen
-vertex and pushes the interval bitsets of shortest paths forward layer by
-layer: O(|S| * (V + E)) big-integer ORs instead of O(V^2 * |S|)
+pipeline never builds the dense all-pairs one.  :func:`mmd_pairs` reads the
+stream of :func:`~strongdim.graphs.distance_balls`, one radius per round,
+and reads off each vertex's maximally distant vertices from its sphere and
+its neighbours' balls: O(diam * (V + E)) big-integer operations with two
+radii live at a time.  :func:`is_strong_resolving_set` runs one BFS per
+chosen vertex and pushes the interval bitsets of shortest paths forward
+layer by layer: O(|S| * (V + E)) big-integer ORs instead of O(V^2 * |S|)
 comparisons.  The two share no distance data, so the re-check judges the
 cover independently of MMD detection.  :func:`strongly_resolves` and
 :func:`is_maximally_distant` stay the scalar definitions both are tested
@@ -38,7 +38,7 @@ the work, but it is still exponential in the worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import (
     DisconnectedGraphError,
@@ -49,7 +49,9 @@ from .graphs import (
     all_pairs_distances,
     build_graph,
     check_vertex,
+    distance_balls,
     is_connected,
+    members,
 )
 from .vertex_cover import exact_min_vertex_cover
 
@@ -73,14 +75,6 @@ class StrongBasisResult:
     size: int
     basis: tuple[int, ...]
     method: str  # "brute-force" or "vertex-cover-reduction"
-
-
-def _members(mask: int) -> Iterator[int]:
-    """Vertices whose bits are set in ``mask``, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
@@ -150,7 +144,7 @@ def is_strong_resolving_set(
     full = (1 << n) - 1
     for u in range(n):
         # pairs (u, v), v > u, not resolved through on_path[u]; ascending v
-        for v in _members((full >> (u + 1) << (u + 1)) & ~on_path[u]):
+        for v in members((full >> (u + 1) << (u + 1)) & ~on_path[u]):
             if not on_path[v] & bit[u]:
                 return False, (u, v)
     return True, None
@@ -271,48 +265,38 @@ def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
 def mmd_pairs(g: Graph) -> MmdPairSet:
     """All pairs that are maximally distant from each other.
 
-    ``ball[v]`` holds the vertices within distance k of ``v``; a round
-    grows every ball by one, ``ball[v] | OR of ball[w] for w in N(v)``.
-    At radius k, ``u`` is maximally distant from every ``v`` at distance
-    exactly k (the sphere ``ball[u] & ~inner[u]``) that lies within
-    distance k of all neighbours of ``u``, so ``far[u]`` collects the
-    sphere ANDed with the neighbours' balls.  (u, v) is MMD iff each lies
-    in the other's ``far``.  The rounds stop when no ball grows, after
-    diam + 1 of them.  Cost: O(diam * (V + E)) big-integer operations.
+    Reads the balls of :func:`~strongdim.graphs.distance_balls` one radius
+    at a time, keeping the previous radius as ``inner``.  At radius k, ``u``
+    is maximally distant from every ``v`` at distance exactly k (the sphere
+    ``ball[u] & ~inner[u]``) that lies within distance k of all neighbours
+    of ``u``, so ``far[u]`` collects the sphere ANDed with the neighbours'
+    balls.  (u, v) is MMD iff each lies in the other's ``far``.  Cost:
+    O(diam * (V + E)) big-integer operations.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
     n = g.vertex_count
     adj = g.adjacency
-    bit = [1 << v for v in range(n)]
     far = [0] * n
-    ball = bit  # radius 0
-    grew = n > 1
-    while grew:
-        inner = ball
-        ball = []
-        for v in range(n):
-            acc = inner[v]
-            for w in adj[v]:
-                acc |= inner[w]
-            ball.append(acc)
-        grew = False
+    balls = distance_balls(g)
+    inner = next(balls)
+    for ball in balls:
         for u in range(n):
             sphere = ball[u] & ~inner[u]
             if not sphere:
                 continue
-            grew = True
             for w in adj[u]:
                 sphere &= ball[w]
                 if not sphere:
                     break
             else:
                 far[u] |= sphere
+        inner = ball
     found = {
         (u, v)
         for u in range(n)
-        for v in _members(far[u] >> (u + 1) << (u + 1))
-        if far[v] & bit[u]
+        for v in members(far[u] >> (u + 1) << (u + 1))
+        if far[v] >> u & 1
     }
     return MmdPairSet(n, frozenset(found))
 

@@ -8,17 +8,26 @@ JahangirLabeling, so a listing like (4, 11) means the pair u4-u11.
 import random
 from itertools import combinations
 
+import pytest
+
 from strongdim import (
     DisconnectedGraphError,
+    DistanceMatrix,
     Graph,
     InternalInconsistencyError,
     JahangirLabeling,
+    JahangirParams,
     SizeLimitError,
     StrongBasisResult,
+    UNREACHABLE,
     all_pairs_distances,
     build_graph,
+    build_jahangir,
+    cycle_graph,
     is_connected,
+    path_graph,
 )
+from strongdim.jahangir import _CASES, _nonconsecutive
 
 
 def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Graph:
@@ -58,6 +67,18 @@ def pinned_250_vertex_graph() -> Graph:
         u, v = rng.sample(range(order), 2)
         edges.add((min(u, v), max(u, v)))
     return build_graph(order, sorted(edges))
+
+
+def long_diameter_graphs():
+    """Graphs whose diameter runs past the Hypothesis orders, as pytest params."""
+    cases = [pytest.param(cycle_graph(n), id=f"C{n}") for n in range(3, 42)]
+    cases += [pytest.param(path_graph(n), id=f"P{n}") for n in range(2, 41)]
+    for n, m in ((12, 5), (15, 4), (2, 20), (25, 3)):
+        cases.append(pytest.param(build_jahangir(JahangirParams(n, m))[0], id=f"J({n},{m})"))
+    for seed in range(12):
+        g = random_connected_graph(random.Random(seed), 20, 60)
+        cases.append(pytest.param(g, id=f"random{seed}"))
+    return cases
 
 
 def random_graph(rng: random.Random, min_order=1, max_order=10) -> Graph:
@@ -119,6 +140,70 @@ def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResul
             if all(wmask & mask for mask in masks):
                 return StrongBasisResult(k, combo, "brute-force")
     raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
+
+
+def balls_from_distances(dm: DistanceMatrix) -> list[list[int]]:
+    """The radii :func:`strongdim.graphs.distance_balls` yields, read off a distance matrix.
+
+    Bit ``y`` of ball r of ``x`` is set when ``dm.dist[x][y] <= r``, for
+    r = 0 .. the largest finite entry (0 for the empty matrix).  Feeding it
+    a matrix that misreports a distance gives the balls a graph with that
+    distance would have.
+    """
+    rows = dm.dist
+    top = max((d for row in rows for d in row if d != UNREACHABLE), default=0)
+    return [
+        [sum(1 << y for y, dxy in enumerate(row) if dxy <= r) for row in rows]
+        for r in range(top + 1)
+    ]
+
+
+# The scalar extremal-distance scans ``jahangir`` ran on a dense distance
+# matrix before it read distance balls, kept verbatim as the oracle for them.
+
+
+def scalar_pairs_at(
+    dm: DistanceMatrix, lab: JahangirLabeling, scope: str, target: int
+) -> frozenset[tuple[int, int]]:
+    """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``."""
+    m = lab.m
+    if scope == "within":
+        inner = [lab.inner_cycle_ids(k) for k in range(m)]
+        rows = ((x, ids[i + 1 :]) for ids in inner for i, x in enumerate(ids))
+    else:
+        ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
+        cycles = [lab.cycle_ids(k) for k in range(m)]
+        rows = ((x, cycles[k2]) for k, k2 in ks for x in cycles[k])
+    d = dm.dist
+    found: set[tuple[int, int]] = set()
+    for x, ys in rows:
+        row = d[x]
+        for y in ys:
+            if x != y and row[y] == target:
+                found.add((x, y) if x < y else (y, x))
+    return frozenset(found)
+
+
+def scalar_measure(
+    dm: DistanceMatrix, lab: JahangirLabeling, case: str
+) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
+    """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
+    tag, _, scope, offset, off_tag = _CASES[case]
+    target = (lab.n // 2 if scope == "within" else lab.n) + offset
+    measured = {tag: scalar_pairs_at(dm, lab, scope, target)}
+    if off_tag is None:
+        return measured, frozenset()
+    # {x, y} lies on a diametrical path a .. x .. y .. b when the three legs
+    # sum exactly; scanning ordered endpoint pairs covers both orientations
+    d = dm.dist
+    diam = max(max(r) for r in d)
+    ends = [(a, b) for a, r in enumerate(d) for b, dab in enumerate(r) if dab == diam]
+    near = scalar_pairs_at(dm, lab, scope, target - 1)
+    on_path = frozenset(
+        (x, y) for x, y in near if any(d[a][x] + d[x][y] + d[y][b] == d[a][b] for a, b in ends)
+    )
+    measured[off_tag] = near - on_path
+    return measured, on_path
 
 
 def id_pairs(lab: JahangirLabeling, listing) -> frozenset:

@@ -49,6 +49,20 @@ class TestGen:
         assert out == ""
         assert json.loads(target.read_text())["n"] == 3
 
+    @pytest.mark.parametrize("kind", ["gen", "srg"])
+    def test_unwritable_output(self, capsys, tmp_path, kind):
+        target = tmp_path / "missing" / "graph.json"
+        argv = ["gen", "path", "-n", "3"] if kind == "gen" else ["srg", "jahangir:2,3"]
+        code, out, err = run_cli(capsys, argv + ["-o", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(target)!r}: ")
+        assert not target.exists()
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["gen", "path", "-n", "3", "-o", str(tmp_path)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
+
     def test_bad_jahangir_parameters(self, capsys):
         code, _, err = run_cli(capsys, ["gen", "jahangir", "-n", "1", "-m", "3"])
         assert code == 2
@@ -134,6 +148,32 @@ class TestSdim:
         code, _, err = run_cli(capsys, ["sdim", "no/such/file.json"])
         assert code == 2
         assert "cannot read" in err
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, ["sdim", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="latin-1"))
+        code, out, err = run_cli(capsys, ["mmd", "-"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read '-': 'utf-8' codec can't decode")
+
+    def test_stdin_not_utf8_in_a_process(self):
+        proc = _run_python("-m", "strongdim", "sdim", "-", stdin=b"\xff\xfe")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: cannot read '-':")
+
+    def test_lone_surrogate_label(self, capsys, tmp_path):
+        path = tmp_path / "label.json"
+        path.write_text('{"n": 2, "edges": [[0, 1]], "labels": {"0": "\\ud800"}}')
+        code, _, err = run_cli(capsys, ["srg", str(path), "--format", "dot"])
+        assert code == 2
+        assert "not valid Unicode text" in err
 
     def test_bad_jahangir_shorthand(self, capsys):
         code, _, err = run_cli(capsys, ["sdim", "jahangir:6"])
@@ -315,14 +355,16 @@ class TestBruteCap:
             cli._brute_cap(-1)
 
 
-def _run_python(*argv):
+def _run_python(*argv, stdin=None):
+    """Run Python on ``argv``; with ``stdin`` bytes, feed them and return bytes output."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
+        input=stdin,
         capture_output=True,
-        text=True,
+        text=stdin is None,
         env=env,
         timeout=60,
     )

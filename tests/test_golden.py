@@ -5,8 +5,10 @@ strongdim verify ...`` before the verification code was restructured; any
 change to the reports, their notes, the JSON layout or the table must show
 up here.  ``verify_n2-12_m3-8_brute20.json`` raises the brute-force cap to
 20, so brute force also judges the cells of order 17-19; it was captured
-before the brute-force search was rewritten.  Regenerate them only on
-purpose, with the commands in ``GOLDENS``.
+before the brute-force search was rewritten.  ``verify_n13-16_m4-12.json``
+pins the odd-a note counts at n = 13 and 15; it was captured before the
+extremal-distance scans moved from the distance matrix to distance balls.
+Regenerate them only on purpose, with the commands in ``GOLDENS``.
 
 ``sdim_jahangir_cells.json`` maps each ``jahangir:n,m`` input of
 ``SDIM_CELLS`` (the closed-form cells of order 241-256 that perfbench's
@@ -44,6 +46,7 @@ GOLDENS = {
     "verify_n2-12_m3-8_brute20.json": [
         "verify", "--json", "--n", "2..12", "--m", "3..8", "--brute-cap", "20",
     ],
+    "verify_n13-16_m4-12.json": ["verify", "--json", "--n", "13..16", "--m", "4..12"],
     "verify_default_table.txt": ["verify"],
 }
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongdim import graphs as graphs_module
 from strongdim import (
     UNREACHABLE,
     DisconnectedGraphError,
@@ -19,12 +20,13 @@ from strongdim import (
     complete_graph,
     cycle_graph,
     diameter,
+    distance_balls,
     is_connected,
     parse,
     path_graph,
     serialize,
 )
-from helpers import random_connected_graph
+from helpers import balls_from_distances, long_diameter_graphs, random_connected_graph
 
 
 @st.composite
@@ -147,6 +149,58 @@ class TestDistances:
                     assert d[u][v] <= duw + d[w][v]
 
 
+@st.composite
+def graphs_of_any_shape(draw, max_order=30):
+    """Order 0 .. max_order, connected or not, from empty to complete."""
+    order = draw(st.integers(0, max_order))
+    density = draw(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < density}
+    if draw(st.booleans()):
+        edges |= {(rng.randrange(v), v) for v in range(1, order)}
+    return build_graph(order, sorted(edges))
+
+
+LONG_DIAMETER_GRAPHS = long_diameter_graphs()
+
+
+def largest_finite_distance(dm):
+    return max((d for row in dm.dist for d in row if d != UNREACHABLE), default=0)
+
+
+class TestDistanceBalls:
+    """``distance_balls`` against the balls read off BFS rows, radius by radius."""
+
+    @given(graphs_of_any_shape())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bfs_rows(self, g):
+        # disconnected graphs included: each ball stops at its component and
+        # the radii run to the largest component diameter; order 0 gives [[]]
+        dm = all_pairs_distances(g)
+        balls = list(distance_balls(g))
+        assert balls == balls_from_distances(dm)
+        assert len(balls) == largest_finite_distance(dm) + 1
+
+    @pytest.mark.parametrize("g", LONG_DIAMETER_GRAPHS)
+    def test_matches_bfs_rows_at_long_diameter(self, g):
+        dm = all_pairs_distances(g)
+        balls = list(distance_balls(g))
+        assert balls == balls_from_distances(dm)
+        # diameter(g) counts the radii, diameter(g, dm) takes the largest row entry
+        assert diameter(g) == diameter(g, dm) == len(balls) - 1
+        assert balls[-1] == [(1 << g.vertex_count) - 1] * g.vertex_count
+
+    def test_small_cases(self):
+        assert list(distance_balls(build_graph(0, []))) == [[]]
+        assert list(distance_balls(build_graph(1, []))) == [[1]]
+        assert list(distance_balls(path_graph(3))) == [[1, 2, 4], [3, 7, 6], [7, 7, 7]]
+        assert list(distance_balls(build_graph(3, [(0, 1)]))) == [[1, 2, 4], [3, 3, 4]]
+
+    def test_each_radius_is_a_new_list(self):
+        balls = list(distance_balls(cycle_graph(9)))
+        assert len({id(ball) for ball in balls}) == len(balls) == 5
+
+
 class TestDiameterConnectivity:
     def test_p3(self):
         assert diameter(path_graph(3)) == 2
@@ -158,6 +212,19 @@ class TestDiameterConnectivity:
     def test_jahangir_5_5(self):
         g, _ = build_jahangir(JahangirParams(5, 5))
         assert diameter(g) == 6
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_bfs_rows_on_random_graphs(self, seed):
+        g = random_connected_graph(random.Random(seed), min_order=1, max_order=40)
+        rows = all_pairs_distances(g).dist
+        assert diameter(g) == max(max(row) for row in rows)
+
+    def test_builds_no_matrix_without_dm(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("diameter built an all-pairs distance matrix")
+
+        monkeypatch.setattr(graphs_module, "all_pairs_distances", refuse)
+        assert diameter(cycle_graph(7)) == 3
 
     def test_diameter_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -247,6 +314,12 @@ class TestParse:
         doc = json.dumps({"n": 2, "edges": [[0, 1]], "labels": {key: "a"}})
         with pytest.raises(ParseError, match=f"key {re.escape(repr(key))} is not a vertex id"):
             parse(doc)
+
+    def test_lone_surrogate_label(self):
+        # a JSON escape can spell it, but no UTF-8 output (DOT, a file) can hold it
+        with pytest.raises(ParseError, match=r"labels\['0'\]: name is not valid Unicode text"):
+            parse('{"n":2,"edges":[[0,1]],"labels":{"0":"\\ud800"}}')
+        assert parse('{"n":1,"labels":{"0":"\\u00e9\\ud83d\\ude00"}}').labels == {0: "\u00e9\U0001f600"}
 
     def test_label_keys_naming_one_vertex_twice(self):
         # int() reads both keys as vertex 1, and "a" would be dropped silently

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from strongdim import jahangir, strong_metric
+from strongdim.jahangir import EVEN_CASES, ODD_CASES
 
 from strongdim import (
     DistanceMatrix,
@@ -14,6 +15,7 @@ from strongdim import (
     all_pairs_distances,
     build_graph,
     build_jahangir,
+    distance_balls,
     exact_min_vertex_cover,
     extremal_distance_pairs,
     is_vertex_cover,
@@ -36,13 +38,17 @@ from helpers import (
     ODD_55_COVER,
     ODD_55_DISTANT,
     ODD_55_WITHIN,
+    balls_from_distances,
     id_pairs,
     id_set,
+    scalar_measure,
 )
 
 EVEN_GRID = [(n, m) for n in (6, 8, 10, 12) for m in range(4, 9)]
 ODD_GRID = [(n, m) for n in (5, 7, 9, 11) for m in range(4, 9)]
 REGIME_GRID = [(n, m) for n in range(2, 17) for m in range(3, 13)]
+# every even- and odd-regime cell of n 5..16, m 4..12
+SCAN_GRID = [(n, m) for n in range(5, 17) for m in range(4, 13)]
 
 
 class TestConstruction:
@@ -299,7 +305,7 @@ class TestExtremalDistancePairs:
             extremal_distance_pairs(JahangirParams(6, 5), "even-z")
         g, lab = build_jahangir(JahangirParams(6, 5))
         with pytest.raises(GraphError, match="unknown case 'even-z'"):
-            measured_distance_pairs(all_pairs_distances(g), lab, "even-z")
+            measured_distance_pairs(g, lab, "even-z")
 
     @pytest.mark.parametrize(
         "n,m,case",
@@ -308,8 +314,7 @@ class TestExtremalDistancePairs:
     def test_matches_measured_even_sample(self, n, m, case):
         p = JahangirParams(n, m)
         g, lab = build_jahangir(p)
-        dm = all_pairs_distances(g)
-        assert extremal_distance_pairs(p, case) == measured_distance_pairs(dm, lab, case)
+        assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, lab, case)
 
     @pytest.mark.parametrize(
         "n,m,case",
@@ -318,8 +323,18 @@ class TestExtremalDistancePairs:
     def test_matches_measured_odd_sample(self, n, m, case):
         p = JahangirParams(n, m)
         g, lab = build_jahangir(p)
+        assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, lab, case)
+
+    @pytest.mark.parametrize("n,m", SCAN_GRID)
+    def test_ball_scans_match_scalar_oracle(self, n, m):
+        p = JahangirParams(n, m)
+        g, lab = build_jahangir(p)
+        balls = list(distance_balls(g))
         dm = all_pairs_distances(g)
-        assert extremal_distance_pairs(p, case) == measured_distance_pairs(dm, lab, case)
+        for case in (EVEN_CASES if regime(p) == "even" else ODD_CASES):
+            measured, excluded = jahangir._measure(balls, lab, case)
+            assert (measured, excluded) == scalar_measure(dm, lab, case)
+            assert measured_distance_pairs(g, lab, case) == measured
 
 
 class TestVerifyPredictions:
@@ -362,17 +377,21 @@ class TestVerifyPredictions:
             strong_resolving_graph(build_jahangir(JahangirParams(4, 4))[0])
         ).size
 
-    def test_distance_matrix_only_for_the_regime_scans(self, monkeypatch):
-        orders = []
+    def test_no_cell_builds_a_distance_matrix(self, monkeypatch):
+        built = []
+        real_init = DistanceMatrix.__init__
 
-        def counted(g):
-            orders.append(g.vertex_count)
-            return all_pairs_distances(g)
+        def counted(self, order, dist):
+            built.append(order)
+            real_init(self, order, dist)
 
-        monkeypatch.setattr(jahangir, "all_pairs_distances", counted)
+        monkeypatch.setattr(DistanceMatrix, "__init__", counted)
         for n, m in ((3, 3), (4, 4), (6, 5), (5, 5)):  # base, exploratory, even, odd
-            assert verify_predictions(JahangirParams(n, m)).passed
-        assert orders == [31, 26]
+            assert verify_predictions(JahangirParams(n, m), brute_cap=0).passed
+        assert built == []
+        # the patch is live: brute force still builds its own matrix
+        assert verify_predictions(JahangirParams(3, 3)).brute_sdim == 3
+        assert built == [10]
 
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
         monkeypatch.setattr(
@@ -399,11 +418,11 @@ class TestVerifyPredictions:
 
 
 def _with_distance(u: int, v: int, value: int):
-    """An ``all_pairs_distances`` that misreports d(u, v) = d(v, u) as ``value``."""
+    """A ``distance_balls`` whose balls misreport d(u, v) = d(v, u) as ``value``."""
     def skewed(g):
         rows = [list(row) for row in all_pairs_distances(g).dist]
         rows[u][v] = rows[v][u] = value
-        return DistanceMatrix(g.vertex_count, tuple(tuple(row) for row in rows))
+        return balls_from_distances(DistanceMatrix(g.vertex_count, tuple(tuple(row) for row in rows)))
 
     return skewed
 
@@ -411,7 +430,7 @@ def _with_distance(u: int, v: int, value: int):
 class TestDiscrepancyReports:
     """Every Discrepancy branch, reached by feeding verify_predictions wrong data.
 
-    The fakes go in through module attributes (``jahangir.all_pairs_distances``,
+    The fakes go in through module attributes (``jahangir.distance_balls``,
     ``jahangir.cover_pipeline``), the names verify_predictions looks up per call.
     """
 
@@ -457,7 +476,7 @@ class TestDiscrepancyReports:
     def test_skewed_distance(self, monkeypatch, n, m, positions, value, discrepancies, excluded):
         lab = JahangirLabeling(n, m)
         u, v = (lab.rim_id(pos) for pos in positions)
-        monkeypatch.setattr(jahangir, "all_pairs_distances", _with_distance(u, v, value))
+        monkeypatch.setattr(jahangir, "distance_balls", _with_distance(u, v, value))
         report = verify_predictions(JahangirParams(n, m))
         assert [(d.kind, d.detail) for d in report.discrepancies] == discrepancies
         assert report.notes == (() if excluded is None else (self.ODD_NOTE.format(excluded),))

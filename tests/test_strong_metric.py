@@ -31,6 +31,7 @@ from helpers import (
     MMD_43,
     enumerate_brute_force_sdim,
     id_pairs,
+    long_diameter_graphs,
     random_connected_graph,
 )
 
@@ -93,18 +94,6 @@ def brute_outcome(search, g):
         return search(g)
     except (DisconnectedGraphError, SizeLimitError) as exc:
         return type(exc)
-
-
-def long_diameter_graphs():
-    """Graphs whose diameter runs past the Hypothesis orders, as pytest params."""
-    cases = [pytest.param(cycle_graph(n), id=f"C{n}") for n in range(3, 42)]
-    cases += [pytest.param(path_graph(n), id=f"P{n}") for n in range(2, 41)]
-    for n, m in ((12, 5), (15, 4), (2, 20), (25, 3)):
-        cases.append(pytest.param(build_jahangir(JahangirParams(n, m))[0], id=f"J({n},{m})"))
-    for seed in range(12):
-        g = random_connected_graph(random.Random(seed), 20, 60)
-        cases.append(pytest.param(g, id=f"random{seed}"))
-    return cases
 
 
 LONG_DIAMETER_GRAPHS = long_diameter_graphs()
