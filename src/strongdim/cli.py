@@ -164,7 +164,7 @@ def _cmd_srg(args: argparse.Namespace) -> int:
 
 def _cmd_mmd(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph)
-    for u, v in sorted(mmd_pairs(g).pairs):
+    for u, v in sorted(mmd_pairs(g)):
         print(f"{u} {v}")
     return 0
 
@@ -203,7 +203,7 @@ def _render_table(reports: list[VerificationReport]) -> str:
         lines.append(
             f"{rep.n:>3} {rep.m:>3} {mark(rep.srg_edges_match):>9} "
             f"{mark(rep.predicted_cover_valid):>9} {rep.alpha_computed:>6} "
-            f"{num(rep.formula_sdim):>8} {rep.pipeline_sdim:>9}  {status}"
+            f"{num(rep.formula_sdim):>8} {rep.alpha_computed:>9}  {status}"
         )
         for item in rep.discrepancies:
             lines.append(f"      {item.kind}: {item.detail}")

@@ -11,8 +11,7 @@ bitsets (bit ``v`` stands for vertex ``v``): O(diam * (V + E)) big-integer
 ORs for all of them.  It is the one ball-growing loop of the program; MMD
 detection, the extremal-distance scans of ``verify`` and :func:`diameter`
 read it.  :func:`all_pairs_distances` is the dense matrix of one BFS per
-vertex, kept for the brute-force oracle, the scalar definitions and an
-explicit ``diameter(g, dm)``.
+vertex, kept for the brute-force oracle and the scalar definitions.
 """
 
 from __future__ import annotations
@@ -77,12 +76,6 @@ class Graph:
             for v in self.adjacency[u]
             if u < v
         ]
-
-    def name_of(self, v: int) -> str:
-        """Display name of ``v``: its label if present, else the id."""
-        if self.labels and v in self.labels:
-            return self.labels[v]
-        return str(v)
 
 
 @dataclass(frozen=True)
@@ -205,19 +198,16 @@ def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in row
 
 
-def diameter(g: Graph, dm: DistanceMatrix | None = None) -> int:
-    """Largest pairwise distance.  Raises on a disconnected graph.
+def diameter(g: Graph) -> int:
+    """Largest pairwise distance, counted as the radii of :func:`distance_balls`.
 
-    Read off ``dm`` when one is passed, else counted as the radii of
-    :func:`distance_balls`, which builds no matrix.
+    Builds no distance matrix.  Raises on the empty or a disconnected graph.
     """
     if g.vertex_count == 0:
         raise GraphError("diameter of the empty graph is undefined")
     if not is_connected(g):
         raise DisconnectedGraphError("diameter requires a connected graph")
-    if dm is None:
-        return sum(1 for _ in distance_balls(g)) - 1
-    return max(max(row) for row in dm.dist)
+    return sum(1 for _ in distance_balls(g)) - 1
 
 
 # ---------- generators ----------

@@ -4,6 +4,8 @@ J(n, m) is a cycle of length n*m (the rim) plus one hub vertex joined to
 every n-th rim vertex.  The hub and its m neighbors (the spokes) split the
 rim into m segments; each segment together with the hub forms an internal
 cycle of length n + 2, and consecutive internal cycles share one spoke edge.
+:class:`JahangirParams` is the one type for J(n, m): it validates (n, m)
+and maps rim positions to vertex ids and names.
 
 For these graphs the strong metric dimension has closed forms in three
 parameter regimes, along with explicit descriptions of the strong resolving
@@ -43,7 +45,12 @@ from .vertex_cover import is_vertex_cover
 
 @dataclass(frozen=True)
 class JahangirParams:
-    """Parameters (n, m) of J(n, m): segment length n >= 2, spoke count m >= 3."""
+    """J(n, m), segment length n >= 2 and spoke count m >= 3, with its vertex ids and names.
+
+    Rim position ``i`` (1-based, taken modulo n*m) gets id ``i - 1`` and
+    name ``u{i}``; the hub gets the last id and name ``c``.  Spokes sit at
+    rim positions 1, n+1, 2n+1, and so on.
+    """
 
     n: int
     m: int
@@ -58,19 +65,6 @@ class JahangirParams:
     @property
     def order(self) -> int:
         return self.n * self.m + 1
-
-
-@dataclass(frozen=True)
-class JahangirLabeling:
-    """Vertex ids of J(n, m) and their conventional names.
-
-    Rim position ``i`` (1-based, taken modulo n*m) gets id ``i - 1`` and
-    name ``u{i}``; the hub gets the last id and name ``c``.  Spokes sit at
-    rim positions 1, n+1, 2n+1, and so on.
-    """
-
-    n: int
-    m: int
 
     @property
     def rim_size(self) -> int:
@@ -95,7 +89,7 @@ class JahangirLabeling:
         return "c" if vid == self.hub else f"u{vid + 1}"
 
     def labels(self) -> dict[int, str]:
-        return {v: self.name(v) for v in range(self.rim_size + 1)}
+        return {v: self.name(v) for v in range(self.order)}
 
     def spoke_ids(self) -> tuple[int, ...]:
         return tuple(self.rim_id(self.n * k + 1) for k in range(self.m))
@@ -110,13 +104,16 @@ class JahangirLabeling:
         return tuple(self.rim_id(self.n * k + i) for i in range(2, self.n + 1))
 
 
-def build_jahangir(params: JahangirParams) -> tuple[Graph, JahangirLabeling]:
-    """Construct J(n, m) with its labeling; the graph carries the u/c labels."""
-    lab = JahangirLabeling(params.n, params.m)
-    rim = lab.rim_size
+def build_jahangir(params: JahangirParams) -> tuple[Graph, JahangirParams]:
+    """Construct J(n, m); the graph carries the u/c labels.
+
+    Returns ``params`` alongside the graph: it is the labeling, the map
+    between rim positions, vertex ids and names.
+    """
+    rim = params.rim_size
     edge_list = [(i, (i + 1) % rim) for i in range(rim)]
-    edge_list += [(lab.hub, s) for s in lab.spoke_ids()]
-    return build_graph(params.order, edge_list, lab.labels()), lab
+    edge_list += [(params.hub, s) for s in params.spoke_ids()]
+    return build_graph(params.order, edge_list, params.labels()), params
 
 
 def regime(params: JahangirParams) -> str | None:
@@ -178,17 +175,17 @@ def srg_edge_families_even(params: JahangirParams) -> dict[str, frozenset[tuple[
     """
     _require_regime(params, "even")
     n, m = params.n, params.m
-    lab = JahangirLabeling(n, m)
+    pair = params.pair
     half = n // 2
     adjacent: set[tuple[int, int]] = set()
     for k in range(m):
-        adjacent.add(lab.pair(n * k + half + 1, n * (k + 1) + half + 2))
-        adjacent.add(lab.pair(n * k + half + 1, n * (k - 1) + half))
-    distant = {lab.pair(n * k + half + 1, n * k2 + half + 1) for k, k2 in _nonconsecutive(m)}
+        adjacent.add(pair(n * k + half + 1, n * (k + 1) + half + 2))
+        adjacent.add(pair(n * k + half + 1, n * (k - 1) + half))
+    distant = {pair(n * k + half + 1, n * k2 + half + 1) for k, k2 in _nonconsecutive(m)}
     within: set[tuple[int, int]] = set()
     for k in range(m):
         for i in range(2, half):
-            within.add(lab.pair(n * k + i, n * k + i + half + 1))
+            within.add(pair(n * k + i, n * k + i + half + 1))
     return {
         "adjacent": frozenset(adjacent),
         "distant": frozenset(distant),
@@ -207,26 +204,26 @@ def srg_edge_families_odd(params: JahangirParams) -> dict[str, frozenset[tuple[i
     """
     _require_regime(params, "odd")
     n, m = params.n, params.m
-    lab = JahangirLabeling(n, m)
+    pair = params.pair
     half = n // 2
     adjacent: set[tuple[int, int]] = set()
     for k in range(m):
         # every consecutive-cycle pair, listed once: from segment k to k+1
-        adjacent.add(lab.pair(n * k + half, n * (k + 1) + half + 1))
-        adjacent.add(lab.pair(n * k + half + 1, n * (k + 1) + half + 2))
-        adjacent.add(lab.pair(n * k + half + 2, n * (k + 1) + half + 3))
+        adjacent.add(pair(n * k + half, n * (k + 1) + half + 1))
+        adjacent.add(pair(n * k + half + 1, n * (k + 1) + half + 2))
+        adjacent.add(pair(n * k + half + 2, n * (k + 1) + half + 3))
     distant: set[tuple[int, int]] = set()
     for k, k2 in _nonconsecutive(m):
         for a in (half + 1, half + 2):
             for b in (half + 1, half + 2):
-                distant.add(lab.pair(n * k + a, n * k2 + b))
+                distant.add(pair(n * k + a, n * k2 + b))
     within: set[tuple[int, int]] = set()
     for k in range(m):
         for i in range(2, half + 1):
             for delta in (half + 1, half + 2):
                 j = i + delta
                 if half + 3 <= j <= n:
-                    within.add(lab.pair(n * k + i, n * k + j))
+                    within.add(pair(n * k + i, n * k + j))
     return {
         "adjacent": frozenset(adjacent),
         "distant": frozenset(distant),
@@ -245,13 +242,13 @@ def predicted_cover_even(params: JahangirParams) -> frozenset[int]:
     """
     _require_regime(params, "even")
     n, m = params.n, params.m
-    lab = JahangirLabeling(n, m)
+    rim_id = params.rim_id
     half = n // 2
     chosen: set[int] = set()
     for k in range(m):
-        chosen.add(lab.rim_id(n * k + half + 1))
+        chosen.add(rim_id(n * k + half + 1))
         for i in range(2, half):
-            chosen.add(lab.rim_id(n * k + i))
+            chosen.add(rim_id(n * k + i))
     return frozenset(chosen)
 
 
@@ -265,18 +262,18 @@ def predicted_cover_odd(params: JahangirParams) -> frozenset[int]:
     """
     _require_regime(params, "odd")
     n, m = params.n, params.m
-    lab = JahangirLabeling(n, m)
+    rim_id = params.rim_id
     half = n // 2
     chosen: set[int] = set()
     for k in range(m - 2):
-        chosen.add(lab.rim_id(n * k + half + 1))
-        chosen.add(lab.rim_id(n * k + half + 2))
-    chosen.add(lab.rim_id(n * (m - 1) + half + 2))
+        chosen.add(rim_id(n * k + half + 1))
+        chosen.add(rim_id(n * k + half + 2))
+    chosen.add(rim_id(n * (m - 1) + half + 2))
     for k in range(m - 1):
         for i in range(2, half + 1):
-            chosen.add(lab.rim_id(n * k + i))
+            chosen.add(rim_id(n * k + i))
     for i in range(half + 3, n + 1):
-        chosen.add(lab.rim_id(n * (m - 1) + i))
+        chosen.add(rim_id(n * (m - 1) + i))
     return frozenset(chosen)
 
 
@@ -343,9 +340,8 @@ def _extremal_pairs(
     # the odd "adjacent" family splits into the m pairs at distance n+1
     # and the 2m pairs at distance n that avoid every diametrical path
     n, m = params.n, params.m
-    lab = JahangirLabeling(n, m)
     half = n // 2
-    longest = frozenset(lab.pair(n * k + half + 1, n * (k + 1) + half + 2) for k in range(m))
+    longest = frozenset(params.pair(n * k + half + 1, n * (k + 1) + half + 2) for k in range(m))
     return {tag: longest, off_tag: families[family] - longest}
 
 
@@ -364,7 +360,7 @@ def _vertex_mask(ids: Iterable[int]) -> int:
 
 
 def _pairs_at(
-    balls: list[list[int]], lab: JahangirLabeling, scope: str, target: int
+    balls: list[list[int]], params: JahangirParams, scope: str, target: int
 ) -> frozenset[tuple[int, int]]:
     """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``.
 
@@ -373,13 +369,13 @@ def _pairs_at(
     cycles its cycle is scanned against.  The pairs are the members of
     that mask on the sphere of radius ``target`` around ``x``.
     """
-    m = lab.m
+    m = params.m
     if scope == "within":
-        segments = [lab.inner_cycle_ids(k) for k in range(m)]
+        segments = [params.inner_cycle_ids(k) for k in range(m)]
         rows = [(ids, _vertex_mask(ids)) for ids in segments]
     else:
         ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
-        cycles = [lab.cycle_ids(k) for k in range(m)]
+        cycles = [params.cycle_ids(k) for k in range(m)]
         partners = [0] * m
         for k, k2 in ks:
             partners[k] |= _vertex_mask(cycles[k2])
@@ -410,15 +406,15 @@ def _on_diametrical_path(balls: list[list[int]], x: int, y: int, t: int) -> bool
 
 
 def _measure(
-    balls: list[list[int]], lab: JahangirLabeling, case: str
+    balls: list[list[int]], params: JahangirParams, case: str
 ) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
     tag, _, scope, offset, off_tag = _CASES[case]
-    target = (lab.n // 2 if scope == "within" else lab.n) + offset
-    measured = {tag: _pairs_at(balls, lab, scope, target)}
+    target = (params.n // 2 if scope == "within" else params.n) + offset
+    measured = {tag: _pairs_at(balls, params, scope, target)}
     if off_tag is None:
         return measured, frozenset()
-    near = _pairs_at(balls, lab, scope, target - 1)
+    near = _pairs_at(balls, params, scope, target - 1)
     on_path = frozenset(
         (x, y) for x, y in near if _on_diametrical_path(balls, x, y, target - 1)
     )
@@ -427,7 +423,7 @@ def _measure(
 
 
 def measured_distance_pairs(
-    g: Graph, lab: JahangirLabeling, case: str
+    g: Graph, params: JahangirParams, case: str
 ) -> dict[str, frozenset[tuple[int, int]]]:
     """BFS-side counterpart of :func:`extremal_distance_pairs`.
 
@@ -436,7 +432,7 @@ def measured_distance_pairs(
     the characterization in both directions at once.
     """
     _check_case(case)
-    return _measure(list(distance_balls(g)), lab, case)[0]
+    return _measure(list(distance_balls(g)), params, case)[0]
 
 
 # ---------- end-to-end verification ----------
@@ -457,7 +453,10 @@ class VerificationReport:
     Comparison fields are None when the parameters fall outside the
     regime that defines them (``exploratory`` marks parameters with no
     closed form at all); ``discrepancies`` is empty exactly when every
-    applicable comparison agreed.
+    applicable comparison agreed.  ``alpha_computed``, the optimal cover
+    size of the strong resolving graph, is also the pipeline's strong
+    metric dimension, so :meth:`to_dict` writes it under both ``alpha``
+    and ``pipeline_sdim``.
     """
 
     n: int
@@ -468,7 +467,6 @@ class VerificationReport:
     predicted_cover_size: int | None
     alpha_computed: int
     formula_sdim: int | None
-    pipeline_sdim: int
     brute_sdim: int | None
     discrepancies: tuple[Discrepancy, ...] = field(default_factory=tuple)
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -487,7 +485,7 @@ class VerificationReport:
             "predicted_cover_size": self.predicted_cover_size,
             "alpha": self.alpha_computed,
             "formula_sdim": self.formula_sdim,
-            "pipeline_sdim": self.pipeline_sdim,
+            "pipeline_sdim": self.alpha_computed,
             "brute_sdim": self.brute_sdim,
             "discrepancies": [
                 {"kind": item.kind, "detail": item.detail} for item in self.discrepancies
@@ -496,8 +494,8 @@ class VerificationReport:
         }
 
 
-def _named_pairs(lab: JahangirLabeling, pairs: Iterable[tuple[int, int]]) -> str:
-    names = sorted(f"{lab.name(a)}-{lab.name(b)}" for a, b in pairs)
+def _named_pairs(params: JahangirParams, pairs: Iterable[tuple[int, int]]) -> str:
+    names = sorted(f"{params.name(a)}-{params.name(b)}" for a, b in pairs)
     return ", ".join(names)
 
 
@@ -512,7 +510,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     are cross-checked against exhaustive search as well.
     """
     n, m = params.n, params.m
-    g, lab = build_jahangir(params)
+    g, _ = build_jahangir(params)
     srg, result = cover_pipeline(g)
     alpha = result.size
     kind = regime(params)
@@ -537,8 +535,8 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
             discrepancies.append(
                 Discrepancy(
                     "srg-edges",
-                    f"predicted but absent: [{_named_pairs(lab, missing)}]; "
-                    f"computed but unpredicted: [{_named_pairs(lab, extra)}]",
+                    f"predicted but absent: [{_named_pairs(params, missing)}]; "
+                    f"computed but unpredicted: [{_named_pairs(params, extra)}]",
                 )
             )
         cover_valid, uncovered = is_vertex_cover(srg, predicted_cover)
@@ -548,7 +546,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
             discrepancies.append(
                 Discrepancy(
                     "cover-invalid",
-                    f"predicted cover misses edge {lab.name(uncovered[0])}-{lab.name(uncovered[1])}",
+                    f"predicted cover misses edge {params.name(uncovered[0])}-{params.name(uncovered[1])}",
                 )
             )
         if cover_size != alpha:
@@ -560,7 +558,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
             )
         for case in cases:
             expected = _extremal_pairs(params, families, case)
-            observed, excluded = _measure(balls, lab, case)
+            observed, excluded = _measure(balls, params, case)
             if excluded:
                 # the "lies on no diametrical path" side condition is resolved
                 # by an endpoint scan; say so whenever it excluded pairs (the
@@ -576,8 +574,8 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
                     got = observed.get(tag, frozenset())
                     if want != got:
                         parts.append(
-                            f"{tag}: predicted-only [{_named_pairs(lab, want - got)}], "
-                            f"observed-only [{_named_pairs(lab, got - want)}]"
+                            f"{tag}: predicted-only [{_named_pairs(params, want - got)}], "
+                            f"observed-only [{_named_pairs(params, got - want)}]"
                         )
                 discrepancies.append(Discrepancy(f"distance-pairs-{case}", "; ".join(parts)))
 
@@ -609,7 +607,6 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
         predicted_cover_size=cover_size,
         alpha_computed=alpha,
         formula_sdim=formula,
-        pipeline_sdim=alpha,
         brute_sdim=brute,
         discrepancies=tuple(discrepancies),
         notes=tuple(notes),

@@ -13,7 +13,8 @@ pipeline never builds the dense all-pairs one.  :func:`mmd_pairs` reads the
 stream of :func:`~strongdim.graphs.distance_balls`, one radius per round,
 and reads off each vertex's maximally distant vertices from its sphere and
 its neighbours' balls: O(diam * (V + E)) big-integer operations with two
-radii live at a time.  :func:`is_strong_resolving_set` runs one BFS per
+radii live at a time; it reads connectivity off the last radius instead of
+running a BFS of its own.  :func:`is_strong_resolving_set` runs one BFS per
 chosen vertex and pushes the interval bitsets of shortest paths forward
 layer by layer: O(|S| * (V + E)) big-integer ORs instead of O(V^2 * |S|)
 comparisons.  The two share no distance data, so the re-check judges the
@@ -58,14 +59,6 @@ from .vertex_cover import exact_min_vertex_cover
 
 class InternalInconsistencyError(RuntimeError):
     """A structural identity the implementation relies on failed to hold."""
-
-
-@dataclass(frozen=True)
-class MmdPairSet:
-    """All mutually maximally distant pairs of a graph, as (u, v) with u < v."""
-
-    order: int
-    pairs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -262,8 +255,8 @@ def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
     return all(d[w][v] <= duv for w in g.adjacency[u])
 
 
-def mmd_pairs(g: Graph) -> MmdPairSet:
-    """All pairs that are maximally distant from each other.
+def mmd_pairs(g: Graph) -> frozenset[tuple[int, int]]:
+    """All pairs that are maximally distant from each other, as (u, v) with u < v.
 
     Reads the balls of :func:`~strongdim.graphs.distance_balls` one radius
     at a time, keeping the previous radius as ``inner``.  At radius k, ``u``
@@ -271,10 +264,10 @@ def mmd_pairs(g: Graph) -> MmdPairSet:
     ``ball[u] & ~inner[u]``) that lies within distance k of all neighbours
     of ``u``, so ``far[u]`` collects the sphere ANDed with the neighbours'
     balls.  (u, v) is MMD iff each lies in the other's ``far``.  Cost:
-    O(diam * (V + E)) big-integer operations.
+    O(diam * (V + E)) big-integer operations.  The last radius is the fixed
+    point, where every ball is its vertex's component, so it also tells
+    whether ``g`` is connected; no separate BFS runs.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
     n = g.vertex_count
     adj = g.adjacency
     far = [0] * n
@@ -292,13 +285,15 @@ def mmd_pairs(g: Graph) -> MmdPairSet:
             else:
                 far[u] |= sphere
         inner = ball
+    if n > 1 and inner[0] != (1 << n) - 1:
+        raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
     found = {
         (u, v)
         for u in range(n)
         for v in members(far[u] >> (u + 1) << (u + 1))
         if far[v] >> u & 1
     }
-    return MmdPairSet(n, frozenset(found))
+    return frozenset(found)
 
 
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
@@ -308,8 +303,7 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
     read: :func:`mmd_pairs` works from ``g`` alone.  ``perfbench`` still
     passes it positionally; the parameter can go once it stops.
     """
-    pairs = mmd_pairs(g)
-    return build_graph(g.vertex_count, sorted(pairs.pairs), g.labels)
+    return build_graph(g.vertex_count, sorted(mmd_pairs(g)), g.labels)
 
 
 def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:

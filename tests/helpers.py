@@ -2,7 +2,7 @@
 
 The golden edge and cover listings below are frozen in rim-position space
 (positions are 1-based and wrap modulo n*m) and mapped to vertex ids through
-JahangirLabeling, so a listing like (4, 11) means the pair u4-u11.
+JahangirParams, so a listing like (4, 11) means the pair u4-u11.
 """
 
 import random
@@ -15,7 +15,6 @@ from strongdim import (
     DistanceMatrix,
     Graph,
     InternalInconsistencyError,
-    JahangirLabeling,
     JahangirParams,
     SizeLimitError,
     StrongBasisResult,
@@ -163,7 +162,7 @@ def balls_from_distances(dm: DistanceMatrix) -> list[list[int]]:
 
 
 def scalar_pairs_at(
-    dm: DistanceMatrix, lab: JahangirLabeling, scope: str, target: int
+    dm: DistanceMatrix, lab: JahangirParams, scope: str, target: int
 ) -> frozenset[tuple[int, int]]:
     """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``."""
     m = lab.m
@@ -185,7 +184,7 @@ def scalar_pairs_at(
 
 
 def scalar_measure(
-    dm: DistanceMatrix, lab: JahangirLabeling, case: str
+    dm: DistanceMatrix, lab: JahangirParams, case: str
 ) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
     tag, _, scope, offset, off_tag = _CASES[case]
@@ -206,12 +205,12 @@ def scalar_measure(
     return measured, on_path
 
 
-def id_pairs(lab: JahangirLabeling, listing) -> frozenset:
+def id_pairs(lab: JahangirParams, listing) -> frozenset:
     """Map a golden listing of rim-position pairs to unordered id pairs."""
     return frozenset(lab.pair(i, j) for i, j in listing)
 
 
-def id_set(lab: JahangirLabeling, positions) -> frozenset:
+def id_set(lab: JahangirParams, positions) -> frozenset:
     return frozenset(lab.rim_id(i) for i in positions)
 
 

@@ -120,7 +120,7 @@ def _check_grid(grid, expected_sdim):
         if not report.passed:
             failures.append((n, m, [d.kind for d in report.discrepancies]))
             continue
-        if report.pipeline_sdim != expected_sdim(n, m):
+        if report.alpha_computed != expected_sdim(n, m):
             failures.append((n, m, ["pipeline-vs-closed-form"]))
         if report.srg_edges_match is not True or report.predicted_cover_valid is not True:
             failures.append((n, m, ["missing-prediction-check"]))

@@ -9,7 +9,6 @@ from strongdim import (
     DistanceMatrix,
     GraphError,
     InternalInconsistencyError,
-    JahangirLabeling,
     JahangirParams,
     StrongBasisResult,
     all_pairs_distances,
@@ -52,10 +51,19 @@ SCAN_GRID = [(n, m) for n in range(5, 17) for m in range(4, 13)]
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (0, 5), (3, 0)])
+    # the labeling methods live on JahangirParams, so none of them can run
+    # on parameters like these: unchecked, (0, 5) would divide by zero in
+    # rim_id and (1, 2) would name rim vertex 2 "c"
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (0, 5), (3, 0), (1, 2)])
     def test_bad_parameters(self, n, m):
         with pytest.raises(GraphError, match="jahangir parameters"):
             JahangirParams(n, m)
+
+    def test_build_returns_params_as_the_labeling(self):
+        params = JahangirParams(3, 4)
+        g, lab = build_jahangir(params)
+        assert lab is params
+        assert dict(g.labels) == params.labels()
 
     @pytest.mark.parametrize("n,m", [(4.5, 3), (6, 5.0), (True, 4), (6, False), ("6", 5)])
     def test_non_integer_parameters(self, n, m):
@@ -345,14 +353,14 @@ class TestVerifyPredictions:
         assert report.srg_edges_match is True
         assert report.predicted_cover_valid is True
         assert report.predicted_cover_size == 10
-        assert report.formula_sdim == 10 == report.pipeline_sdim
+        assert report.formula_sdim == 10 == report.alpha_computed
         assert not report.exploratory
 
     def test_odd_example(self):
         report = verify_predictions(JahangirParams(5, 5))
         assert report.passed
         assert report.alpha_computed == 12
-        assert report.formula_sdim == 12 == report.pipeline_sdim
+        assert report.formula_sdim == 12 == report.alpha_computed
         # the diametrical-path side condition is an implementation choice,
         # so the report says when it actually filtered pairs
         assert any("diametrical" in note for note in report.notes)
@@ -361,7 +369,7 @@ class TestVerifyPredictions:
         report = verify_predictions(JahangirParams(2, 3))
         assert report.passed
         assert report.formula_sdim == 3
-        assert report.pipeline_sdim == 3
+        assert report.alpha_computed == 3
         assert report.brute_sdim == 3
         assert report.srg_edges_match is None
         assert not report.exploratory
@@ -373,7 +381,7 @@ class TestVerifyPredictions:
         assert report.srg_edges_match is None
         assert report.predicted_cover_valid is None
         assert report.formula_sdim is None
-        assert report.pipeline_sdim == exact_min_vertex_cover(
+        assert report.alpha_computed == exact_min_vertex_cover(
             strong_resolving_graph(build_jahangir(JahangirParams(4, 4))[0])
         ).size
 
@@ -415,6 +423,8 @@ class TestVerifyPredictions:
             assert key in doc
         assert doc["n"] == 6 and doc["m"] == 4
         assert doc["discrepancies"] == []
+        # one report field feeds both keys
+        assert doc["alpha"] == doc["pipeline_sdim"] == 8
 
 
 def _with_distance(u: int, v: int, value: int):
@@ -474,10 +484,10 @@ class TestDiscrepancyReports:
         ],
     )
     def test_skewed_distance(self, monkeypatch, n, m, positions, value, discrepancies, excluded):
-        lab = JahangirLabeling(n, m)
-        u, v = (lab.rim_id(pos) for pos in positions)
+        params = JahangirParams(n, m)
+        u, v = (params.rim_id(pos) for pos in positions)
         monkeypatch.setattr(jahangir, "distance_balls", _with_distance(u, v, value))
-        report = verify_predictions(JahangirParams(n, m))
+        report = verify_predictions(params)
         assert [(d.kind, d.detail) for d in report.discrepancies] == discrepancies
         assert report.notes == (() if excluded is None else (self.ODD_NOTE.format(excluded),))
         assert not report.passed

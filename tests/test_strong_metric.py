@@ -97,6 +97,14 @@ def brute_outcome(search, g):
 
 
 LONG_DIAMETER_GRAPHS = long_diameter_graphs()
+# two components each: two edges, an isolated vertex beside an edge (once
+# as vertex 0, once as the last vertex) and two isolated vertices
+TWO_COMPONENT_GRAPHS = [
+    build_graph(4, [(0, 1), (2, 3)]),
+    build_graph(3, [(1, 2)]),
+    build_graph(3, [(0, 1)]),
+    build_graph(2, []),
+]
 
 
 def scalar_mmd_pairs(g, dm):
@@ -303,20 +311,20 @@ class TestMaximallyDistant:
 
 class TestMmdPairs:
     def test_c4_antipodes(self):
-        assert mmd_pairs(cycle_graph(4)).pairs == frozenset({(0, 2), (1, 3)})
+        assert mmd_pairs(cycle_graph(4)) == frozenset({(0, 2), (1, 3)})
 
     @pytest.mark.parametrize(
         "n,m,golden", [(2, 3, MMD_23), (3, 3, MMD_33), (4, 3, MMD_43)]
     )
     def test_base_case_goldens(self, n, m, golden):
         g, lab, _ = jahangir_with_distances(n, m)
-        assert mmd_pairs(g).pairs == id_pairs(lab, golden)
+        assert mmd_pairs(g) == id_pairs(lab, golden)
 
     def test_definitional_round_trip(self):
         for seed in range(8):
             g = random_connected_graph(random.Random(seed), max_order=10)
             dm = all_pairs_distances(g)
-            pairs = mmd_pairs(g).pairs
+            pairs = mmd_pairs(g)
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
                     both = is_maximally_distant(g, dm, u, v) and is_maximally_distant(
@@ -324,20 +332,35 @@ class TestMmdPairs:
                     )
                     assert both == ((u, v) in pairs)
 
-    def test_rejects_disconnected(self):
+    @pytest.mark.parametrize("scan", [mmd_pairs, strong_resolving_graph])
+    @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
+    def test_rejects_disconnected(self, scan, g):
+        with pytest.raises(DisconnectedGraphError, match="MMD pairs are defined for connected graphs"):
+            scan(g)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_trivial_orders_have_no_pairs(self, order):
+        assert mmd_pairs(build_graph(order, [])) == frozenset()
+
+    def test_runs_no_separate_connectivity_bfs(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("mmd_pairs ran is_connected")
+
+        monkeypatch.setattr(strong_metric, "is_connected", refuse)
+        assert mmd_pairs(cycle_graph(6)) == frozenset({(0, 3), (1, 4), (2, 5)})
         with pytest.raises(DisconnectedGraphError):
-            mmd_pairs(build_graph(4, [(0, 1), (2, 3)]))
+            mmd_pairs(build_graph(3, [(1, 2)]))
 
     @given(connected_graphs())
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_definition(self, g):
         dm = all_pairs_distances(g)
-        assert mmd_pairs(g).pairs == scalar_mmd_pairs(g, dm)
+        assert mmd_pairs(g) == scalar_mmd_pairs(g, dm)
 
     @pytest.mark.parametrize("g", LONG_DIAMETER_GRAPHS)
     def test_matches_scalar_definition_at_long_diameter(self, g):
         dm = all_pairs_distances(g)
-        assert mmd_pairs(g).pairs == scalar_mmd_pairs(g, dm)
+        assert mmd_pairs(g) == scalar_mmd_pairs(g, dm)
 
 
 class TestStrongResolvingGraph:
