@@ -9,16 +9,17 @@ which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
 
 The two whole-graph scans work on Python integers used as vertex bitsets
 (bit ``v`` stands for vertex ``v``) and read no distance matrix, so the
-pipeline never builds the dense all-pairs one.  :func:`mmd_pairs` reads the
-stream of :func:`~strongdim.graphs.distance_balls`, one radius per round,
-and reads off each vertex's maximally distant vertices from its sphere and
-its neighbours' balls: O(diam * (V + E)) big-integer operations with two
-radii live at a time; it reads connectivity off the last radius instead of
-running a BFS of its own.  :func:`is_strong_resolving_set` runs one BFS per
-chosen vertex and pushes the interval bitsets of shortest paths forward
-layer by layer: O(|S| * (V + E)) big-integer ORs instead of O(V^2 * |S|)
-comparisons.  The two share no distance data, so the re-check judges the
-cover independently of MMD detection.  :func:`strongly_resolves` and
+pipeline never builds the dense all-pairs one.  Both read the radii of
+:func:`~strongdim.graphs.distance_balls` and both read connectivity off the
+last radius instead of running a BFS of their own.  :func:`mmd_pairs` walks
+the stream upward, one radius per round with two radii live at a time, and
+reads off each vertex's maximally distant vertices from its sphere and its
+neighbours' balls.  :func:`is_strong_resolving_set` keeps every radius and
+walks them downward once for all chosen vertices together, collecting, per
+vertex ``v``, the vertices ``u`` such that ``v`` lies on a shortest path
+from ``u`` to some chosen vertex.  Each costs O(diam * (V + E)) big-integer
+operations, independent of the subset's size.  The re-check grows its own balls and shares no code with the MMD scan, so it judges
+the cover independently of MMD detection.  :func:`strongly_resolves` and
 :func:`is_maximally_distant` stay the scalar definitions both are tested
 against; they, like :func:`brute_force_sdim`, read a
 :class:`~strongdim.graphs.DistanceMatrix`.
@@ -89,56 +90,58 @@ def is_strong_resolving_set(
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
     unresolved pair in sorted order.  Requires a connected graph.  ``dm``
-    is not read (pass None): the distances come from a BFS of ``g`` per
-    chosen vertex.  ``perfbench`` still passes it positionally; the
-    parameter can go once it stops.
+    is not read (pass None): the distances come from the balls of ``g``.
+    ``perfbench`` still passes it positionally; the parameter can go once
+    it stops.
 
-    For each chosen ``w`` one BFS from ``w`` gives the interval bitset
-    I(w, v) of vertices on some shortest w-v path: when ``v`` is taken
-    from its layer's frontier, I(w, v) is complete and is ORed into every
-    neighbour in the next layer.  ``on_path[v]`` collects the intervals'
-    union over the subset.  A pair {u, v} is resolved iff ``v`` is in
-    ``on_path[u]`` or ``u`` is in ``on_path[v]``.  Cost:
-    O(|subset| * (V + E)) big-integer ORs plus at most V^2 / 2 single-bit
-    tests, against O(V^2 * |subset|) comparisons for the scalar definition.
+    ``hit[v]`` collects every ``u`` such that ``v`` lies on a shortest
+    u-w path for some chosen ``w``; a pair {u, v} is resolved iff ``u`` is
+    in ``hit[v]`` or ``v`` is in ``hit[u]``.  It is built for all chosen
+    vertices at once (the multi-source traversal of Then et al., PVLDB
+    8(4), 2014) by one downward walk over the radii k = D .. 0 of
+    :func:`~strongdim.graphs.distance_balls`.  ``reach[v]`` at radius k
+    holds the ``u`` at distance exactly k from ``v`` with ``v`` on a
+    shortest path from ``u`` to the subset: for a chosen ``v`` its whole
+    radius-k sphere, otherwise the sphere ANDed with the union of its
+    neighbours' ``reach`` at radius k + 1, since the next vertex towards
+    ``w`` is such a neighbour.  Only one radius of ``reach`` is live at a
+    time.  Cost: O(diam * (V + E)) big-integer operations plus at most
+    V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
+    the scalar definition.  The balls are grown here, not shared with
+    :func:`mmd_pairs`, so the re-check judges the cover independently of
+    MMD detection.  The last radius is the fixed point, so it also tells
+    whether ``g`` is connected; no separate BFS runs.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("strong resolution is defined for connected graphs")
-    chosen = sorted(set(subset))
-    for w in chosen:
-        check_vertex(g.vertex_count, w)
     n = g.vertex_count
-    adj = g.adjacency
-    bit = [1 << v for v in range(n)]
-    on_path = [0] * n
-    for w in chosen:
-        # interval[u] is complete when u is taken from the frontier: all its
-        # predecessors sit in the previous layer and have pushed into it
-        layer = [-1] * n
-        interval = bit[:]
-        layer[w] = 0
-        frontier = [w]
-        k = 0
-        while frontier:
-            k += 1
-            nxt = []
-            for u in frontier:
-                iu = interval[u]
-                on_path[u] |= iu
-                for x in adj[u]:
-                    lx = layer[x]
-                    if lx < 0:
-                        layer[x] = k
-                        interval[x] |= iu
-                        nxt.append(x)
-                    elif lx == k:
-                        interval[x] |= iu
-            frontier = nxt
+    radii = list(distance_balls(g))
     full = (1 << n) - 1
+    if n > 1 and radii[-1][0] != full:
+        raise DisconnectedGraphError("strong resolution is defined for connected graphs")
+    chosen = set(subset)
+    for w in sorted(chosen):
+        check_vertex(n, w)
+    adj = g.adjacency
+    hit = [0] * n
+    reach = [0] * n  # radius k + 1; nothing lies beyond the last radius
+    # radii are popped as the walk goes down, so none is live in the final scan
+    while radii:
+        ball = radii.pop()
+        inner = radii[-1] if radii else [0] * n
+        nxt = []
+        for v in range(n):
+            sphere = ball[v] & ~inner[v]
+            if sphere and v not in chosen:
+                via = 0
+                for x in adj[v]:
+                    via |= reach[x]
+                sphere &= via
+            nxt.append(sphere)
+            hit[v] |= sphere
+        reach = nxt
     for u in range(n):
-        # pairs (u, v), v > u, not resolved through on_path[u]; ascending v
-        for v in members((full >> (u + 1) << (u + 1)) & ~on_path[u]):
-            if not on_path[v] & bit[u]:
+        # pairs (u, v), v > u, not resolved through hit[u]; ascending v
+        for v in members((full >> (u + 1) << (u + 1)) & ~hit[u]):
+            if not hit[v] >> u & 1:
                 return False, (u, v)
     return True, None
 
@@ -312,8 +315,8 @@ def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:
     The basis is re-checked against the definition; a failure would mean
     the reduction itself is broken, so it raises
     :class:`InternalInconsistencyError` rather than returning quietly.
-    Both the MMD detection and the re-check work from BFS over ``g``, so no
-    all-pairs distance matrix is built.
+    Both the MMD detection and the re-check grow the distance balls of
+    ``g``, each its own, so no all-pairs distance matrix is built.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")

@@ -26,6 +26,7 @@ from strongdim import (
     is_connected,
     path_graph,
 )
+from strongdim.graphs import check_vertex, members
 from strongdim.jahangir import _CASES, _nonconsecutive
 
 
@@ -139,6 +140,62 @@ def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResul
             if all(wmask & mask for mask in masks):
                 return StrongBasisResult(k, combo, "brute-force")
     raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
+
+
+def bfs_is_strong_resolving_set(
+    g: Graph, dm: DistanceMatrix | None, subset
+) -> tuple[bool, tuple[int, int] | None]:
+    """One BFS per chosen vertex: the oracle for ``is_strong_resolving_set``.
+
+    The body ``is_strong_resolving_set`` ran before its multi-source walk
+    over the distance balls, with the same errors, verdict and witness.
+
+    For each chosen ``w`` one BFS from ``w`` gives the interval bitset
+    I(w, v) of vertices on some shortest w-v path: when ``v`` is taken
+    from its layer's frontier, I(w, v) is complete and is ORed into every
+    neighbour in the next layer.  ``on_path[v]`` collects the intervals'
+    union over the subset.  A pair {u, v} is resolved iff ``v`` is in
+    ``on_path[u]`` or ``u`` is in ``on_path[v]``.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("strong resolution is defined for connected graphs")
+    chosen = sorted(set(subset))
+    for w in chosen:
+        check_vertex(g.vertex_count, w)
+    n = g.vertex_count
+    adj = g.adjacency
+    bit = [1 << v for v in range(n)]
+    on_path = [0] * n
+    for w in chosen:
+        # interval[u] is complete when u is taken from the frontier: all its
+        # predecessors sit in the previous layer and have pushed into it
+        layer = [-1] * n
+        interval = bit[:]
+        layer[w] = 0
+        frontier = [w]
+        k = 0
+        while frontier:
+            k += 1
+            nxt = []
+            for u in frontier:
+                iu = interval[u]
+                on_path[u] |= iu
+                for x in adj[u]:
+                    lx = layer[x]
+                    if lx < 0:
+                        layer[x] = k
+                        interval[x] |= iu
+                        nxt.append(x)
+                    elif lx == k:
+                        interval[x] |= iu
+            frontier = nxt
+    full = (1 << n) - 1
+    for u in range(n):
+        # pairs (u, v), v > u, not resolved through on_path[u]; ascending v
+        for v in members((full >> (u + 1) << (u + 1)) & ~on_path[u]):
+            if not on_path[v] & bit[u]:
+                return False, (u, v)
+    return True, None
 
 
 def balls_from_distances(dm: DistanceMatrix) -> list[list[int]]:

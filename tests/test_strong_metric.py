@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from strongdim import (
     DisconnectedGraphError,
     GraphError,
+    InternalInconsistencyError,
     JahangirParams,
     SizeLimitError,
     all_pairs_distances,
@@ -13,6 +14,7 @@ from strongdim import (
     build_jahangir,
     brute_force_sdim,
     complete_graph,
+    cover_pipeline,
     cycle_graph,
     is_maximally_distant,
     is_strong_resolving_set,
@@ -29,6 +31,7 @@ from helpers import (
     MMD_23,
     MMD_33,
     MMD_43,
+    bfs_is_strong_resolving_set,
     enumerate_brute_force_sdim,
     id_pairs,
     long_diameter_graphs,
@@ -76,6 +79,41 @@ def graphs_with_subsets(draw):
         )
     )
     return g, subset
+
+
+@st.composite
+def graphs_with_oracle_subsets(draw):
+    """A connected graph of order 1 .. 20 and a subset that is empty, whole, doubled or random."""
+    g = draw(connected_graphs(max_order=20))
+    everything = list(range(g.vertex_count))
+    picks = st.lists(st.sampled_from(everything), max_size=g.vertex_count)
+    subset = draw(
+        st.one_of(
+            st.just([]),
+            st.just(everything),
+            picks.map(lambda chosen: chosen + chosen[::-1]),
+            picks,
+        )
+    )
+    return g, subset
+
+
+# the cells of the jahangir-sdim benchmark workload, order 241-256
+BENCHMARK_JAHANGIR_CELLS = (
+    (20, 12), (12, 21), (10, 25), (6, 42), (25, 10), (9, 28), (7, 36), (5, 51),
+)
+
+
+def oracle_scale_graphs():
+    """The benchmark's Jahangir cells and ten seeded random graphs of order 90-110."""
+    cases = [
+        pytest.param(build_jahangir(JahangirParams(n, m))[0], id=f"J({n},{m})")
+        for n, m in BENCHMARK_JAHANGIR_CELLS
+    ]
+    for seed in range(10):
+        g = random_connected_graph(random.Random(9000 + seed), 90, 110)
+        cases.append(pytest.param(g, id=f"random{seed}"))
+    return cases
 
 
 def scalar_strong_resolving_check(g, dm, subset):
@@ -203,6 +241,52 @@ class TestIsStrongResolvingSet:
             )
         # a minimum basis less one vertex resolves too little: the witness path runs
         assert not is_strong_resolving_set(g, dm, short)[0]
+
+    @given(graphs_with_oracle_subsets())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_source_bfs_oracle(self, case):
+        g, subset = case
+        assert is_strong_resolving_set(g, None, subset) == bfs_is_strong_resolving_set(
+            g, None, subset
+        )
+
+    @pytest.mark.parametrize("g", oracle_scale_graphs())
+    def test_matches_per_source_bfs_oracle_at_scale(self, g):
+        basis = list(sdim_via_cover(g).basis)
+        half = random.Random(g.vertex_count).sample(range(g.vertex_count), g.vertex_count // 2)
+        subsets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(3)] + [half]
+        outcomes = [is_strong_resolving_set(g, None, subset) for subset in subsets]
+        assert outcomes == [bfs_is_strong_resolving_set(g, None, subset) for subset in subsets]
+        assert outcomes[0] == (True, None)
+        # a minimum basis less one vertex fails: the witness path runs
+        assert not any(ok for ok, _ in outcomes[1:4])
+
+    @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
+    def test_rejects_disconnected_before_out_of_range(self, g):
+        message = "strong resolution is defined for connected graphs"
+        for subset in ([0], [g.vertex_count], [-1, 0]):
+            with pytest.raises(DisconnectedGraphError, match=message):
+                is_strong_resolving_set(g, None, subset)
+
+    def test_out_of_range_on_connected_graph(self):
+        with pytest.raises(GraphError, match="out of range"):
+            is_strong_resolving_set(cycle_graph(5), None, [0, 5])
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_trivial_orders_are_resolved(self, order):
+        g = build_graph(order, [])
+        assert is_strong_resolving_set(g, None, []) == (True, None)
+        assert is_strong_resolving_set(g, None, range(order)) == (True, None)
+
+    def test_runs_no_separate_connectivity_bfs(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("is_strong_resolving_set ran is_connected")
+
+        monkeypatch.setattr(strong_metric, "is_connected", refuse)
+        assert is_strong_resolving_set(cycle_graph(6), None, [0, 1, 2]) == (True, None)
+        assert is_strong_resolving_set(cycle_graph(6), None, [0, 1]) == (False, (2, 5))
+        with pytest.raises(DisconnectedGraphError):
+            is_strong_resolving_set(build_graph(3, [(1, 2)]), None, [0])
 
 
 class TestBruteForce:
@@ -413,6 +497,27 @@ class TestSdimViaCover:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             sdim_via_cover(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_runs_one_connectivity_bfs(self, monkeypatch):
+        calls = []
+        real = strong_metric.is_connected
+
+        def counted(g):
+            calls.append(g.vertex_count)
+            return real(g)
+
+        monkeypatch.setattr(strong_metric, "is_connected", counted)
+        assert sdim_via_cover(cycle_graph(6)).size == 3
+        assert calls == [6]
+
+    def test_recheck_catches_a_dropped_mmd_pair(self, monkeypatch):
+        # without the pair (2, 5) of C_6 the SRG loses an edge, the optimal
+        # cover misses it, and the real re-check must notice on its own
+        real = strong_metric.mmd_pairs
+        assert (2, 5) in real(cycle_graph(6))
+        monkeypatch.setattr(strong_metric, "mmd_pairs", lambda g: real(g) - {(2, 5)})
+        with pytest.raises(InternalInconsistencyError, match=r"left pair \(2, 5\) unresolved"):
+            cover_pipeline(cycle_graph(6))
 
     def test_builds_no_distance_matrix(self, monkeypatch):
         jahangir, _ = build_jahangir(JahangirParams(9, 6))
