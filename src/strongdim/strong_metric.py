@@ -18,8 +18,9 @@ neighbours' balls.  :func:`is_strong_resolving_set` keeps every radius and
 walks them downward once for all chosen vertices together, collecting, per
 vertex ``v``, the vertices ``u`` such that ``v`` lies on a shortest path
 from ``u`` to some chosen vertex.  Each costs O(diam * (V + E)) big-integer
-operations, independent of the subset's size.  The re-check grows its own balls and shares no code with the MMD scan, so it judges
-the cover independently of MMD detection.  :func:`strongly_resolves` and
+operations, independent of the subset's size.  The re-check grows its own
+balls and shares no code with the MMD scan, so it judges the cover
+independently of MMD detection.  :func:`strongly_resolves` and
 :func:`is_maximally_distant` stay the scalar definitions both are tested
 against; they, like :func:`brute_force_sdim`, read a
 :class:`~strongdim.graphs.DistanceMatrix`.

@@ -68,23 +68,9 @@ def graphs_of_any_density(draw, max_order=12):
 
 
 @st.composite
-def graphs_with_subsets(draw):
-    g = draw(connected_graphs())
-    everything = list(range(g.vertex_count))
-    subset = draw(
-        st.one_of(
-            st.just([]),
-            st.just(everything),
-            st.lists(st.sampled_from(everything), max_size=g.vertex_count),
-        )
-    )
-    return g, subset
-
-
-@st.composite
-def graphs_with_oracle_subsets(draw):
-    """A connected graph of order 1 .. 20 and a subset that is empty, whole, doubled or random."""
-    g = draw(connected_graphs(max_order=20))
+def graphs_with_subsets(draw, max_order=14):
+    """A connected graph and a subset that is empty, whole, doubled or random."""
+    g = draw(connected_graphs(max_order))
     everything = list(range(g.vertex_count))
     picks = st.lists(st.sampled_from(everything), max_size=g.vertex_count)
     subset = draw(
@@ -242,7 +228,7 @@ class TestIsStrongResolvingSet:
         # a minimum basis less one vertex resolves too little: the witness path runs
         assert not is_strong_resolving_set(g, dm, short)[0]
 
-    @given(graphs_with_oracle_subsets())
+    @given(graphs_with_subsets(max_order=20))
     @settings(max_examples=400, deadline=None)
     def test_matches_per_source_bfs_oracle(self, case):
         g, subset = case
