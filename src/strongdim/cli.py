@@ -9,6 +9,7 @@ output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -237,6 +238,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
+@functools.cache  # built on the first main() call, then reused: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongdim",

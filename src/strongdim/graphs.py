@@ -1,9 +1,9 @@
 """Undirected simple graphs with BFS distances and JSON/DOT serialization.
 
 Vertices are the integers ``0 .. vertex_count - 1``.  Graphs are immutable
-once built; every constructor goes through :func:`build_graph`, which
-enforces the representation invariants (sorted neighbor lists, symmetry,
-no self-loops, no parallel edges).
+once built; :func:`build_graph` (from an edge list) and :func:`graph_from_masks`
+(from neighbour bitsets, checked as one bit matrix) enforce the representation
+invariants (sorted neighbor lists, symmetry, no self-loops, no parallel edges).
 
 Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
@@ -20,6 +20,7 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -120,12 +121,37 @@ def build_graph(
         seen.add(key)
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-    if labels is not None:
-        for v in labels:
-            check_vertex(vertex_count, v)
-        labels = MappingProxyType(dict(labels))
     adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
-    return Graph(vertex_count, adjacency, labels)
+    return Graph(vertex_count, adjacency, _frozen_labels(vertex_count, labels))
+
+
+def _frozen_labels(vertex_count: int, labels: Mapping[int, str] | None) -> Mapping[int, str] | None:
+    """A read-only copy of ``labels``, every key checked as a vertex id."""
+    if labels is None:
+        return None
+    for v in labels:
+        check_vertex(vertex_count, v)
+    return MappingProxyType(dict(labels))
+
+
+def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, str] | None = None) -> Graph:
+    """Construct a :class:`Graph` from each vertex's neighbour bitset ``masks[v]``.
+
+    The invariants are checked on the whole bit matrix: no bit at or above
+    ``vertex_count``, an empty diagonal, and equality with the
+    :func:`transpose`.  Raises :class:`GraphError` when one fails.
+    """
+    if len(masks) != vertex_count:
+        raise GraphError(f"expected {vertex_count!r} neighbour masks, got {len(masks)}")
+    if any(mask < 0 or mask >> vertex_count for mask in masks):
+        raise GraphError(f"neighbour mask has a bit outside vertex ids 0..{vertex_count - 1}")
+    if any(mask >> v & 1 for v, mask in enumerate(masks)):
+        raise GraphError("neighbour mask has a self-loop")
+    packed, side = pack_rows(masks)
+    if packed != transpose(packed, side):
+        raise GraphError("neighbour masks are not symmetric")
+    adjacency = tuple([tuple(members(mask)) for mask in masks])
+    return Graph(vertex_count, adjacency, _frozen_labels(vertex_count, labels))
 
 
 # ---------- distances ----------
@@ -188,6 +214,46 @@ def members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def pack_rows(rows: list[int]) -> tuple[int, int]:
+    """Row bitsets as one row-major square bit matrix (row r at bit r * side), and its side."""
+    side = max(8, 1 << (len(rows) - 1).bit_length())  # a power of two; no row may reach it
+    return int.from_bytes(b"".join([row.to_bytes(side // 8, "little") for row in rows]), "little"), side
+
+
+def unpack_rows(packed: int, side: int, count: int) -> list[int]:
+    """The first ``count`` rows of a matrix laid out by :func:`pack_rows`."""
+    width = side // 8
+    raw = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, count * width, width)]
+
+
+@cache
+def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap of :func:`transpose`, for j = side / 2 .. 1."""
+    steps = []
+    for k in range(1, side.bit_length()):
+        j = side >> k
+        columns = sum(1 << c for c in range(side) if c & j)  # one row: columns with bit j set
+        rows = sum(1 << r * side for r in range(side) if not r & j)  # bit 0 of rows with bit j clear
+        steps.append((j * (side - 1), columns * rows))
+    return tuple(steps)
+
+
+def transpose(packed: int, side: int) -> int:
+    """Transpose of a side x side bit matrix laid out by :func:`pack_rows`.
+
+    Delta swap j (``d = j * (side - 1)``: ``t = ((M >> d) ^ M) & mask; M ^=
+    t ^ (t << d)``) trades entry (r, c), bit j clear in r and set in c, with
+    (r + j, c - j); the log2(side) swaps exchange r and c.  The swap masks
+    are kept per side, side^2 * log2(side) / 8 bytes: 64 KB at side 256, but
+    1.3 MB at 1,024, which matters for graphs above 256 vertices.
+    """
+    for shift, mask in _swap_masks(side):
+        t = ((packed >> shift) ^ packed) & mask
+        packed ^= t ^ (t << shift)
+    return packed
 
 
 def is_connected(g: Graph) -> bool:

@@ -8,34 +8,23 @@ graph, whose edges are exactly the mutually maximally distant (MMD) pairs,
 which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
 
 The two whole-graph scans work on Python integers used as vertex bitsets
-(bit ``v`` stands for vertex ``v``) and read no distance matrix, so the
-pipeline never builds the dense all-pairs one.  Both read the radii of
-:func:`~strongdim.graphs.distance_balls` and both read connectivity off the
-last radius instead of running a BFS of their own.  :func:`mmd_pairs` walks
-the stream upward, one radius per round with two radii live at a time, and
-reads off each vertex's maximally distant vertices from its sphere and its
-neighbours' balls.  :func:`is_strong_resolving_set` keeps every radius and
-walks them downward once for all chosen vertices together, collecting, per
-vertex ``v``, the vertices ``u`` such that ``v`` lies on a shortest path
-from ``u`` to some chosen vertex.  Each costs O(diam * (V + E)) big-integer
-operations, independent of the subset's size.  The re-check grows its own
-balls and shares no code with the MMD scan, so it judges the cover
-independently of MMD detection.  :func:`strongly_resolves` and
-:func:`is_maximally_distant` stay the scalar definitions both are tested
-against; they, like :func:`brute_force_sdim`, read a
-:class:`~strongdim.graphs.DistanceMatrix`.
+(bit ``v`` stands for vertex ``v``).  Both read the radii of
+:func:`~strongdim.graphs.distance_balls`, not a distance matrix, and read
+connectivity off the last radius.  :func:`mmd_masks` walks the radii upward
+and returns each vertex's MMD partners as one bitset row, taken from one
+bit-matrix transpose; the strong resolving graph is built straight from
+those rows by :func:`~strongdim.graphs.graph_from_masks`, and
+:func:`mmd_pairs` lists them.  :func:`is_strong_resolving_set` grows its own
+radii and walks them downward once for all chosen vertices together.  It
+shares no code with the MMD scan, so it judges the cover independently of
+MMD detection.  :func:`strongly_resolves` and :func:`is_maximally_distant`
+are the scalar definitions both are tested against.
 
 :func:`brute_force_sdim` is the independent judge: it works from the
 definition alone and shares no code with the scans above or the cover
-search.  It keeps, per vertex pair, the bitset of its strong resolvers
-(inclusion-minimal ones only) and looks for a smallest set meeting them all
-by a depth-first search over vertex ids, taking each id before skipping it.
-The search prunes a branch when some pending bitset has no id left at or
-above the current one, or when a greedy packing of pairwise disjoint
-pending bitsets needs more vertices than the size still allowed.  It visits
-the sets of one size in lexicographic order, so it returns the same basis
-as trying every subset in that order, usually after a small fraction of
-the work, but it is still exponential in the worst case.
+search.  It looks for a smallest set meeting every inclusion-minimal
+resolver bitset of the vertex pairs, by a pruned depth-first search that is
+still exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -50,11 +39,14 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     all_pairs_distances,
-    build_graph,
     check_vertex,
     distance_balls,
+    graph_from_masks,
     is_connected,
     members,
+    pack_rows,
+    transpose,
+    unpack_rows,
 )
 from .vertex_cover import exact_min_vertex_cover
 
@@ -259,18 +251,15 @@ def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
     return all(d[w][v] <= duv for w in g.adjacency[u])
 
 
-def mmd_pairs(g: Graph) -> frozenset[tuple[int, int]]:
-    """All pairs that are maximally distant from each other, as (u, v) with u < v.
+def mmd_masks(g: Graph) -> list[int]:
+    """Per vertex, the bitset of the vertices it is mutually maximally distant from.
 
-    Reads the balls of :func:`~strongdim.graphs.distance_balls` one radius
-    at a time, keeping the previous radius as ``inner``.  At radius k, ``u``
-    is maximally distant from every ``v`` at distance exactly k (the sphere
-    ``ball[u] & ~inner[u]``) that lies within distance k of all neighbours
-    of ``u``, so ``far[u]`` collects the sphere ANDed with the neighbours'
-    balls.  (u, v) is MMD iff each lies in the other's ``far``.  Cost:
-    O(diam * (V + E)) big-integer operations.  The last radius is the fixed
-    point, where every ball is its vertex's component, so it also tells
-    whether ``g`` is connected; no separate BFS runs.
+    At radius k of :func:`~strongdim.graphs.distance_balls`, ``far[u]`` gains
+    the vertices of the sphere ``ball[u] ^ inner[u]`` that lie within distance
+    k of every neighbour of ``u``: those ``u`` is maximally distant from.  The
+    MMD rows are ``far`` ANDed with its :func:`~strongdim.graphs.transpose`.
+    O(diam * (V + E)) big-integer operations plus one transpose.  The last
+    radius, the fixed point, tells whether ``g`` is connected.
     """
     n = g.vertex_count
     adj = g.adjacency
@@ -279,7 +268,7 @@ def mmd_pairs(g: Graph) -> frozenset[tuple[int, int]]:
     inner = next(balls)
     for ball in balls:
         for u in range(n):
-            sphere = ball[u] & ~inner[u]
+            sphere = ball[u] ^ inner[u]  # inner[u] is a subset of ball[u]
             if not sphere:
                 continue
             for w in adj[u]:
@@ -291,23 +280,23 @@ def mmd_pairs(g: Graph) -> frozenset[tuple[int, int]]:
         inner = ball
     if n > 1 and inner[0] != (1 << n) - 1:
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
-    found = {
-        (u, v)
-        for u in range(n)
-        for v in members(far[u] >> (u + 1) << (u + 1))
-        if far[v] >> u & 1
-    }
-    return frozenset(found)
+    packed, side = pack_rows(far)
+    return unpack_rows(packed & transpose(packed, side), side, n)
+
+
+def mmd_pairs(g: Graph) -> frozenset[tuple[int, int]]:
+    """All mutually maximally distant pairs, as (u, v) with u < v; see :func:`mmd_masks`."""
+    rows = mmd_masks(g)
+    return frozenset((u, v) for u, row in enumerate(rows) for v in members(row >> (u + 1) << (u + 1)))
 
 
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
-    """Graph on the same vertices whose edges are the MMD pairs of ``g``.
+    """Graph on the same vertices whose edges are the MMD pairs of ``g``, from :func:`mmd_masks`.
 
     Labels carry over so derived output stays readable.  ``dm`` is not
-    read: :func:`mmd_pairs` works from ``g`` alone.  ``perfbench`` still
-    passes it positionally; the parameter can go once it stops.
+    read; ``perfbench`` still passes it positionally.
     """
-    return build_graph(g.vertex_count, sorted(mmd_pairs(g)), g.labels)
+    return graph_from_masks(g.vertex_count, mmd_masks(g), g.labels)
 
 
 def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:

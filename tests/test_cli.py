@@ -187,6 +187,24 @@ class TestSdim:
         assert "99" in err and "10" in err
 
 
+class TestParserReuse:
+    def test_usage_error_between_runs_changes_nothing(self, capsys):
+        first = run_cli(capsys, ["sdim", "jahangir:6,5"])
+        with pytest.raises(SystemExit) as exc:
+            main(["sdim", "--method", "guess", "jahangir:6,5"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        again = run_cli(capsys, ["sdim", "jahangir:6,5"])
+        assert first[0] == again[0] == 0
+        assert again == first
+
+    def test_parser_is_built_once(self, capsys):
+        run_cli(capsys, ["mmd", "jahangir:2,3"])
+        parser = cli._build_parser()
+        run_cli(capsys, ["cover", "jahangir:2,3"])
+        assert cli._build_parser() is parser
+
+
 class TestSrgAndMmd:
     def test_srg_edge_count(self, capsys):
         code, out, _ = run_cli(capsys, ["srg", "jahangir:6,5"])

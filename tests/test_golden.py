@@ -24,9 +24,17 @@ print(json.dumps(test_golden.sdim_cell_outputs(), indent=1))"``.
 oracle; it was captured before the exact cover search was rewritten, with
 ``PYTHONPATH=src:tests python -c "import json, test_golden;
 print(json.dumps(test_golden.random_sdim_rows(), indent=1))"``.
+
+``srg_mmd_digests.json`` maps each command of :func:`srg_mmd_commands` (``srg``,
+``srg --format dot`` and ``mmd`` on ``SDIM_CELLS`` plus J(5,5) and J(6,5)) to
+the SHA-256 of its stdout.  It was captured before the strong resolving graph
+was built from bit-matrix MMD masks, with ``PYTHONPATH=src:tests python -c
+"import json, test_golden; print(json.dumps(test_golden.srg_mmd_digests(),
+indent=1))"``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -93,3 +101,29 @@ def random_sdim_rows() -> list[dict]:
 def test_sdim_above_brute_force_size():
     golden = json.loads((GOLDEN_DIR / "sdim_random_60-80.json").read_text(encoding="utf-8"))
     assert random_sdim_rows() == golden
+
+
+def srg_mmd_commands() -> list[list[str]]:
+    cells = SDIM_CELLS + ("jahangir:5,5", "jahangir:6,5")
+    return [
+        argv
+        for cell in cells
+        for argv in (["srg", cell], ["srg", "--format", "dot", cell], ["mmd", cell])
+    ]
+
+
+def _stdout_digest(argv: list[str]) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
+def srg_mmd_digests() -> dict[str, str]:
+    return {" ".join(argv): _stdout_digest(argv) for argv in srg_mmd_commands()}
+
+
+@pytest.mark.parametrize("argv", srg_mmd_commands(), ids=" ".join)
+def test_srg_and_mmd_cli_output_is_byte_identical(argv):
+    golden = json.loads((GOLDEN_DIR / "srg_mmd_digests.json").read_text(encoding="utf-8"))
+    assert _stdout_digest(argv) == golden[" ".join(argv)]

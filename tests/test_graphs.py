@@ -26,6 +26,7 @@ from strongdim import (
     path_graph,
     serialize,
 )
+from strongdim.graphs import graph_from_masks, pack_rows, transpose, unpack_rows
 from helpers import balls_from_distances, long_diameter_graphs, random_connected_graph
 
 
@@ -93,6 +94,104 @@ class TestBuildGraph:
             assert u not in nbrs
             for v in nbrs:
                 assert u in g.adjacency[v]
+
+
+def naive_transpose(rows, side):
+    """The transposed rows of a side x side bit matrix, bit by bit."""
+    return [
+        sum(1 << r for r in range(side) if rows[r] >> c & 1) if c < side else 0
+        for c in range(side)
+    ]
+
+
+def structured_matrices(side):
+    full = (1 << side) - 1
+    return {
+        "zero": [0] * side,
+        "full": [full] * side,
+        "identity": [1 << r for r in range(side)],
+        "anti-diagonal": [1 << (side - 1 - r) for r in range(side)],
+        "first row": [full] + [0] * (side - 1),
+        "last column": [1 << (side - 1)] * side,
+        "upper triangle": [full >> r << r for r in range(side)],
+        "checkerboard": [int("01" * (side // 2), 2) << (r & 1) & full for r in range(side)],
+    }
+
+
+def masks_of(g):
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("side", [8, 16, 32, 64, 128, 256])
+    def test_matches_naive_transpose(self, side):
+        rng = random.Random(side)
+        cases = structured_matrices(side)
+        for density in (0.02, 0.5, 0.98):
+            cases[f"random {density}"] = [
+                sum(1 << c for c in range(side) if rng.random() < density) for _ in range(side)
+            ]
+        for name, rows in cases.items():
+            packed, packed_side = pack_rows(rows)
+            assert packed_side == side
+            flipped = transpose(packed, side)
+            assert unpack_rows(flipped, side, side) == naive_transpose(rows, side), name
+            assert transpose(flipped, side) == packed, name
+
+    @pytest.mark.parametrize("count,side", [(0, 8), (1, 8), (8, 8), (9, 16), (100, 128), (129, 256)])
+    def test_pack_side_and_round_trip(self, count, side):
+        rng = random.Random(count)
+        rows = [rng.getrandbits(count) if count else 0 for _ in range(count)]
+        packed, got = pack_rows(rows)
+        assert got == side
+        assert unpack_rows(packed, side, count) == rows
+        # fewer rows than the side: the missing rows read as zero
+        flipped = unpack_rows(transpose(packed, side), side, side)
+        assert flipped == naive_transpose(rows + [0] * (side - count), side)
+
+
+class TestGraphFromMasks:
+    @given(graphs(connected=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_build_graph(self, g):
+        assert graph_from_masks(g.vertex_count, masks_of(g)) == g
+
+    def test_labels_are_checked_and_read_only(self):
+        source = {0: "a", 2: "c"}
+        g = graph_from_masks(3, [0b10, 0b101, 0b10], source)
+        assert g == build_graph(3, [(0, 1), (1, 2)], source)
+        source[0] = "z"
+        with pytest.raises(TypeError):
+            g.labels[0] = "z"
+        assert g.labels == {0: "a", 2: "c"}
+        with pytest.raises(GraphError, match="out of range"):
+            graph_from_masks(2, [0b10, 0b01], {2: "x"})
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_trivial_orders(self, order):
+        assert graph_from_masks(order, [0] * order) == build_graph(order, [])
+
+    @pytest.mark.parametrize(
+        "order,masks,message",
+        [
+            (3, [0b100, 0b000, 0b000], "not symmetric"),  # 0 -> 2 only
+            (3, [0b010, 0b101, 0b000], "not symmetric"),  # 0 - 1 both ways, 1 -> 2 only
+            (200, None, "not symmetric"),
+            (3, [0b011, 0b001, 0b000], "self-loop"),
+            (3, [0b000, 0b000, 0b100], "self-loop"),
+            (3, [0b1000, 0b000, 0b000], "outside vertex ids"),
+            (3, [1 << 9, 0b000, 0b000], "outside vertex ids"),
+            (3, [-1, 0b000, 0b000], "outside vertex ids"),
+            (3, [0b010, 0b001], "expected 3 neighbour masks"),
+        ],
+    )
+    def test_rejects_broken_masks(self, order, masks, message):
+        if masks is None:
+            # a large graph with one edge recorded at one end only
+            masks = masks_of(random_connected_graph(random.Random(5), order, order))
+            masks[150] ^= 1 << 199
+        with pytest.raises(GraphError, match=message):
+            graph_from_masks(order, masks)
 
 
 class TestDistances:
