@@ -98,10 +98,7 @@ class TestBuildGraph:
 
 def naive_transpose(rows, side):
     """The transposed rows of a side x side bit matrix, bit by bit."""
-    return [
-        sum(1 << r for r in range(side) if rows[r] >> c & 1) if c < side else 0
-        for c in range(side)
-    ]
+    return [sum(1 << r for r in range(side) if rows[r] >> c & 1) for c in range(side)]
 
 
 def structured_matrices(side):

@@ -437,6 +437,16 @@ class TestMmdPairs:
         assert mmd_pairs(g) == scalar_mmd_pairs(g, dm)
 
 
+@st.composite
+def labelled_connected_graphs(draw, max_order=20):
+    """A connected graph of order 1 .. max_order, with labels on some vertices or none."""
+    g = draw(connected_graphs(max_order))
+    if draw(st.booleans()):
+        return g
+    named = draw(st.sets(st.integers(0, g.vertex_count - 1)))
+    return build_graph(g.vertex_count, g.edges(), {v: f"v{v}" for v in named})
+
+
 class TestStrongResolvingGraph:
     def test_c4_two_disjoint_edges(self):
         srg = strong_resolving_graph(cycle_graph(4))
@@ -456,20 +466,16 @@ class TestStrongResolvingGraph:
         assert srg.labels == g.labels
         assert srg.labels is not None and srg.labels[lab.hub] == "c"
 
+    @given(labelled_connected_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_definition(self, g):
+        pairs = sorted(scalar_mmd_pairs(g, all_pairs_distances(g)))
+        assert strong_resolving_graph(g) == build_graph(g.vertex_count, pairs, g.labels)
+
     def test_hub_isolated_across_parameters(self):
         for n, m in ((2, 3), (4, 3), (5, 4), (6, 5), (7, 6), (12, 8)):
             g, lab, dm = jahangir_with_distances(n, m)
             assert strong_resolving_graph(g, dm).degree(lab.hub) == 0
-
-
-@st.composite
-def labelled_connected_graphs(draw, max_order=20):
-    """A connected graph of order 1 .. max_order, with labels on some vertices or none."""
-    g = draw(connected_graphs(max_order))
-    if draw(st.booleans()):
-        return g
-    named = draw(st.sets(st.integers(0, g.vertex_count - 1)))
-    return build_graph(g.vertex_count, g.edges(), {v: f"v{v}" for v in named})
 
 
 def assert_srg_is_minimal_resolver_pairs(g):
@@ -478,29 +484,6 @@ def assert_srg_is_minimal_resolver_pairs(g):
     assert max((mask.bit_count() for mask in masks), default=2) <= 2
     pairs = sorted(tuple(members(mask)) for mask in masks if mask.bit_count() == 2)
     assert pairs == strong_resolving_graph(g).edges()
-
-
-class TestMmdMasks:
-    @given(labelled_connected_graphs())
-    @settings(max_examples=200, deadline=None)
-    def test_srg_equals_scalar_definition(self, g):
-        pairs = sorted(scalar_mmd_pairs(g, all_pairs_distances(g)))
-        assert strong_resolving_graph(g) == build_graph(g.vertex_count, pairs, g.labels)
-
-    @given(connected_graphs(max_order=20))
-    @settings(max_examples=100, deadline=None)
-    def test_rows_are_symmetric_without_diagonal(self, g):
-        rows = mmd_masks(g)
-        assert len(rows) == g.vertex_count
-        for u, row in enumerate(rows):
-            assert not row >> u & 1
-            assert all(rows[v] >> u & 1 for v in members(row))
-
-    def test_pairs_read_the_rows(self):
-        g, _ = build_jahangir(JahangirParams(5, 51))
-        rows = mmd_masks(g)
-        assert mmd_pairs(g) == {(u, v) for u, row in enumerate(rows) for v in members(row) if u < v}
-        assert len(mmd_pairs(g)) == 5100
 
 
 class TestSrgJudge:
