@@ -25,7 +25,9 @@ from .graphs import (
     serialize,
 )
 from .jahangir import JahangirParams, VerificationReport, build_jahangir, sdim_formula, verify_predictions
-from .strong_metric import brute_force_sdim, mmd_pairs, sdim_via_cover, strong_resolving_graph
+from .strong_metric import (
+    DEFAULT_BRUTE_CAP, brute_force_sdim, mmd_pairs, sdim_via_cover, strong_resolving_graph
+)
 from .vertex_cover import exact_min_vertex_cover, greedy_cover
 
 # brute force prunes its subset search but stays exponential in the worst
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sdim = sub.add_parser("sdim", help="compute strong metric dimension")
     sdim.add_argument("graph", help=graph_help)
     sdim.add_argument("--method", choices=("auto", "formula", "pipeline", "brute"), default="auto")
-    sdim.add_argument("--brute-cap", type=int, default=16)
+    sdim.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     sdim.set_defaults(func=_cmd_sdim)
 
     srg = sub.add_parser("srg", help="print the strong resolving graph")
@@ -281,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify closed-form predictions over a grid")
     verify.add_argument("--n", default="5..12", help="n range A..B (default 5..12)")
     verify.add_argument("--m", default="4..8", help="m range A..B (default 4..8)")
-    verify.add_argument("--brute-cap", type=int, default=16)
+    verify.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     verify.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     verify.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     verify.set_defaults(func=_cmd_verify)

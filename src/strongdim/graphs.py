@@ -8,10 +8,10 @@ invariants (sorted neighbor lists, symmetry, no self-loops, no parallel edges).
 Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
 bitsets (bit ``v`` stands for vertex ``v``): O(diam * (V + E)) big-integer
-ORs for all of them.  It is the one ball-growing loop of the program; MMD
-detection, the extremal-distance scans of ``verify`` and :func:`diameter`
-read it.  :func:`all_pairs_distances` is the dense matrix of one BFS per
-vertex, kept for the brute-force oracle and the scalar definitions.
+ORs for all of them.  It is the one ball-growing loop of the program: MMD
+detection, the strong-resolution re-check, ``verify``'s extremal-distance
+scans and :func:`diameter` read it.  :func:`all_pairs_distances`, one BFS
+per vertex as a dense matrix, is kept for brute force and scalar checks.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     packed, side = pack_rows(masks)
     if packed != transpose(packed, side):
         raise GraphError("neighbour masks are not symmetric")
-    adjacency = tuple([tuple(members(mask)) for mask in masks])
+    adjacency = tuple([tuple([*members(mask)]) for mask in masks])  # lists: see all_pairs_distances
     return Graph(vertex_count, adjacency, _frozen_labels(vertex_count, labels))
 
 
@@ -267,13 +267,15 @@ def is_connected(g: Graph) -> bool:
 def diameter(g: Graph) -> int:
     """Largest pairwise distance, counted as the radii of :func:`distance_balls`.
 
-    Builds no distance matrix.  Raises on the empty or a disconnected graph.
+    Reads connectivity off the last radius.  Raises on the empty or a disconnected graph.
     """
     if g.vertex_count == 0:
         raise GraphError("diameter of the empty graph is undefined")
-    if not is_connected(g):
+    for radius, ball in enumerate(distance_balls(g)):
+        pass  # only the last radius, the fixed point, is read
+    if ball[0] != (1 << g.vertex_count) - 1:
         raise DisconnectedGraphError("diameter requires a connected graph")
-    return sum(1 for _ in distance_balls(g)) - 1
+    return radius
 
 
 # ---------- generators ----------

@@ -7,31 +7,29 @@ cycle of length n + 2, and consecutive internal cycles share one spoke edge.
 :class:`JahangirParams` is the one type for J(n, m): it validates (n, m)
 and maps rim positions to vertex ids and names.
 
-For these graphs the strong metric dimension has closed forms in three
-parameter regimes, along with explicit descriptions of the strong resolving
-graph's edges and of an optimal vertex cover.  Every prediction is keyed by
-:func:`regime`, the one place the regime conditions are written.  Two
-private tables drive the checks: ``_CASES`` gives each extremal-distance
-case its tag, the edge family it relabels, its scan scope (consecutive
-cycles, non-consecutive cycles, or within a segment) and its distance, and
-``_PREDICTIONS`` gives each regime its edge-family builder, cover builder
-and cases.  :func:`verify_predictions` rebuilds all of that from scratch
+The paper gives the strong metric dimension in three parameter regimes, and
+in two of them the strong resolving graph's edges and an optimal vertex
+cover.  :func:`regime` is the one place the regime conditions are written;
+the private table ``_REGIMES`` holds everything else, one row per regime:
+the closed form, the edge-family and cover builders, the extremal-distance
+cases (merged into ``_CASES``) and the condition the builders name when
+refused.  :func:`verify_predictions` rebuilds all of that from scratch
 through :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact
 cover, re-check) and reports any disagreement with the closed forms.
 
-The extremal-distance scans of the even and odd regimes read every radius
-of :func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds
-a dense all-pairs distance matrix.  The pairs at distance t are read off
-the spheres ``ball[t][x] & ~ball[t-1][x]``, each ANDed with one vertex mask
-per cycle or segment, the diameter D is the number of radii minus one, and
-the diametrical-path condition of odd-a is tested on spheres as well (see
+The extremal-distance scans read every radius of
+:func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds a
+dense all-pairs distance matrix.  The pairs at distance t are read off the
+spheres ``ball[t][x] ^ ball[t-1][x]``, each ANDed with one vertex mask per
+cycle or segment, the diameter D is the number of radii minus one, and the
+diametrical-path condition of odd-a is tested on spheres as well (see
 :func:`_on_diametrical_path`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import (
     Graph,
@@ -40,8 +38,11 @@ from .graphs import (
     distance_balls,
     members,
 )
-from .strong_metric import brute_force_sdim, cover_pipeline
+from .strong_metric import DEFAULT_BRUTE_CAP, brute_force_sdim, cover_pipeline
 from .vertex_cover import is_vertex_cover
+
+_Pairs = frozenset[tuple[int, int]]  # vertex-id pairs, each as (low, high)
+_Tagged = dict[str, _Pairs]  # pair sets by edge family or case tag
 
 @dataclass(frozen=True)
 class JahangirParams:
@@ -133,27 +134,18 @@ def regime(params: JahangirParams) -> str | None:
 
 
 def sdim_formula(params: JahangirParams) -> int | None:
-    """Closed-form strong metric dimension, or None outside the known regimes.
+    """Closed-form strong metric dimension, or None outside the regimes of :func:`regime`.
 
-    Values: 3 in the base regime, m(n-2)/2 in the even regime and
-    m(n-1)/2 + m - 3 in the odd regime (see :func:`regime`).
+    Values: 3 (base), m(n-2)/2 (even) and m(n-1)/2 + m - 3 (odd).
     """
-    n, m = params.n, params.m
     kind = regime(params)
-    if kind == "base":
-        return 3
-    if kind == "even":
-        return m * (n - 2) // 2
-    if kind == "odd":
-        return m * (n - 1) // 2 + m - 3
-    return None
+    return None if kind is None else _REGIMES[kind].sdim(params.n, params.m)
 
 
 def _require_regime(params: JahangirParams, name: str) -> None:
     if regime(params) != name:
-        needs = "even n > 5" if name == "even" else "odd n >= 5"
         raise GraphError(
-            f"{name}-n predictions need {needs} and m >= 4, got ({params.n}, {params.m})"
+            f"{name}-n predictions need {_REGIMES[name].needs}, got ({params.n}, {params.m})"
         )
 
 
@@ -165,7 +157,7 @@ def _nonconsecutive(m: int) -> list[tuple[int, int]]:
 # ---------- predicted strong-resolving-graph edges ----------
 
 
-def srg_edge_families_even(params: JahangirParams) -> dict[str, frozenset[tuple[int, int]]]:
+def srg_edge_families_even(params: JahangirParams) -> _Tagged:
     """Predicted MMD pairs of J(n, m) for even n > 5, m >= 4, by family.
 
     "adjacent": pairs spanning consecutive internal cycles, one endpoint
@@ -177,23 +169,20 @@ def srg_edge_families_even(params: JahangirParams) -> dict[str, frozenset[tuple[
     n, m = params.n, params.m
     pair = params.pair
     half = n // 2
-    adjacent: set[tuple[int, int]] = set()
-    for k in range(m):
-        adjacent.add(pair(n * k + half + 1, n * (k + 1) + half + 2))
-        adjacent.add(pair(n * k + half + 1, n * (k - 1) + half))
+    adjacent = _consecutive_pairs(params, (0, 1))
     distant = {pair(n * k + half + 1, n * k2 + half + 1) for k, k2 in _nonconsecutive(m)}
     within: set[tuple[int, int]] = set()
     for k in range(m):
         for i in range(2, half):
             within.add(pair(n * k + i, n * k + i + half + 1))
     return {
-        "adjacent": frozenset(adjacent),
+        "adjacent": adjacent,
         "distant": frozenset(distant),
         "within": frozenset(within),
     }
 
 
-def srg_edge_families_odd(params: JahangirParams) -> dict[str, frozenset[tuple[int, int]]]:
+def srg_edge_families_odd(params: JahangirParams) -> _Tagged:
     """Predicted MMD pairs of J(n, m) for odd n >= 5, m >= 4, by family.
 
     With h = (n-1)/2: "adjacent" pairs one of the two near-midpoint
@@ -206,12 +195,7 @@ def srg_edge_families_odd(params: JahangirParams) -> dict[str, frozenset[tuple[i
     n, m = params.n, params.m
     pair = params.pair
     half = n // 2
-    adjacent: set[tuple[int, int]] = set()
-    for k in range(m):
-        # every consecutive-cycle pair, listed once: from segment k to k+1
-        adjacent.add(pair(n * k + half, n * (k + 1) + half + 1))
-        adjacent.add(pair(n * k + half + 1, n * (k + 1) + half + 2))
-        adjacent.add(pair(n * k + half + 2, n * (k + 1) + half + 3))
+    adjacent = _consecutive_pairs(params, (0, 1, 2))
     distant: set[tuple[int, int]] = set()
     for k, k2 in _nonconsecutive(m):
         for a in (half + 1, half + 2):
@@ -221,14 +205,21 @@ def srg_edge_families_odd(params: JahangirParams) -> dict[str, frozenset[tuple[i
     for k in range(m):
         for i in range(2, half + 1):
             for delta in (half + 1, half + 2):
-                j = i + delta
-                if half + 3 <= j <= n:
-                    within.add(pair(n * k + i, n * k + j))
+                if i + delta <= n:
+                    within.add(pair(n * k + i, n * k + i + delta))
     return {
-        "adjacent": frozenset(adjacent),
+        "adjacent": adjacent,
         "distant": frozenset(distant),
         "within": frozenset(within),
     }
+
+
+def _consecutive_pairs(params: JahangirParams, starts: tuple[int, ...]) -> _Pairs:
+    """Position n//2 + a of each segment k paired with n//2 + a + 1 of k + 1, a in ``starts``."""
+    n, half = params.n, params.n // 2
+    return frozenset(
+        params.pair(n * k + half + a, n * (k + 1) + half + a + 1) for k in range(params.m) for a in starts
+    )
 
 
 # ---------- predicted optimal covers ----------
@@ -277,30 +268,52 @@ def predicted_cover_odd(params: JahangirParams) -> frozenset[int]:
     return frozenset(chosen)
 
 
-# ---------- characterized long-distance pairs ----------
+# ---------- the regime table and the characterized long-distance pairs ----------
 
 
-# case -> (tag, SRG edge family, scan scope, distance offset, off-path tag):
-# the family is the scope's pairs at distance n + offset between
-# "consecutive" or "nonconsecutive" internal cycles, or n//2 + offset
-# "within" one segment.  An off-path tag adds the scope's pairs one closer
-# that lie on no diametrical path.  A case's name starts with its regime.
-_CASES = {
-    "even-a": ("n_plus_1", "adjacent", "consecutive", 1, None),
-    "even-b": ("n_plus_2", "distant", "nonconsecutive", 2, None),
-    "even-c": ("half_plus_1", "within", "within", 1, None),
-    "odd-a": ("n_plus_1", "adjacent", "consecutive", 1, "n_off_diametrical"),
-    "odd-b": ("n_plus_1", "distant", "nonconsecutive", 1, None),
-    "odd-c": ("half_plus_1", "within", "within", 1, None),
+class _Regime(NamedTuple):
+    """What the paper states for one regime of :func:`regime`; base has only its closed form."""
+
+    sdim: Callable[[int, int], int]  # the closed form in (n, m)
+    cases: dict[str, tuple]  # extremal-distance cases
+    families: Callable[[JahangirParams], _Tagged] | None = None  # predicted SRG edges by family
+    cover: Callable[[JahangirParams], frozenset[int]] | None = None  # predicted optimal cover
+    needs: str = ""  # the condition the builders name outside the regime
+
+
+# A case maps to (tag, SRG edge family, scan scope, distance offset,
+# off-path tag): the family is the scope's pairs at distance n + offset
+# between "consecutive" or "nonconsecutive" internal cycles, or
+# n//2 + offset "within" one segment.  An off-path tag adds the scope's
+# pairs one closer that lie on no diametrical path.
+_REGIMES = {
+    "base": _Regime(sdim=lambda n, m: 3, cases={}),
+    "even": _Regime(
+        sdim=lambda n, m: m * (n - 2) // 2,
+        families=srg_edge_families_even,
+        cover=predicted_cover_even,
+        cases={
+            "even-a": ("n_plus_1", "adjacent", "consecutive", 1, None),
+            "even-b": ("n_plus_2", "distant", "nonconsecutive", 2, None),
+            "even-c": ("half_plus_1", "within", "within", 1, None),
+        },
+        needs="even n > 5 and m >= 4",
+    ),
+    "odd": _Regime(
+        sdim=lambda n, m: m * (n - 1) // 2 + m - 3,
+        families=srg_edge_families_odd,
+        cover=predicted_cover_odd,
+        cases={
+            "odd-a": ("n_plus_1", "adjacent", "consecutive", 1, "n_off_diametrical"),
+            "odd-b": ("n_plus_1", "distant", "nonconsecutive", 1, None),
+            "odd-c": ("half_plus_1", "within", "within", 1, None),
+        },
+        needs="odd n >= 5 and m >= 4",
+    ),
 }
-EVEN_CASES = tuple(case for case in _CASES if case.startswith("even-"))
-ODD_CASES = tuple(case for case in _CASES if case.startswith("odd-"))
-
-# regime -> (edge families, predicted cover, extremal-distance cases)
-_PREDICTIONS = {
-    "even": (srg_edge_families_even, predicted_cover_even, EVEN_CASES),
-    "odd": (srg_edge_families_odd, predicted_cover_odd, ODD_CASES),
-}
+_CASES = {case: row for spec in _REGIMES.values() for case, row in spec.cases.items()}
+EVEN_CASES = tuple(_REGIMES["even"].cases)
+ODD_CASES = tuple(_REGIMES["odd"].cases)
 
 
 def _check_case(case: str) -> None:
@@ -308,40 +321,28 @@ def _check_case(case: str) -> None:
         raise GraphError(f"unknown case {case!r}, expected one of {tuple(_CASES)}")
 
 
-def extremal_distance_pairs(
-    params: JahangirParams, case: str
-) -> dict[str, frozenset[tuple[int, int]]]:
+def extremal_distance_pairs(params: JahangirParams, case: str) -> _Tagged:
     """Closed-form vertex pairs at the characterized extremal distances.
 
-    Cases "even-a/b/c" apply for even n > 5, m >= 4, and "odd-a/b/c" for
-    odd n >= 5, m >= 4.  Each returns tagged pair sets:
-
-    - even-a, "n_plus_1": pairs from consecutive cycles at distance n+1
-    - even-b, "n_plus_2": pairs from non-consecutive cycles at distance n+2
-    - even-c, "half_plus_1": same-segment degree-2 pairs at distance n/2+1
-    - odd-a, "n_plus_1" and "n_off_diametrical": consecutive-cycle pairs
-      at distance n+1, and at distance n while lying on no diametrical path
-    - odd-b, "n_plus_1": non-consecutive-cycle pairs at distance n+1
-    - odd-c, "half_plus_1": same-segment degree-2 pairs at distance
-      (n-1)/2 + 1
+    Cases "even-a/b/c" apply in the even regime and "odd-a/b/c" in the odd
+    one.  Each returns its regime's edge family under the case's tag (see
+    ``_REGIMES``); odd-a splits the "adjacent" family into the pairs at
+    distance n+1 and, as "n_off_diametrical", those at distance n that lie
+    on no diametrical path.
     """
     _check_case(case)
-    families_of = _PREDICTIONS[case.partition("-")[0]][0]
+    families_of = next(spec.families for spec in _REGIMES.values() if case in spec.cases)
     return _extremal_pairs(params, families_of(params), case)
 
 
-def _extremal_pairs(
-    params: JahangirParams, families: dict[str, frozenset[tuple[int, int]]], case: str
-) -> dict[str, frozenset[tuple[int, int]]]:
+def _extremal_pairs(params: JahangirParams, families: _Tagged, case: str) -> _Tagged:
     """:func:`extremal_distance_pairs` read off already built edge families."""
     tag, family, _, _, off_tag = _CASES[case]
     if off_tag is None:
         return {tag: families[family]}
     # the odd "adjacent" family splits into the m pairs at distance n+1
     # and the 2m pairs at distance n that avoid every diametrical path
-    n, m = params.n, params.m
-    half = n // 2
-    longest = frozenset(params.pair(n * k + half + 1, n * (k + 1) + half + 2) for k in range(m))
+    longest = _consecutive_pairs(params, (1,))
     return {tag: longest, off_tag: families[family] - longest}
 
 
@@ -349,19 +350,10 @@ def _sphere(balls: list[list[int]], r: int, x: int) -> int:
     """Bitset of the vertices at distance exactly ``r`` from ``x``."""
     if r >= len(balls):
         return 0
-    return balls[r][x] & ~balls[r - 1][x] if r else balls[0][x]
+    return balls[r][x] ^ balls[r - 1][x] if r else balls[0][x]  # each radius holds the one before
 
 
-def _vertex_mask(ids: Iterable[int]) -> int:
-    mask = 0
-    for v in ids:
-        mask |= 1 << v
-    return mask
-
-
-def _pairs_at(
-    balls: list[list[int]], params: JahangirParams, scope: str, target: int
-) -> frozenset[tuple[int, int]]:
+def _pairs_at(balls: list[list[int]], params: JahangirParams, scope: str, target: int) -> _Pairs:
     """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``.
 
     Each vertex ``x`` of a cycle or segment is paired with one mask: the
@@ -372,13 +364,13 @@ def _pairs_at(
     m = params.m
     if scope == "within":
         segments = [params.inner_cycle_ids(k) for k in range(m)]
-        rows = [(ids, _vertex_mask(ids)) for ids in segments]
+        rows = [(ids, sum(1 << v for v in ids)) for ids in segments]
     else:
         ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
         cycles = [params.cycle_ids(k) for k in range(m)]
         partners = [0] * m
         for k, k2 in ks:
-            partners[k] |= _vertex_mask(cycles[k2])
+            partners[k] |= sum(1 << v for v in cycles[k2])
         rows = list(zip(cycles, partners))
     found: set[tuple[int, int]] = set()
     for ids, mask in rows:
@@ -405,9 +397,7 @@ def _on_diametrical_path(balls: list[list[int]], x: int, y: int, t: int) -> bool
     return False
 
 
-def _measure(
-    balls: list[list[int]], params: JahangirParams, case: str
-) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
+def _measure(balls: list[list[int]], params: JahangirParams, case: str) -> tuple[_Tagged, _Pairs]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
     tag, _, scope, offset, off_tag = _CASES[case]
     target = (params.n // 2 if scope == "within" else params.n) + offset
@@ -422,9 +412,7 @@ def _measure(
     return measured, on_path
 
 
-def measured_distance_pairs(
-    g: Graph, params: JahangirParams, case: str
-) -> dict[str, frozenset[tuple[int, int]]]:
+def measured_distance_pairs(g: Graph, params: JahangirParams, case: str) -> _Tagged:
     """BFS-side counterpart of :func:`extremal_distance_pairs`.
 
     Scans the distance balls of ``g`` for pairs meeting each case's
@@ -499,7 +487,9 @@ def _named_pairs(params: JahangirParams, pairs: Iterable[tuple[int, int]]) -> st
     return ", ".join(names)
 
 
-def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> VerificationReport:
+def verify_predictions(
+    params: JahangirParams, *, brute_cap: int = DEFAULT_BRUTE_CAP
+) -> VerificationReport:
     """Check every closed-form prediction that applies to J(n, m).
 
     Always computes the strong resolving graph, an exact minimum cover of
@@ -521,11 +511,11 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
     cover_valid: bool | None = None
     cover_size: int | None = None
 
-    if kind in _PREDICTIONS:
-        families_of, cover_of, cases = _PREDICTIONS[kind]
+    spec = _REGIMES[kind] if kind is not None else None
+    if spec is not None and spec.families is not None:
         balls = list(distance_balls(g))  # read only by the extremal-distance scans
-        families = families_of(params)
-        predicted_cover = cover_of(params)
+        families = spec.families(params)
+        predicted_cover = spec.cover(params)
         predicted_edges = frozenset().union(*families.values())
         actual_edges = frozenset(srg.edges())
         srg_match = predicted_edges == actual_edges
@@ -556,7 +546,7 @@ def verify_predictions(params: JahangirParams, *, brute_cap: int = 16) -> Verifi
                     f"predicted cover has {cover_size} vertices but the optimum is {alpha}",
                 )
             )
-        for case in cases:
+        for case in spec.cases:
             expected = _extremal_pairs(params, families, case)
             observed, excluded = _measure(balls, params, case)
             if excluded:

@@ -50,6 +50,8 @@ from .graphs import (
 )
 from .vertex_cover import exact_min_vertex_cover
 
+DEFAULT_BRUTE_CAP = 16  # default of brute force's order cap: size_cap, brute_cap, --brute-cap
+
 
 class InternalInconsistencyError(RuntimeError):
     """A structural identity the implementation relies on failed to hold."""
@@ -101,7 +103,7 @@ def is_strong_resolving_set(
     time.  Cost: O(diam * (V + E)) big-integer operations plus at most
     V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
     the scalar definition.  The balls are grown here, not shared with
-    :func:`mmd_pairs`, so the re-check judges the cover independently of
+    :func:`mmd_masks`, so the re-check judges the cover independently of
     MMD detection.  The last radius is the fixed point, so it also tells
     whether ``g`` is connected; no separate BFS runs.
     """
@@ -122,7 +124,7 @@ def is_strong_resolving_set(
         inner = radii[-1] if radii else [0] * n
         nxt = []
         for v in range(n):
-            sphere = ball[v] & ~inner[v]
+            sphere = ball[v] ^ inner[v]  # inner[v] is a subset of ball[v]
             if sphere and v not in chosen:
                 via = 0
                 for x in adj[v]:
@@ -211,7 +213,7 @@ def _first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None
     return (tuple(chosen) if found else None), nodes
 
 
-def brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResult:
+def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasisResult:
     """Smallest strong resolving set by exhaustive search from the definition.
 
     Each vertex pair gets the bitset of vertices that strongly resolve it,

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from strongdim import GraphError, cli
+from strongdim import GraphError, cli, jahangir, strong_metric
 from strongdim.cli import main
 
 C4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
@@ -371,6 +372,15 @@ class TestBruteCap:
         assert cli._brute_cap(0) == 0
         with pytest.raises(GraphError, match="at least 0, got -1"):
             cli._brute_cap(-1)
+
+    def test_defaults_share_one_constant(self):
+        cap = strong_metric.DEFAULT_BRUTE_CAP
+        assert cap == 16
+        for argv in (["sdim", "-"], ["verify"]):
+            assert cli._build_parser().parse_args(argv).brute_cap == cap
+        size_cap = inspect.signature(strong_metric.brute_force_sdim).parameters["size_cap"]
+        brute_cap = inspect.signature(jahangir.verify_predictions).parameters["brute_cap"]
+        assert size_cap.default == brute_cap.default == cap
 
 
 def _run_python(*argv, stdin=None):

@@ -25,6 +25,7 @@ from strongdim import (
     parse,
     path_graph,
     serialize,
+    strong_resolving_graph,
 )
 from strongdim.graphs import graph_from_masks, pack_rows, transpose, unpack_rows
 from helpers import balls_from_distances, long_diameter_graphs, random_connected_graph
@@ -218,7 +219,13 @@ class TestDistances:
         # call on the interpreter's free list (one allocated block each)
         edges = cycle_graph(16).edges()
         g = build_graph(16, edges)
-        for make in (lambda: build_graph(16, edges), lambda: all_pairs_distances(g)):
+        masks = [sum(1 << w for w in g.adjacency[v]) for v in range(16)]
+        for make in (
+            lambda: build_graph(16, edges),
+            lambda: all_pairs_distances(g),
+            lambda: graph_from_masks(16, masks),
+            lambda: strong_resolving_graph(g),
+        ):
             for _ in range(10):
                 make()
             gc.collect()
@@ -325,6 +332,22 @@ class TestDiameterConnectivity:
     def test_diameter_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             diameter(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_reads_connectivity_off_the_last_radius(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("diameter ran a separate connectivity BFS")
+
+        monkeypatch.setattr(graphs_module, "is_connected", refuse)
+        assert diameter(cycle_graph(7)) == 3
+        assert diameter(build_graph(1, [])) == 0
+        with pytest.raises(DisconnectedGraphError, match="^diameter requires a connected graph$"):
+            diameter(build_graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(DisconnectedGraphError, match="^diameter requires a connected graph$"):
+            diameter(build_graph(2, []))
+        # the empty graph is refused first, and not as a disconnected one
+        with pytest.raises(GraphError, match="^diameter of the empty graph is undefined$") as excinfo:
+            diameter(build_graph(0, []))
+        assert not isinstance(excinfo.value, DisconnectedGraphError)
 
     def test_is_connected(self):
         assert is_connected(cycle_graph(4))

@@ -155,6 +155,45 @@ class TestRegime:
     def test_values(self, n, m, expected):
         assert regime(JahangirParams(n, m)) == expected
 
+    def test_every_case_belongs_to_one_regime_row(self):
+        for case in jahangir._CASES:
+            rows = [kind for kind, spec in jahangir._REGIMES.items() if case in spec.cases]
+            assert len(rows) == 1, case
+        assert EVEN_CASES == ("even-a", "even-b", "even-c")
+        assert ODD_CASES == ("odd-a", "odd-b", "odd-c")
+        assert tuple(jahangir._CASES) == EVEN_CASES + ODD_CASES
+
+    def test_regime_and_formula_on_the_2_40_grid(self):
+        # the paper's three closed forms, written out here independently
+        for n in range(2, 41):
+            for m in range(3, 41):
+                p = JahangirParams(n, m)
+                if m == 3 and n in (2, 3, 4):
+                    expected = ("base", 3)
+                elif m >= 4 and n >= 6 and n % 2 == 0:
+                    expected = ("even", m * (n - 2) // 2)
+                elif m >= 4 and n >= 5 and n % 2 == 1:
+                    expected = ("odd", m * (n - 1) // 2 + m - 3)
+                else:
+                    expected = (None, None)
+                assert (regime(p), sdim_formula(p)) == expected, (n, m)
+
+    @pytest.mark.parametrize(
+        "builder,needs",
+        [
+            (srg_edge_families_even, "even-n predictions need even n > 5"),
+            (predicted_cover_even, "even-n predictions need even n > 5"),
+            (srg_edge_families_odd, "odd-n predictions need odd n >= 5"),
+            (predicted_cover_odd, "odd-n predictions need odd n >= 5"),
+        ],
+    )
+    def test_require_regime_messages(self, builder, needs):
+        wrong_parity = (5, 5) if needs.startswith("even") else (6, 5)
+        for n, m in ((4, 4), (2, 3), wrong_parity):  # exploratory, base, wrong parity
+            with pytest.raises(GraphError) as excinfo:
+                builder(JahangirParams(n, m))
+            assert str(excinfo.value) == f"{needs} and m >= 4, got ({n}, {m})"
+
 
 class TestEvenFamilies:
     def test_golden_6_5(self):

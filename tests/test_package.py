@@ -1,7 +1,10 @@
 """The public surface of the strongdim package."""
 
+import ast
 import dataclasses
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,21 @@ def test_duplicate_members_are_gone():
     assert list(inspect.signature(strongdim.diameter).parameters) == ["g"]
     report_fields = {f.name for f in dataclasses.fields(strongdim.VerificationReport)}
     assert "alpha_computed" in report_fields and "pipeline_sdim" not in report_fields
+
+
+def test_runtime_is_stdlib_only():
+    # relative imports (level > 0) stay inside the package; every absolute
+    # one must name a standard-library module
+    package = Path(strongdim.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (source.name, name)
