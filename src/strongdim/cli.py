@@ -25,9 +25,7 @@ from .graphs import (
     serialize,
 )
 from .jahangir import JahangirParams, VerificationReport, build_jahangir, sdim_formula, verify_predictions
-from .strong_metric import (
-    DEFAULT_BRUTE_CAP, brute_force_sdim, mmd_pairs, sdim_via_cover, strong_resolving_graph
-)
+from .strong_metric import DEFAULT_BRUTE_CAP, brute_force_sdim, sdim_via_cover, strong_resolving_graph
 from .vertex_cover import exact_min_vertex_cover, greedy_cover
 
 # brute force prunes its subset search but stays exponential in the worst
@@ -167,7 +165,7 @@ def _cmd_srg(args: argparse.Namespace) -> int:
 
 def _cmd_mmd(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph)
-    for u, v in sorted(mmd_pairs(g)):
+    for u, v in strong_resolving_graph(g).edges():  # sorted, u < v
         print(f"{u} {v}")
     return 0
 

@@ -11,7 +11,7 @@ bitsets (bit ``v`` stands for vertex ``v``): O(diam * (V + E)) big-integer
 ORs for all of them.  It is the one ball-growing loop of the program: MMD
 detection, the strong-resolution re-check, ``verify``'s extremal-distance
 scans and :func:`diameter` read it.  :func:`all_pairs_distances`, one BFS
-per vertex as a dense matrix, is kept for brute force and scalar checks.
+row per vertex, is kept for brute force and scalar checks.
 """
 
 from __future__ import annotations
@@ -77,18 +77,6 @@ class Graph:
             for v in self.adjacency[u]
             if u < v
         ]
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Dense all-pairs shortest path distances.
-
-    ``dist[u][v]`` is the hop distance, or :data:`UNREACHABLE` when no
-    path exists.
-    """
-
-    order: int
-    dist: tuple[tuple[int, ...], ...]
 
 
 def check_vertex(order: int, v: int) -> None:
@@ -171,13 +159,16 @@ def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; O(V * (V + E))."""
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """BFS from every vertex as dense rows; O(V * (V + E)).
+
+    ``rows[u][v]`` is the hop distance, or :data:`UNREACHABLE` when no path
+    exists.
+    """
     # from a list, not a generator: CPython builds a tuple from a generator
     # by resizing a guessed-size tuple, and each call then leaves one spare
     # order-sized tuple on the interpreter's free list, up to ~1.5 MB at order 16
-    rows = tuple([_bfs_row(g, s) for s in range(g.vertex_count)])
-    return DistanceMatrix(g.vertex_count, rows)
+    return tuple([_bfs_row(g, s) for s in range(g.vertex_count)])
 
 
 def distance_balls(g: Graph) -> Iterator[list[int]]:
@@ -247,8 +238,8 @@ def transpose(packed: int, side: int) -> int:
     Delta swap j (``d = j * (side - 1)``: ``t = ((M >> d) ^ M) & mask; M ^=
     t ^ (t << d)``) trades entry (r, c), bit j clear in r and set in c, with
     (r + j, c - j); the log2(side) swaps exchange r and c.  The swap masks
-    are kept per side, side^2 * log2(side) / 8 bytes: 64 KB at side 256, but
-    1.3 MB at 1,024, which matters for graphs above 256 vertices.
+    are kept per side, side^2 * log2(side) / 8 bytes: 64 KB up to the order
+    cap of the exact cover, but 1.3 MB at side 1,024, which matters above it.
     """
     for shift, mask in _swap_masks(side):
         t = ((packed >> shift) ^ packed) & mask
@@ -331,14 +322,12 @@ def serialize(g: Graph, fmt: str = "edge-json") -> str:
     raise GraphError(f"unsupported format {fmt!r}, expected one of {FORMATS}")
 
 
-def parse(text: str, fmt: str = "edge-json") -> Graph:
+def parse(text: str) -> Graph:
     """Parse an edge-JSON document produced by :func:`serialize`.
 
     Structural problems are reported with the location of the offending
     field or edge.
     """
-    if fmt != "edge-json":
-        raise GraphError(f"parsing supports only 'edge-json', got {fmt!r}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

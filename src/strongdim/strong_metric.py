@@ -13,8 +13,8 @@ The two whole-graph scans work on Python integers used as vertex bitsets
 connectivity off the last radius.  :func:`mmd_masks` walks the radii upward
 and returns each vertex's MMD partners as one bitset row, taken from one
 bit-matrix transpose; the strong resolving graph is built straight from
-those rows by :func:`~strongdim.graphs.graph_from_masks`, and
-:func:`mmd_pairs` lists them.  :func:`is_strong_resolving_set` grows its own
+those rows by :func:`~strongdim.graphs.graph_from_masks`, whose sorted
+edges are the MMD pairs.  :func:`is_strong_resolving_set` grows its own
 radii and walks them downward once for all chosen vertices together.  It
 shares no code with the MMD scan, so it judges the cover independently of
 MMD detection.  :func:`strongly_resolves` and :func:`is_maximally_distant`
@@ -34,7 +34,6 @@ from typing import Iterable
 
 from .graphs import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     GraphError,
     SizeLimitError,
@@ -66,20 +65,22 @@ class StrongBasisResult:
     method: str  # "brute-force" or "vertex-cover-reduction"
 
 
-def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
-    """True when u is on a shortest w-v path or v is on a shortest w-u path."""
-    check_vertex(dm.order, w)
-    check_vertex(dm.order, u)
-    check_vertex(dm.order, v)
+def strongly_resolves(dist: tuple[tuple[int, ...], ...], w: int, u: int, v: int) -> bool:
+    """True when u is on a shortest w-v path or v is on a shortest w-u path.
+
+    ``dist`` holds the rows of :func:`~strongdim.graphs.all_pairs_distances`.
+    """
+    check_vertex(len(dist), w)
+    check_vertex(len(dist), u)
+    check_vertex(len(dist), v)
     if u == v:
         raise GraphError(f"strongly_resolves needs two distinct vertices, got u = v = {u}")
-    d = dm.dist
-    duv = d[u][v]
-    return d[u][w] == duv + d[v][w] or d[v][w] == duv + d[u][w]
+    duv = dist[u][v]
+    return dist[u][w] == duv + dist[v][w] or dist[v][w] == duv + dist[u][w]
 
 
 def is_strong_resolving_set(
-    g: Graph, dm: DistanceMatrix | None, subset: Iterable[int]
+    g: Graph, dm: object, subset: Iterable[int]
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check whether ``subset`` strongly resolves every vertex pair.
 
@@ -151,7 +152,7 @@ def _minimal_resolver_masks(g: Graph) -> list[int]:
     bitset holds ``u`` and ``v`` themselves, so none is empty.
     """
     n = g.vertex_count
-    d = all_pairs_distances(g).dist
+    d = all_pairs_distances(g)
     bits = [1 << w for w in range(n)]
     masks = set()
     for u in range(n):
@@ -225,7 +226,7 @@ def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasis
     result is the smallest size and the lexicographically first basis of
     that size, the set that trying every k-subset in order would return.
     Worst-case time is still exponential in the order.  Shares no code with
-    :func:`is_strong_resolving_set`, :func:`mmd_pairs` or the cover search,
+    :func:`is_strong_resolving_set`, :func:`mmd_masks` or the cover search,
     so it can judge them.  Refuses graphs larger than ``size_cap``.
     """
     if g.vertex_count > size_cap:
@@ -242,15 +243,14 @@ def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasis
     raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
 
 
-def is_maximally_distant(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
-    """True when no neighbor of ``u`` is farther from ``v`` than ``u`` is."""
+def is_maximally_distant(g: Graph, dist: tuple[tuple[int, ...], ...], u: int, v: int) -> bool:
+    """True when no neighbor of ``u`` is farther from ``v`` than ``u`` is, by the rows ``dist``."""
     check_vertex(g.vertex_count, u)
     check_vertex(g.vertex_count, v)
     if u == v:
         raise GraphError(f"maximal distance needs two distinct vertices, got u = v = {u}")
-    d = dm.dist
-    duv = d[u][v]
-    return all(d[w][v] <= duv for w in g.adjacency[u])
+    duv = dist[u][v]
+    return all(dist[w][v] <= duv for w in g.adjacency[u])
 
 
 def mmd_masks(g: Graph) -> list[int]:
@@ -286,13 +286,7 @@ def mmd_masks(g: Graph) -> list[int]:
     return unpack_rows(packed & transpose(packed, side), side, n)
 
 
-def mmd_pairs(g: Graph) -> frozenset[tuple[int, int]]:
-    """All mutually maximally distant pairs, as (u, v) with u < v; see :func:`mmd_masks`."""
-    rows = mmd_masks(g)
-    return frozenset((u, v) for u, row in enumerate(rows) for v in members(row >> (u + 1) << (u + 1)))
-
-
-def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
+def strong_resolving_graph(g: Graph, dm: object = None) -> Graph:
     """Graph on the same vertices whose edges are the MMD pairs of ``g``, from :func:`mmd_masks`.
 
     Labels carry over so derived output stays readable.  ``dm`` is not

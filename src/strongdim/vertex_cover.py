@@ -1,4 +1,4 @@
-"""Exact and heuristic vertex covers, plus maximum independent sets.
+"""Exact and heuristic vertex covers.
 
 Both covers work on Python integers used as vertex bitsets.  The exact
 core is a maximum independent set search in the style of Tomita and
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, SizeLimitError, check_vertex
+
+EXACT_COVER_CAP = 256  # largest order the exact cover search accepts
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,31 @@ def _clique_partition(nbr: list[int], cand: int) -> list[int]:
     return classes
 
 
-def _mis_search(g: Graph, max_vertices: int) -> tuple[list[int], int, int]:
-    """Maximum independent set as ``(order, mask, nodes)``.
+def _mis_search(g: Graph) -> tuple[list[int], int, int]:
+    """Maximum independent set as ``(order, mask, nodes)``, by colouring-bounded branch and bound.
 
     Bit ``i`` of ``mask`` stands for vertex ``order[i]``; ``nodes`` counts
-    search nodes, the root included.
+    search nodes, the root included.  Vertices are relabelled once by
+    ascending degree (lowest id on ties), and position ``i`` of that order
+    is bit ``i`` of every mask.  At the root, isolated and degree-1 vertices
+    join the set to a fixpoint (the neighbor of a degree-1 vertex leaves
+    play); no reduction runs below the root.  Each search node partitions
+    its candidates greedily into cliques (:func:`_clique_partition`).  Each
+    clique holds at most one vertex of an independent set, so a vertex in
+    the k-th clique extends the current set by at most k.  Only vertices
+    with k above the best size minus the current size are branched on,
+    highest k first, and the node stops once the current size plus k cannot
+    beat the best set found.  Each level adds one vertex to the set, so the
+    recursion is at most α + 1 deep, α being the independence number.
+
+    Deterministic by construction: the relabelling and the branching order
+    are fixed, and the best set is replaced only by a strictly larger one,
+    so the same input always gives the same set and node count.  Graphs
+    above :data:`EXACT_COVER_CAP` vertices raise :class:`SizeLimitError`.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {max_vertices}")
+    if n > EXACT_COVER_CAP:
+        raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {EXACT_COVER_CAP}")
     order = sorted(range(n), key=lambda v: len(g.adjacency[v]))
     position = {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << position[u] for u in g.adjacency[v]) for v in order]
@@ -185,39 +203,15 @@ def _mis_search(g: Graph, max_vertices: int) -> tuple[list[int], int, int]:
     return order, forced | best_set, nodes
 
 
-def max_independent_set(g: Graph, *, max_vertices: int = 256) -> tuple[int, ...]:
-    """Maximum independent set by colouring-bounded branch and bound.
-
-    Vertices are relabelled once by ascending degree (lowest id on ties),
-    and position ``i`` of that order is bit ``i`` of every mask.  At the
-    root, isolated and degree-1 vertices join the set to a fixpoint (the
-    neighbor of a degree-1 vertex leaves play); no reduction runs below
-    the root.  Each search node partitions its candidates greedily into
-    cliques (:func:`_clique_partition`).  Each clique holds at most one
-    vertex of an independent set, so a vertex in the k-th clique extends
-    the current set by at most k.  Only vertices with k above the best size
-    minus the current size are branched on, highest k first, and the node
-    stops once the current size plus k cannot beat the best set found.
-    Each level adds one vertex to the set, so the recursion is at most
-    α + 1 deep, α being the independence number.
-
-    Deterministic by construction: the relabelling and the branching order
-    are fixed, and the best set is replaced only by a strictly larger one,
-    so the same input always gives the same set and node count.
-    """
-    order, mask, _ = _mis_search(g, max_vertices)
-    return tuple(sorted(order[i] for i in range(g.vertex_count) if mask >> i & 1))
-
-
-def exact_min_vertex_cover(g: Graph, *, max_vertices: int = 256) -> CoverResult:
+def exact_min_vertex_cover(g: Graph) -> CoverResult:
     """Minimum vertex cover as the complement of a maximum independent set.
 
-    The set comes from the search behind :func:`max_independent_set`, so the
-    result is optimal and deterministic.  ``nodes_explored`` counts the
-    search nodes of that search, the root included: 1 means the root
-    reductions solved the graph without branching.  Graphs above
-    ``max_vertices`` vertices raise :class:`SizeLimitError`.
+    The set comes from :func:`_mis_search`, so the result is optimal and
+    deterministic.  ``nodes_explored`` counts the search nodes of that
+    search, the root included: 1 means the root reductions solved the graph
+    without branching.  Graphs above :data:`EXACT_COVER_CAP` vertices raise
+    :class:`SizeLimitError`.
     """
-    order, mask, nodes = _mis_search(g, max_vertices)
+    order, mask, nodes = _mis_search(g)
     cover = tuple(sorted(order[i] for i in range(g.vertex_count) if not mask >> i & 1))
     return CoverResult(cover, len(cover), True, nodes)

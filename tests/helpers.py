@@ -6,13 +6,13 @@ JahangirParams, so a listing like (4, 11) means the pair u4-u11.
 """
 
 import random
+from collections.abc import Sequence
 from itertools import combinations
 
 import pytest
 
 from strongdim import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     InternalInconsistencyError,
     JahangirParams,
@@ -119,7 +119,7 @@ def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResul
     if not is_connected(g):
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")
     n = g.vertex_count
-    d = all_pairs_distances(g).dist
+    d = all_pairs_distances(g)
     # one bitmask per vertex pair: which vertices strongly resolve it
     masks: list[int] = []
     for u in range(n):
@@ -143,7 +143,7 @@ def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResul
 
 
 def bfs_is_strong_resolving_set(
-    g: Graph, dm: DistanceMatrix | None, subset
+    g: Graph, dm: object, subset
 ) -> tuple[bool, tuple[int, int] | None]:
     """One BFS per chosen vertex: the oracle for ``is_strong_resolving_set``.
 
@@ -198,15 +198,14 @@ def bfs_is_strong_resolving_set(
     return True, None
 
 
-def balls_from_distances(dm: DistanceMatrix) -> list[list[int]]:
-    """The radii :func:`strongdim.graphs.distance_balls` yields, read off a distance matrix.
+def balls_from_distances(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The radii :func:`strongdim.graphs.distance_balls` yields, read off distance rows.
 
-    Bit ``y`` of ball r of ``x`` is set when ``dm.dist[x][y] <= r``, for
-    r = 0 .. the largest finite entry (0 for the empty matrix).  Feeding it
-    a matrix that misreports a distance gives the balls a graph with that
-    distance would have.
+    Bit ``y`` of ball r of ``x`` is set when ``rows[x][y] <= r``, for
+    r = 0 .. the largest finite entry (0 for no rows).  Feeding it rows
+    that misreport a distance gives the balls a graph with that distance
+    would have.
     """
-    rows = dm.dist
     top = max((d for row in rows for d in row if d != UNREACHABLE), default=0)
     return [
         [sum(1 << y for y, dxy in enumerate(row) if dxy <= r) for row in rows]
@@ -219,7 +218,7 @@ def balls_from_distances(dm: DistanceMatrix) -> list[list[int]]:
 
 
 def scalar_pairs_at(
-    dm: DistanceMatrix, lab: JahangirParams, scope: str, target: int
+    d: tuple[tuple[int, ...], ...], lab: JahangirParams, scope: str, target: int
 ) -> frozenset[tuple[int, int]]:
     """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``."""
     m = lab.m
@@ -230,7 +229,6 @@ def scalar_pairs_at(
         ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
         cycles = [lab.cycle_ids(k) for k in range(m)]
         rows = ((x, cycles[k2]) for k, k2 in ks for x in cycles[k])
-    d = dm.dist
     found: set[tuple[int, int]] = set()
     for x, ys in rows:
         row = d[x]
@@ -241,20 +239,19 @@ def scalar_pairs_at(
 
 
 def scalar_measure(
-    dm: DistanceMatrix, lab: JahangirParams, case: str
+    d: tuple[tuple[int, ...], ...], lab: JahangirParams, case: str
 ) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
     tag, _, scope, offset, off_tag = _CASES[case]
     target = (lab.n // 2 if scope == "within" else lab.n) + offset
-    measured = {tag: scalar_pairs_at(dm, lab, scope, target)}
+    measured = {tag: scalar_pairs_at(d, lab, scope, target)}
     if off_tag is None:
         return measured, frozenset()
     # {x, y} lies on a diametrical path a .. x .. y .. b when the three legs
     # sum exactly; scanning ordered endpoint pairs covers both orientations
-    d = dm.dist
     diam = max(max(r) for r in d)
     ends = [(a, b) for a, r in enumerate(d) for b, dab in enumerate(r) if dab == diam]
-    near = scalar_pairs_at(dm, lab, scope, target - 1)
+    near = scalar_pairs_at(d, lab, scope, target - 1)
     on_path = frozenset(
         (x, y) for x, y in near if any(d[a][x] + d[x][y] + d[y][b] == d[a][b] for a, b in ends)
     )

@@ -19,7 +19,6 @@ from strongdim import (
     greedy_cover,
     is_vertex_cover,
     matching_lower_bound,
-    max_independent_set,
     measured_distance_pairs,
     predicted_cover_even,
     predicted_cover_odd,
@@ -201,8 +200,7 @@ def test_metric_and_solver_invariants():
     # distance-matrix axioms on graphs of up to 64 vertices
     for seed in range(15):
         g = random_connected_graph(random.Random(1000 + seed), min_order=2, max_order=64)
-        dm = all_pairs_distances(g)
-        d = dm.dist
+        d = all_pairs_distances(g)
         order = g.vertex_count
         for u in range(order):
             if d[u][u] != 0:
@@ -223,14 +221,15 @@ def test_metric_and_solver_invariants():
         if exact_min_vertex_cover(g).size != exhaustive_min_cover_size(g):
             problems.append(f"solver-vs-exhaustive seed={seed}")
 
-    # cover/independent-set duality and bound sandwich on a mixed corpus
+    # independent complement, repeatability and bound sandwich on a mixed corpus
     corpus = [build_jahangir(JahangirParams(n, m))[0] for n, m in ((2, 3), (3, 3), (6, 5), (5, 5))]
     corpus += [strong_resolving_graph(g) for g in corpus[:4]]
     corpus += [random_connected_graph(random.Random(3000 + s), max_order=12) for s in range(20)]
     corpus += [random_graph(random.Random(4000 + s), max_order=10) for s in range(20)]
     for idx, g in enumerate(corpus):
         exact = exact_min_vertex_cover(g)
-        if exact.size + len(max_independent_set(g)) != g.vertex_count:
+        rest = set(range(g.vertex_count)) - set(exact.cover)
+        if any(u in rest and v in rest for u, v in g.edges()) or exact != exact_min_vertex_cover(g):
             problems.append(f"duality corpus[{idx}]")
         if not matching_lower_bound(g) <= exact.size <= greedy_cover(g).size:
             problems.append(f"sandwich corpus[{idx}]")

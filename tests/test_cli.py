@@ -12,7 +12,9 @@ from strongdim import GraphError, cli, jahangir, strong_metric
 from strongdim.cli import main
 
 C4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
+C6_DOC = json.dumps({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]})
 DISCONNECTED_DOC = '{"n": 4, "edges": [[0, 1], [2, 3]]}'
+PATH_257_DOC = json.dumps({"n": 257, "edges": [[i, i + 1] for i in range(256)]})
 
 
 def run_cli(capsys, argv):
@@ -236,6 +238,18 @@ class TestSrgAndMmd:
         assert code == 0
         assert out.splitlines() == ["0 2", "1 3"]
 
+    def test_mmd_c6_file_exact_output(self, capsys, tmp_path):
+        path = tmp_path / "c6.json"
+        path.write_text(C6_DOC)
+        assert run_cli(capsys, ["mmd", str(path)]) == (0, "0 3\n1 4\n2 5\n", "")
+
+    def test_mmd_disconnected_file(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(DISCONNECTED_DOC)
+        assert run_cli(capsys, ["mmd", str(path)]) == (
+            2, "", "error: MMD pairs are defined for connected graphs\n"
+        )
+
 
 class TestCover:
     def test_exact(self, capsys, tmp_path):
@@ -264,6 +278,15 @@ class TestCover:
         code, out, _ = run_cli(capsys, ["cover", str(srg_path)])
         assert code == 0
         assert "size = 10" in out
+
+
+    @pytest.mark.parametrize("command", ["cover", "sdim"])
+    def test_exact_cover_cap(self, capsys, tmp_path, command):
+        path = tmp_path / "p257.json"
+        path.write_text(PATH_257_DOC)
+        assert run_cli(capsys, [command, str(path)]) == (
+            2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
+        )
 
 
 class TestVerify:

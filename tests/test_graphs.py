@@ -195,24 +195,24 @@ class TestGraphFromMasks:
 class TestDistances:
     def test_c4(self):
         dm = all_pairs_distances(cycle_graph(4))
-        assert dm.dist[0][2] == 2
-        assert dm.dist[0][1] == 1
+        assert dm[0][2] == 2
+        assert dm[0][1] == 1
 
     def test_jahangir_2_8_max_distance(self):
         g, _ = build_jahangir(JahangirParams(2, 8))
         dm = all_pairs_distances(g)
-        assert max(max(row) for row in dm.dist) == 4
+        assert max(max(row) for row in dm) == 4
 
     def test_jahangir_6_5_cross_cycle_distance(self):
         g, lab = build_jahangir(JahangirParams(6, 5))
         dm = all_pairs_distances(g)
-        assert dm.dist[lab.rim_id(4)][lab.rim_id(16)] == 8
+        assert dm[lab.rim_id(4)][lab.rim_id(16)] == 8
 
     def test_unreachable_sentinel(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         dm = all_pairs_distances(g)
-        assert dm.dist[0][2] == UNREACHABLE
-        assert dm.dist[2][0] == UNREACHABLE
+        assert dm[0][2] == UNREACHABLE
+        assert dm[2][0] == UNREACHABLE
 
     def test_repeated_calls_hold_no_memory(self):
         # an order-sized tuple built from a generator left one spare tuple per
@@ -237,8 +237,7 @@ class TestDistances:
     @given(graphs(max_order=40))
     @settings(max_examples=40, deadline=None)
     def test_axioms_on_connected_graphs(self, g):
-        dm = all_pairs_distances(g)
-        d = dm.dist
+        d = all_pairs_distances(g)
         n = g.vertex_count
         for u in range(n):
             assert d[u][u] == 0
@@ -268,7 +267,7 @@ LONG_DIAMETER_GRAPHS = long_diameter_graphs()
 
 
 def largest_finite_distance(dm):
-    return max((d for row in dm.dist for d in row if d != UNREACHABLE), default=0)
+    return max((d for row in dm for d in row if d != UNREACHABLE), default=0)
 
 
 class TestDistanceBalls:
@@ -290,7 +289,7 @@ class TestDistanceBalls:
         balls = list(distance_balls(g))
         assert balls == balls_from_distances(dm)
         # diameter(g) counts the radii; the matrix's largest entry must agree
-        assert diameter(g) == max(max(row) for row in dm.dist) == len(balls) - 1
+        assert diameter(g) == max(max(row) for row in dm) == len(balls) - 1
         assert balls[-1] == [(1 << g.vertex_count) - 1] * g.vertex_count
 
     def test_small_cases(self):
@@ -319,7 +318,7 @@ class TestDiameterConnectivity:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_bfs_rows_on_random_graphs(self, seed):
         g = random_connected_graph(random.Random(seed), min_order=1, max_order=40)
-        rows = all_pairs_distances(g).dist
+        rows = all_pairs_distances(g)
         assert diameter(g) == max(max(row) for row in rows)
 
     def test_builds_no_matrix(self, monkeypatch):

@@ -6,7 +6,6 @@ from strongdim import jahangir, strong_metric
 from strongdim.jahangir import EVEN_CASES, ODD_CASES
 
 from strongdim import (
-    DistanceMatrix,
     GraphError,
     InternalInconsistencyError,
     JahangirParams,
@@ -330,7 +329,7 @@ class TestExtremalDistancePairs:
         assert lab.pair(2, 6) in pairs
         dm = all_pairs_distances(g)
         a, b = lab.pair(2, 6)
-        assert dm.dist[a][b] == 4
+        assert dm[a][b] == 4
 
     def test_odd_a_longest_pair(self):
         p = JahangirParams(5, 5)
@@ -339,7 +338,7 @@ class TestExtremalDistancePairs:
         assert lab.pair(3, 9) in tagged["n_plus_1"]
         dm = all_pairs_distances(g)
         a, b = lab.pair(3, 9)
-        assert dm.dist[a][b] == 6
+        assert dm[a][b] == 6
 
     def test_case_parameter_mismatch(self):
         with pytest.raises(GraphError):
@@ -425,14 +424,16 @@ class TestVerifyPredictions:
         ).size
 
     def test_no_cell_builds_a_distance_matrix(self, monkeypatch):
+        # brute force looks the matrix builder up in strong_metric; jahangir has none
+        assert not hasattr(jahangir, "all_pairs_distances")
         built = []
-        real_init = DistanceMatrix.__init__
+        real = strong_metric.all_pairs_distances
 
-        def counted(self, order, dist):
-            built.append(order)
-            real_init(self, order, dist)
+        def counted(g):
+            built.append(g.vertex_count)
+            return real(g)
 
-        monkeypatch.setattr(DistanceMatrix, "__init__", counted)
+        monkeypatch.setattr(strong_metric, "all_pairs_distances", counted)
         for n, m in ((3, 3), (4, 4), (6, 5), (5, 5)):  # base, exploratory, even, odd
             assert verify_predictions(JahangirParams(n, m), brute_cap=0).passed
         assert built == []
@@ -469,9 +470,9 @@ class TestVerifyPredictions:
 def _with_distance(u: int, v: int, value: int):
     """A ``distance_balls`` whose balls misreport d(u, v) = d(v, u) as ``value``."""
     def skewed(g):
-        rows = [list(row) for row in all_pairs_distances(g).dist]
+        rows = [list(row) for row in all_pairs_distances(g)]
         rows[u][v] = rows[v][u] = value
-        return balls_from_distances(DistanceMatrix(g.vertex_count, tuple(tuple(row) for row in rows)))
+        return balls_from_distances(rows)
 
     return skewed
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import strongdim
-from strongdim import jahangir, strong_metric
+from strongdim import graphs, jahangir, strong_metric, vertex_cover
 
 
 def test_every_exported_name_resolves():
@@ -21,7 +21,10 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize(
     "module,name",
     [(strongdim, "JahangirLabeling"), (jahangir, "JahangirLabeling"),
-     (strongdim, "MmdPairSet"), (strong_metric, "MmdPairSet")],
+     (strongdim, "MmdPairSet"), (strong_metric, "MmdPairSet"),
+     (strongdim, "max_independent_set"), (vertex_cover, "max_independent_set"),
+     (strongdim, "mmd_pairs"), (strong_metric, "mmd_pairs"),
+     (strongdim, "DistanceMatrix"), (graphs, "DistanceMatrix")],
 )
 def test_folded_types_are_gone(module, name):
     assert not hasattr(module, name)
@@ -33,6 +36,47 @@ def test_duplicate_members_are_gone():
     assert list(inspect.signature(strongdim.diameter).parameters) == ["g"]
     report_fields = {f.name for f in dataclasses.fields(strongdim.VerificationReport)}
     assert "alpha_computed" in report_fields and "pipeline_sdim" not in report_fields
+
+
+def test_dead_knobs_are_gone():
+    assert list(inspect.signature(strongdim.exact_min_vertex_cover).parameters) == ["g"]
+    assert list(inspect.signature(strongdim.parse).parameters) == ["text"]
+    assert not hasattr(strongdim, "EXACT_COVER_CAP")
+
+
+# Unread parameters kept on purpose: the benchmark harness in perfbench/
+# passes a distance matrix to these two positionally.
+UNREAD_PARAMETERS = {"is_strong_resolving_set.dm", "strong_resolving_graph.dm"}
+
+
+def _unread_parameters(tree: ast.AST, prefix: str = "") -> list[str]:
+    """``qualname.param`` for every parameter of every def in ``tree`` never loaded in its body."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found += _unread_parameters(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            found += [f"{prefix}{node.name}.{p}" for p in params if p not in read]
+            found += _unread_parameters(node, f"{prefix}{node.name}.")
+    return found
+
+
+def test_every_parameter_is_read():
+    package = Path(strongdim.__file__).parent
+    unread = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        unread += [f"{source.stem}.{name}" for name in _unread_parameters(tree)]
+    assert sorted(unread) == sorted(f"strong_metric.{name}" for name in UNREAD_PARAMETERS)
 
 
 def test_runtime_is_stdlib_only():

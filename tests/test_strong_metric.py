@@ -18,7 +18,6 @@ from strongdim import (
     cycle_graph,
     is_maximally_distant,
     is_strong_resolving_set,
-    mmd_pairs,
     path_graph,
     sdim_formula,
     sdim_via_cover,
@@ -143,6 +142,11 @@ def scalar_mmd_pairs(g, dm):
     }
 
 
+def srg_edge_set(g):
+    """The MMD pairs of ``g`` as (u, v), u < v: the edges of its strong resolving graph."""
+    return frozenset(strong_resolving_graph(g).edges())
+
+
 def jahangir_with_distances(n, m):
     g, lab = build_jahangir(JahangirParams(n, m))
     return g, lab, all_pairs_distances(g)
@@ -208,7 +212,7 @@ class TestIsStrongResolvingSet:
             assert is_strong_resolving_set(g, dm, basis) == (True, None)
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
-                    assert any(dm.dist[u][w] != dm.dist[v][w] for w in basis)
+                    assert any(dm[u][w] != dm[v][w] for w in basis)
 
     @given(graphs_with_subsets())
     @settings(max_examples=300, deadline=None)
@@ -384,20 +388,20 @@ class TestMaximallyDistant:
 
 class TestMmdPairs:
     def test_c4_antipodes(self):
-        assert mmd_pairs(cycle_graph(4)) == frozenset({(0, 2), (1, 3)})
+        assert srg_edge_set(cycle_graph(4)) == frozenset({(0, 2), (1, 3)})
 
     @pytest.mark.parametrize(
         "n,m,golden", [(2, 3, MMD_23), (3, 3, MMD_33), (4, 3, MMD_43)]
     )
     def test_base_case_goldens(self, n, m, golden):
         g, lab, _ = jahangir_with_distances(n, m)
-        assert mmd_pairs(g) == id_pairs(lab, golden)
+        assert srg_edge_set(g) == id_pairs(lab, golden)
 
     def test_definitional_round_trip(self):
         for seed in range(8):
             g = random_connected_graph(random.Random(seed), max_order=10)
             dm = all_pairs_distances(g)
-            pairs = mmd_pairs(g)
+            pairs = srg_edge_set(g)
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
                     both = is_maximally_distant(g, dm, u, v) and is_maximally_distant(
@@ -405,7 +409,7 @@ class TestMmdPairs:
                     )
                     assert both == ((u, v) in pairs)
 
-    @pytest.mark.parametrize("scan", [mmd_masks, mmd_pairs, strong_resolving_graph])
+    @pytest.mark.parametrize("scan", [mmd_masks, strong_resolving_graph])
     @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
     def test_rejects_disconnected(self, scan, g):
         with pytest.raises(DisconnectedGraphError, match="MMD pairs are defined for connected graphs"):
@@ -413,28 +417,28 @@ class TestMmdPairs:
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_trivial_orders_have_no_pairs(self, order):
-        assert mmd_pairs(build_graph(order, [])) == frozenset()
+        assert srg_edge_set(build_graph(order, [])) == frozenset()
         assert mmd_masks(build_graph(order, [])) == [0] * order
 
     def test_runs_no_separate_connectivity_bfs(self, monkeypatch):
         def refuse(g):
-            raise AssertionError("mmd_pairs ran is_connected")
+            raise AssertionError("the MMD scan ran is_connected")
 
         monkeypatch.setattr(strong_metric, "is_connected", refuse)
-        assert mmd_pairs(cycle_graph(6)) == frozenset({(0, 3), (1, 4), (2, 5)})
+        assert srg_edge_set(cycle_graph(6)) == frozenset({(0, 3), (1, 4), (2, 5)})
         with pytest.raises(DisconnectedGraphError):
-            mmd_pairs(build_graph(3, [(1, 2)]))
+            srg_edge_set(build_graph(3, [(1, 2)]))
 
     @given(connected_graphs())
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_definition(self, g):
         dm = all_pairs_distances(g)
-        assert mmd_pairs(g) == scalar_mmd_pairs(g, dm)
+        assert srg_edge_set(g) == scalar_mmd_pairs(g, dm)
 
     @pytest.mark.parametrize("g", LONG_DIAMETER_GRAPHS)
     def test_matches_scalar_definition_at_long_diameter(self, g):
         dm = all_pairs_distances(g)
-        assert mmd_pairs(g) == scalar_mmd_pairs(g, dm)
+        assert srg_edge_set(g) == scalar_mmd_pairs(g, dm)
 
 
 @st.composite

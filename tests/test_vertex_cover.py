@@ -15,7 +15,6 @@ from strongdim import (
     greedy_cover,
     is_vertex_cover,
     matching_lower_bound,
-    max_independent_set,
     path_graph,
     sdim_formula,
     strong_resolving_graph,
@@ -142,9 +141,9 @@ class TestExactCover:
         assert is_vertex_cover(srg, result.cover) == (True, None)
 
     def test_cap(self):
-        g = build_graph(10, [(0, 1)])
-        with pytest.raises(SizeLimitError):
-            exact_min_vertex_cover(g, max_vertices=5)
+        with pytest.raises(SizeLimitError) as info:
+            exact_min_vertex_cover(build_graph(257, []))
+        assert str(info.value) == "graph has 257 vertices, exact cover cap is 256"
 
     def test_deterministic_including_statistics(self):
         g = srg_of(7, 4)
@@ -204,36 +203,38 @@ class TestExactCover:
         assert matching_lower_bound(g) <= exact.size <= greedy_cover(g).size
 
 
+def cover_complement(g):
+    """The vertices outside the exact cover, ascending: a maximum independent set."""
+    cover = set(exact_min_vertex_cover(g).cover)
+    return [v for v in range(g.vertex_count) if v not in cover]
+
+
 class TestMaxIndependentSet:
+    """The maximum independent set the exact cover search finds, read as the cover's complement."""
+
     def test_c4(self):
-        assert len(max_independent_set(cycle_graph(4))) == 2
+        assert len(cover_complement(cycle_graph(4))) == 2
 
     def test_k3(self):
-        assert len(max_independent_set(complete_graph(3))) == 1
+        assert len(cover_complement(complete_graph(3))) == 1
 
     def test_three_k2_plus_isolated(self):
         # strong resolving graph of J(3,3): three disjoint edges, four isolated
-        assert len(max_independent_set(srg_of(3, 3))) == 7
+        assert len(cover_complement(srg_of(3, 3))) == 7
 
     @given(graphs_of_density())
     @settings(max_examples=120, deadline=None)
     def test_matches_exhaustive_oracle(self, g):
-        mis = max_independent_set(g)
+        mis = cover_complement(g)
         for i, u in enumerate(mis):
             for v in mis[i + 1 :]:
                 assert not g.has_edge(u, v)
         assert len(mis) == g.vertex_count - exhaustive_min_cover_size(g)
 
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            max_independent_set(build_graph(10, [(0, 1)]), max_vertices=5)
-
     @given(sparse_graphs(max_order=16))
     @settings(max_examples=40, deadline=None)
     def test_duality(self, g):
-        mis = max_independent_set(g)
-        alpha = exact_min_vertex_cover(g).size
-        assert len(mis) + alpha == g.vertex_count
-        for i, u in enumerate(mis):
-            for v in mis[i + 1 :]:
-                assert not g.has_edge(u, v)
+        result = exact_min_vertex_cover(g)
+        rest = set(range(g.vertex_count)) - set(result.cover)
+        assert not any(u in rest and v in rest for u, v in g.edges())
+        assert exact_min_vertex_cover(g) == result
