@@ -34,8 +34,7 @@ from .jahangir import (
     predicted_cover_odd,
     regime,
     sdim_formula,
-    srg_edge_families_even,
-    srg_edge_families_odd,
+    srg_edge_families,
     verify_predictions,
 )
 from .strong_metric import (
@@ -98,8 +97,7 @@ __all__ = [
     "sdim_formula",
     "sdim_via_cover",
     "serialize",
-    "srg_edge_families_even",
-    "srg_edge_families_odd",
+    "srg_edge_families",
     "strong_resolving_graph",
     "strongly_resolves",
     "verify_predictions",

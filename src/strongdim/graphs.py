@@ -222,13 +222,19 @@ def unpack_rows(packed: int, side: int, count: int) -> list[int]:
 
 @cache
 def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of each delta swap of :func:`transpose`, for j = side / 2 .. 1."""
+    """(shift, mask) of each delta swap of :func:`transpose`, for j = side / 2 .. 1.
+
+    A mask holds one row, the columns with bit j set, in every row with bit
+    j clear; it is joined from row bytes, linear in its size.
+    """
+    width = side // 8
+    blank = bytes(width)
     steps = []
     for k in range(1, side.bit_length()):
         j = side >> k
-        columns = sum(1 << c for c in range(side) if c & j)  # one row: columns with bit j set
-        rows = sum(1 << r * side for r in range(side) if not r & j)  # bit 0 of rows with bit j clear
-        steps.append((j * (side - 1), columns * rows))
+        columns = sum(1 << c for c in range(side) if c & j).to_bytes(width, "little")
+        rows = b"".join([blank if r & j else columns for r in range(side)])
+        steps.append((j * (side - 1), int.from_bytes(rows, "little")))
     return tuple(steps)
 
 

@@ -11,11 +11,13 @@ The paper gives the strong metric dimension in three parameter regimes, and
 in two of them the strong resolving graph's edges and an optimal vertex
 cover.  :func:`regime` is the one place the regime conditions are written;
 the private table ``_REGIMES`` holds everything else, one row per regime:
-the closed form, the edge-family and cover builders, the extremal-distance
-cases (merged into ``_CASES``) and the condition the builders name when
-refused.  :func:`verify_predictions` rebuilds all of that from scratch
-through :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact
-cover, re-check) and reports any disagreement with the closed forms.
+the closed form, the cover builder, the extremal-distance cases (merged
+into ``_CASES``) and the condition the builders name when refused.  The
+even and odd edge families differ only in a segment's midpoint positions,
+so :func:`srg_edge_families` builds both.  :func:`verify_predictions`
+recomputes all of that through
+:func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact cover,
+re-check) and reports any disagreement with the closed forms.
 
 The extremal-distance scans read every radius of
 :func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds a
@@ -29,7 +31,7 @@ diametrical-path condition of odd-a is tested on spheres as well (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import (
     Graph,
@@ -157,56 +159,36 @@ def _nonconsecutive(m: int) -> list[tuple[int, int]]:
 # ---------- predicted strong-resolving-graph edges ----------
 
 
-def srg_edge_families_even(params: JahangirParams) -> _Tagged:
-    """Predicted MMD pairs of J(n, m) for even n > 5, m >= 4, by family.
+def srg_edge_families(params: JahangirParams) -> _Tagged:
+    """Predicted MMD pairs of J(n, m) for the even and odd regimes, by family.
 
-    "adjacent": pairs spanning consecutive internal cycles, one endpoint
-    the midpoint vertex of its segment.  "distant": midpoint pairs from
-    non-consecutive cycles.  "within": same-segment pairs whose rim
-    positions differ by n/2 + 1.
+    A segment has one midpoint position, n/2 + 1, when n is even, and two,
+    h + 1 and h + 2 with h = (n-1)/2, when n is odd.  "adjacent": position
+    n//2 + a of each cycle with n//2 + a + 1 of the next, for a = 0 .. the
+    number of midpoints.  "distant": midpoints of non-consecutive cycles.
+    "within": same-segment positions i >= 2 and i + d, d a midpoint position.
     """
-    _require_regime(params, "even")
+    if regime(params) not in ("even", "odd"):
+        raise GraphError(
+            f"edge-family predictions need {_REGIMES['even'].needs} or {_REGIMES['odd'].needs}, "
+            f"got ({params.n}, {params.m})"
+        )
     n, m = params.n, params.m
     pair = params.pair
     half = n // 2
-    adjacent = _consecutive_pairs(params, (0, 1))
-    distant = {pair(n * k + half + 1, n * k2 + half + 1) for k, k2 in _nonconsecutive(m)}
-    within: set[tuple[int, int]] = set()
-    for k in range(m):
-        for i in range(2, half):
-            within.add(pair(n * k + i, n * k + i + half + 1))
-    return {
-        "adjacent": adjacent,
-        "distant": frozenset(distant),
-        "within": frozenset(within),
-    }
-
-
-def srg_edge_families_odd(params: JahangirParams) -> _Tagged:
-    """Predicted MMD pairs of J(n, m) for odd n >= 5, m >= 4, by family.
-
-    With h = (n-1)/2: "adjacent" pairs one of the two near-midpoint
-    vertices (positions h, h+1, h+2, h+3 within a segment) of consecutive
-    cycles; "distant" combines positions h+1 and h+2 across
-    non-consecutive cycles; "within" pairs same-segment positions that
-    differ by h+1 or h+2.
-    """
-    _require_regime(params, "odd")
-    n, m = params.n, params.m
-    pair = params.pair
-    half = n // 2
-    adjacent = _consecutive_pairs(params, (0, 1, 2))
+    mids = (half + 1,) if n % 2 == 0 else (half + 1, half + 2)
+    adjacent = _consecutive_pairs(params, range(len(mids) + 1))
     distant: set[tuple[int, int]] = set()
     for k, k2 in _nonconsecutive(m):
-        for a in (half + 1, half + 2):
-            for b in (half + 1, half + 2):
+        for a in mids:
+            for b in mids:
                 distant.add(pair(n * k + a, n * k2 + b))
     within: set[tuple[int, int]] = set()
     for k in range(m):
         for i in range(2, half + 1):
-            for delta in (half + 1, half + 2):
-                if i + delta <= n:
-                    within.add(pair(n * k + i, n * k + i + delta))
+            for d in mids:
+                if i + d <= n:
+                    within.add(pair(n * k + i, n * k + i + d))
     return {
         "adjacent": adjacent,
         "distant": frozenset(distant),
@@ -214,7 +196,7 @@ def srg_edge_families_odd(params: JahangirParams) -> _Tagged:
     }
 
 
-def _consecutive_pairs(params: JahangirParams, starts: tuple[int, ...]) -> _Pairs:
+def _consecutive_pairs(params: JahangirParams, starts: Sequence[int]) -> _Pairs:
     """Position n//2 + a of each segment k paired with n//2 + a + 1 of k + 1, a in ``starts``."""
     n, half = params.n, params.n // 2
     return frozenset(
@@ -276,44 +258,39 @@ class _Regime(NamedTuple):
 
     sdim: Callable[[int, int], int]  # the closed form in (n, m)
     cases: dict[str, tuple]  # extremal-distance cases
-    families: Callable[[JahangirParams], _Tagged] | None = None  # predicted SRG edges by family
     cover: Callable[[JahangirParams], frozenset[int]] | None = None  # predicted optimal cover
     needs: str = ""  # the condition the builders name outside the regime
 
 
-# A case maps to (tag, SRG edge family, scan scope, distance offset,
-# off-path tag): the family is the scope's pairs at distance n + offset
-# between "consecutive" or "nonconsecutive" internal cycles, or
-# n//2 + offset "within" one segment.  An off-path tag adds the scope's
-# pairs one closer that lie on no diametrical path.
+# A case maps to (tag, SRG edge family, distance offset, off-path tag):
+# the family is the pairs at distance n + offset between consecutive
+# ("adjacent") or non-consecutive ("distant") internal cycles, or at
+# n//2 + offset "within" one segment.  An off-path tag adds the family's
+# scan one closer: its pairs that lie on no diametrical path.
 _REGIMES = {
     "base": _Regime(sdim=lambda n, m: 3, cases={}),
     "even": _Regime(
         sdim=lambda n, m: m * (n - 2) // 2,
-        families=srg_edge_families_even,
         cover=predicted_cover_even,
         cases={
-            "even-a": ("n_plus_1", "adjacent", "consecutive", 1, None),
-            "even-b": ("n_plus_2", "distant", "nonconsecutive", 2, None),
-            "even-c": ("half_plus_1", "within", "within", 1, None),
+            "even-a": ("n_plus_1", "adjacent", 1, None),
+            "even-b": ("n_plus_2", "distant", 2, None),
+            "even-c": ("half_plus_1", "within", 1, None),
         },
         needs="even n > 5 and m >= 4",
     ),
     "odd": _Regime(
         sdim=lambda n, m: m * (n - 1) // 2 + m - 3,
-        families=srg_edge_families_odd,
         cover=predicted_cover_odd,
         cases={
-            "odd-a": ("n_plus_1", "adjacent", "consecutive", 1, "n_off_diametrical"),
-            "odd-b": ("n_plus_1", "distant", "nonconsecutive", 1, None),
-            "odd-c": ("half_plus_1", "within", "within", 1, None),
+            "odd-a": ("n_plus_1", "adjacent", 1, "n_off_diametrical"),
+            "odd-b": ("n_plus_1", "distant", 1, None),
+            "odd-c": ("half_plus_1", "within", 1, None),
         },
         needs="odd n >= 5 and m >= 4",
     ),
 }
 _CASES = {case: row for spec in _REGIMES.values() for case, row in spec.cases.items()}
-EVEN_CASES = tuple(_REGIMES["even"].cases)
-ODD_CASES = tuple(_REGIMES["odd"].cases)
 
 
 def _check_case(case: str) -> None:
@@ -331,13 +308,13 @@ def extremal_distance_pairs(params: JahangirParams, case: str) -> _Tagged:
     on no diametrical path.
     """
     _check_case(case)
-    families_of = next(spec.families for spec in _REGIMES.values() if case in spec.cases)
-    return _extremal_pairs(params, families_of(params), case)
+    _require_regime(params, next(kind for kind, spec in _REGIMES.items() if case in spec.cases))
+    return _extremal_pairs(params, srg_edge_families(params), case)
 
 
 def _extremal_pairs(params: JahangirParams, families: _Tagged, case: str) -> _Tagged:
     """:func:`extremal_distance_pairs` read off already built edge families."""
-    tag, family, _, _, off_tag = _CASES[case]
+    tag, family, _, off_tag = _CASES[case]
     if off_tag is None:
         return {tag: families[family]}
     # the odd "adjacent" family splits into the m pairs at distance n+1
@@ -353,8 +330,8 @@ def _sphere(balls: list[list[int]], r: int, x: int) -> int:
     return balls[r][x] ^ balls[r - 1][x] if r else balls[0][x]  # each radius holds the one before
 
 
-def _pairs_at(balls: list[list[int]], params: JahangirParams, scope: str, target: int) -> _Pairs:
-    """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``.
+def _pairs_at(balls: list[list[int]], params: JahangirParams, family: str, target: int) -> _Pairs:
+    """Pairs at distance ``target`` across the cycle pairs or segments ``family`` spans.
 
     Each vertex ``x`` of a cycle or segment is paired with one mask: the
     other degree-2 vertices of its segment ("within"), or the union of the
@@ -362,11 +339,11 @@ def _pairs_at(balls: list[list[int]], params: JahangirParams, scope: str, target
     that mask on the sphere of radius ``target`` around ``x``.
     """
     m = params.m
-    if scope == "within":
+    if family == "within":
         segments = [params.inner_cycle_ids(k) for k in range(m)]
         rows = [(ids, sum(1 << v for v in ids)) for ids in segments]
     else:
-        ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
+        ks = [(k, (k + 1) % m) for k in range(m)] if family == "adjacent" else _nonconsecutive(m)
         cycles = [params.cycle_ids(k) for k in range(m)]
         partners = [0] * m
         for k, k2 in ks:
@@ -399,12 +376,12 @@ def _on_diametrical_path(balls: list[list[int]], x: int, y: int, t: int) -> bool
 
 def _measure(balls: list[list[int]], params: JahangirParams, case: str) -> tuple[_Tagged, _Pairs]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
-    tag, _, scope, offset, off_tag = _CASES[case]
-    target = (params.n // 2 if scope == "within" else params.n) + offset
-    measured = {tag: _pairs_at(balls, params, scope, target)}
+    tag, family, offset, off_tag = _CASES[case]
+    target = (params.n // 2 if family == "within" else params.n) + offset
+    measured = {tag: _pairs_at(balls, params, family, target)}
     if off_tag is None:
         return measured, frozenset()
-    near = _pairs_at(balls, params, scope, target - 1)
+    near = _pairs_at(balls, params, family, target - 1)
     on_path = frozenset(
         (x, y) for x, y in near if _on_diametrical_path(balls, x, y, target - 1)
     )
@@ -512,9 +489,9 @@ def verify_predictions(
     cover_size: int | None = None
 
     spec = _REGIMES[kind] if kind is not None else None
-    if spec is not None and spec.families is not None:
+    if spec is not None and spec.cases:
         balls = list(distance_balls(g))  # read only by the extremal-distance scans
-        families = spec.families(params)
+        families = srg_edge_families(params)
         predicted_cover = spec.cover(params)
         predicted_edges = frozenset().union(*families.values())
         actual_edges = frozenset(srg.edges())

@@ -242,7 +242,8 @@ def scalar_measure(
     d: tuple[tuple[int, ...], ...], lab: JahangirParams, case: str
 ) -> tuple[dict[str, frozenset[tuple[int, int]]], frozenset[tuple[int, int]]]:
     """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
-    tag, _, scope, offset, off_tag = _CASES[case]
+    tag, family, offset, off_tag = _CASES[case]
+    scope = {"adjacent": "consecutive", "distant": "nonconsecutive", "within": "within"}[family]
     target = (lab.n // 2 if scope == "within" else lab.n) + offset
     measured = {tag: scalar_pairs_at(d, lab, scope, target)}
     if off_tag is None:

@@ -27,7 +27,7 @@ from strongdim import (
     serialize,
     strong_resolving_graph,
 )
-from strongdim.graphs import graph_from_masks, pack_rows, transpose, unpack_rows
+from strongdim.graphs import graph_from_masks, members, pack_rows, transpose, unpack_rows
 from helpers import balls_from_distances, long_diameter_graphs, random_connected_graph
 
 
@@ -116,6 +116,17 @@ def structured_matrices(side):
     }
 
 
+def summed_swap_masks(side):
+    """The delta-swap masks built as sums of shifted bits, superlinear in the mask size."""
+    steps = []
+    for k in range(1, side.bit_length()):
+        j = side >> k
+        columns = sum(1 << c for c in range(side) if c & j)
+        rows = sum(1 << r * side for r in range(side) if not r & j)
+        steps.append((j * (side - 1), columns * rows))
+    return tuple(steps)
+
+
 def masks_of(g):
     return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
 
@@ -135,6 +146,24 @@ class TestTranspose:
             flipped = transpose(packed, side)
             assert unpack_rows(flipped, side, side) == naive_transpose(rows, side), name
             assert transpose(flipped, side) == packed, name
+
+    @pytest.mark.parametrize("side", [8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_swap_masks_equal_the_summed_masks(self, side):
+        assert graphs_module._swap_masks(side) == summed_swap_masks(side)
+
+    @pytest.mark.parametrize("side", [2048, 4096])
+    def test_sparse_transpose_above_the_cover_cap(self, side):
+        rng = random.Random(side)
+        corners = {(0, 0), (0, side - 1), (side - 1, 0), (side - 1, side - 1)}
+        points = corners | {(rng.randrange(side), rng.randrange(side)) for _ in range(60)}
+        rows = [0] * side
+        for r, c in points:
+            rows[r] |= 1 << c
+        packed, packed_side = pack_rows(rows)
+        assert packed_side == side
+        flipped = transpose(packed, side)
+        assert {divmod(bit, side) for bit in members(flipped)} == {(c, r) for r, c in points}
+        graphs_module._swap_masks.cache_clear()  # about 30 MB of masks at these two sides
 
     @pytest.mark.parametrize("count,side", [(0, 8), (1, 8), (8, 8), (9, 16), (100, 128), (129, 256)])
     def test_pack_side_and_round_trip(self, count, side):

@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from strongdim import jahangir, strong_metric
-from strongdim.jahangir import EVEN_CASES, ODD_CASES
 
 from strongdim import (
     GraphError,
@@ -22,8 +21,7 @@ from strongdim import (
     predicted_cover_odd,
     regime,
     sdim_formula,
-    srg_edge_families_even,
-    srg_edge_families_odd,
+    srg_edge_families,
     strong_resolving_graph,
     verify_predictions,
 )
@@ -47,6 +45,7 @@ ODD_GRID = [(n, m) for n in (5, 7, 9, 11) for m in range(4, 9)]
 REGIME_GRID = [(n, m) for n in range(2, 17) for m in range(3, 13)]
 # every even- and odd-regime cell of n 5..16, m 4..12
 SCAN_GRID = [(n, m) for n in range(5, 17) for m in range(4, 13)]
+FAMILIES_NEED = "edge-family predictions need even n > 5 and m >= 4 or odd n >= 5 and m >= 4"
 
 
 class TestConstruction:
@@ -139,13 +138,19 @@ class TestRegime:
 
     @pytest.mark.parametrize("n,m", REGIME_GRID)
     def test_family_predictions_need_their_regime(self, n, m):
+        # the families exist exactly in the even and odd regimes
         p = JahangirParams(n, m)
-        for name, families in (("even", srg_edge_families_even), ("odd", srg_edge_families_odd)):
-            if regime(p) == name:
-                families(p)
-            else:
-                with pytest.raises(GraphError, match=f"{name}-n predictions"):
-                    families(p)
+        if regime(p) in ("even", "odd"):
+            assert set(srg_edge_families(p)) == {"adjacent", "distant", "within"}
+        else:
+            with pytest.raises(GraphError, match="edge-family predictions"):
+                srg_edge_families(p)
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (2, 3)])  # exploratory, base
+    def test_edge_family_refusal_message(self, n, m):
+        with pytest.raises(GraphError) as excinfo:
+            srg_edge_families(JahangirParams(n, m))
+        assert str(excinfo.value) == f"{FAMILIES_NEED}, got ({n}, {m})"
 
     @pytest.mark.parametrize(
         "n,m,expected",
@@ -158,9 +163,9 @@ class TestRegime:
         for case in jahangir._CASES:
             rows = [kind for kind, spec in jahangir._REGIMES.items() if case in spec.cases]
             assert len(rows) == 1, case
-        assert EVEN_CASES == ("even-a", "even-b", "even-c")
-        assert ODD_CASES == ("odd-a", "odd-b", "odd-c")
-        assert tuple(jahangir._CASES) == EVEN_CASES + ODD_CASES
+        assert tuple(jahangir._REGIMES["even"].cases) == ("even-a", "even-b", "even-c")
+        assert tuple(jahangir._REGIMES["odd"].cases) == ("odd-a", "odd-b", "odd-c")
+        assert tuple(jahangir._CASES) == ("even-a", "even-b", "even-c", "odd-a", "odd-b", "odd-c")
 
     def test_regime_and_formula_on_the_2_40_grid(self):
         # the paper's three closed forms, written out here independently
@@ -180,9 +185,7 @@ class TestRegime:
     @pytest.mark.parametrize(
         "builder,needs",
         [
-            (srg_edge_families_even, "even-n predictions need even n > 5"),
             (predicted_cover_even, "even-n predictions need even n > 5"),
-            (srg_edge_families_odd, "odd-n predictions need odd n >= 5"),
             (predicted_cover_odd, "odd-n predictions need odd n >= 5"),
         ],
     )
@@ -198,21 +201,21 @@ class TestEvenFamilies:
     def test_golden_6_5(self):
         p = JahangirParams(6, 5)
         g, lab = build_jahangir(p)
-        families = srg_edge_families_even(p)
+        families = srg_edge_families(p)
         assert families["adjacent"] == id_pairs(lab, EVEN_65_ADJACENT)
         assert families["distant"] == id_pairs(lab, EVEN_65_DISTANT)
         assert families["within"] == id_pairs(lab, EVEN_65_WITHIN)
 
     @pytest.mark.parametrize("n,m", EVEN_GRID)
     def test_counting_identities(self, n, m):
-        families = srg_edge_families_even(JahangirParams(n, m))
+        families = srg_edge_families(JahangirParams(n, m))
         assert len(families["adjacent"]) == 2 * m
         assert len(families["distant"]) == m * (m - 3) // 2
         assert len(families["within"]) == m * (n // 2 - 2)
 
     @pytest.mark.parametrize("n,m", EVEN_GRID)
     def test_families_pairwise_disjoint(self, n, m):
-        families = srg_edge_families_even(JahangirParams(n, m))
+        families = srg_edge_families(JahangirParams(n, m))
         assert not families["adjacent"] & families["distant"]
         assert not families["adjacent"] & families["within"]
         assert not families["distant"] & families["within"]
@@ -220,23 +223,15 @@ class TestEvenFamilies:
     def test_matches_computed_srg(self):
         p = JahangirParams(8, 5)
         g, _ = build_jahangir(p)
-        predicted = frozenset().union(*srg_edge_families_even(p).values())
+        predicted = frozenset().union(*srg_edge_families(p).values())
         assert predicted == frozenset(strong_resolving_graph(g).edges())
-
-    def test_regime_enforced(self):
-        with pytest.raises(GraphError, match="even-n predictions"):
-            srg_edge_families_even(JahangirParams(5, 5))
-        with pytest.raises(GraphError, match="even-n predictions"):
-            srg_edge_families_even(JahangirParams(4, 4))
-        with pytest.raises(GraphError, match="even-n predictions"):
-            srg_edge_families_even(JahangirParams(6, 3))
 
 
 class TestOddFamilies:
     def test_golden_5_5(self):
         p = JahangirParams(5, 5)
         _, lab = build_jahangir(p)
-        families = srg_edge_families_odd(p)
+        families = srg_edge_families(p)
         assert families["adjacent"] == id_pairs(lab, ODD_55_ADJACENT)
         assert families["distant"] == id_pairs(lab, ODD_55_DISTANT)
         assert families["within"] == id_pairs(lab, ODD_55_WITHIN)
@@ -244,13 +239,13 @@ class TestOddFamilies:
     def test_golden_5_5_spot_members(self):
         p = JahangirParams(5, 5)
         _, lab = build_jahangir(p)
-        adjacent = srg_edge_families_odd(p)["adjacent"]
+        adjacent = srg_edge_families(p)["adjacent"]
         for i, j in ((2, 8), (3, 22), (3, 9)):
             assert lab.pair(i, j) in adjacent
 
     @pytest.mark.parametrize("n,m", ODD_GRID)
     def test_counting_identities(self, n, m):
-        families = srg_edge_families_odd(JahangirParams(n, m))
+        families = srg_edge_families(JahangirParams(n, m))
         assert len(families["adjacent"]) == 3 * m
         assert len(families["distant"]) == 2 * m * (m - 3)
         assert len(families["within"]) == m * (n - 4)
@@ -258,14 +253,18 @@ class TestOddFamilies:
     def test_matches_computed_srg(self):
         p = JahangirParams(7, 5)
         g, _ = build_jahangir(p)
-        predicted = frozenset().union(*srg_edge_families_odd(p).values())
+        predicted = frozenset().union(*srg_edge_families(p).values())
         assert predicted == frozenset(strong_resolving_graph(g).edges())
 
-    def test_regime_enforced(self):
-        with pytest.raises(GraphError, match="odd-n predictions"):
-            srg_edge_families_odd(JahangirParams(6, 5))
-        with pytest.raises(GraphError, match="odd-n predictions"):
-            srg_edge_families_odd(JahangirParams(3, 4))
+
+@pytest.mark.parametrize("n", range(17, 41))
+def test_families_match_computed_srg_beyond_the_goldens(n):
+    # the goldens stop at n = 16; every even and odd cell of m 4..12 here
+    for m in range(4, 13):
+        p = JahangirParams(n, m)
+        g, _ = build_jahangir(p)
+        predicted = frozenset().union(*srg_edge_families(p).values())
+        assert predicted == frozenset(strong_resolving_graph(g).edges()), (n, m)
 
 
 class TestPredictedCovers:
@@ -341,10 +340,14 @@ class TestExtremalDistancePairs:
         assert dm[a][b] == 6
 
     def test_case_parameter_mismatch(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError) as excinfo:
             extremal_distance_pairs(JahangirParams(5, 5), "even-a")
-        with pytest.raises(GraphError):
+        assert str(excinfo.value) == "even-n predictions need even n > 5 and m >= 4, got (5, 5)"
+        with pytest.raises(GraphError) as excinfo:
             extremal_distance_pairs(JahangirParams(6, 5), "odd-c")
+        assert str(excinfo.value) == "odd-n predictions need odd n >= 5 and m >= 4, got (6, 5)"
+        with pytest.raises(GraphError, match="even-n predictions"):
+            extremal_distance_pairs(JahangirParams(4, 4), "even-b")
 
     def test_unknown_case(self):
         with pytest.raises(GraphError, match="unknown case"):
@@ -377,7 +380,7 @@ class TestExtremalDistancePairs:
         g, lab = build_jahangir(p)
         balls = list(distance_balls(g))
         dm = all_pairs_distances(g)
-        for case in (EVEN_CASES if regime(p) == "even" else ODD_CASES):
+        for case in jahangir._REGIMES[regime(p)].cases:
             measured, excluded = jahangir._measure(balls, lab, case)
             assert (measured, excluded) == scalar_measure(dm, lab, case)
             assert measured_distance_pairs(g, lab, case) == measured

@@ -24,7 +24,10 @@ def test_every_exported_name_resolves():
      (strongdim, "MmdPairSet"), (strong_metric, "MmdPairSet"),
      (strongdim, "max_independent_set"), (vertex_cover, "max_independent_set"),
      (strongdim, "mmd_pairs"), (strong_metric, "mmd_pairs"),
-     (strongdim, "DistanceMatrix"), (graphs, "DistanceMatrix")],
+     (strongdim, "DistanceMatrix"), (graphs, "DistanceMatrix"),
+     (strongdim, "srg_edge_families_even"), (jahangir, "srg_edge_families_even"),
+     (strongdim, "srg_edge_families_odd"), (jahangir, "srg_edge_families_odd"),
+     (jahangir, "EVEN_CASES"), (jahangir, "ODD_CASES")],
 )
 def test_folded_types_are_gone(module, name):
     assert not hasattr(module, name)
@@ -77,6 +80,27 @@ def test_every_parameter_is_read():
         tree = ast.parse(source.read_text(encoding="utf-8"))
         unread += [f"{source.stem}.{name}" for name in _unread_parameters(tree)]
     assert sorted(unread) == sorted(f"strong_metric.{name}" for name in UNREAD_PARAMETERS)
+
+
+def test_every_definition_is_used():
+    # a module-level def or class that nothing in the package loads, by name
+    # or as an attribute, is dead unless the package root exports it
+    package = Path(strongdim.__file__).parent
+    trees = {source.stem: ast.parse(source.read_text(encoding="utf-8")) for source in package.glob("*.py")}
+    used = set(strongdim.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert unused == []
 
 
 def test_runtime_is_stdlib_only():
