@@ -30,8 +30,7 @@ from .jahangir import (
     build_jahangir,
     extremal_distance_pairs,
     measured_distance_pairs,
-    predicted_cover_even,
-    predicted_cover_odd,
+    predicted_cover,
     regime,
     sdim_formula,
     srg_edge_families,
@@ -91,8 +90,7 @@ __all__ = [
     "measured_distance_pairs",
     "parse",
     "path_graph",
-    "predicted_cover_even",
-    "predicted_cover_odd",
+    "predicted_cover",
     "regime",
     "sdim_formula",
     "sdim_via_cover",

@@ -94,8 +94,7 @@ def build_graph(
     Raises :class:`GraphError` for an out-of-range endpoint, a self-loop,
     or a duplicate edge (in either orientation), naming the offending pair.
     """
-    if not isinstance(vertex_count, int) or vertex_count < 0:
-        raise GraphError(f"vertex count must be a nonnegative integer, got {vertex_count!r}")
+    _check_count(vertex_count)
     neighbor_sets: list[set[int]] = [set() for _ in range(vertex_count)]
     seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
@@ -111,6 +110,11 @@ def build_graph(
         neighbor_sets[v].add(u)
     adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
     return Graph(vertex_count, adjacency, _frozen_labels(vertex_count, labels))
+
+
+def _check_count(vertex_count: int) -> None:
+    if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
+        raise GraphError(f"vertex count must be a nonnegative integer, got {vertex_count!r}")
 
 
 def _frozen_labels(vertex_count: int, labels: Mapping[int, str] | None) -> Mapping[int, str] | None:
@@ -129,6 +133,7 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     ``vertex_count``, an empty diagonal, and equality with the
     :func:`transpose`.  Raises :class:`GraphError` when one fails.
     """
+    _check_count(vertex_count)
     if len(masks) != vertex_count:
         raise GraphError(f"expected {vertex_count!r} neighbour masks, got {len(masks)}")
     if any(mask < 0 or mask >> vertex_count for mask in masks):

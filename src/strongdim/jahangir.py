@@ -11,10 +11,11 @@ The paper gives the strong metric dimension in three parameter regimes, and
 in two of them the strong resolving graph's edges and an optimal vertex
 cover.  :func:`regime` is the one place the regime conditions are written;
 the private table ``_REGIMES`` holds everything else, one row per regime:
-the closed form, the cover builder, the extremal-distance cases (merged
-into ``_CASES``) and the condition the builders name when refused.  The
-even and odd edge families differ only in a segment's midpoint positions,
-so :func:`srg_edge_families` builds both.  :func:`verify_predictions`
+the closed form, the extremal-distance cases (merged into ``_CASES``) and
+the condition a refusal names.  The even and odd edge families differ
+only in a segment's midpoint positions, so :func:`srg_edge_families`
+builds both, and :func:`predicted_cover` lists the rim positions of both
+regimes' covers segment by segment.  :func:`verify_predictions`
 recomputes all of that through
 :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact cover,
 re-check) and reports any disagreement with the closed forms.
@@ -144,11 +145,11 @@ def sdim_formula(params: JahangirParams) -> int | None:
     return None if kind is None else _REGIMES[kind].sdim(params.n, params.m)
 
 
-def _require_regime(params: JahangirParams, name: str) -> None:
-    if regime(params) != name:
-        raise GraphError(
-            f"{name}-n predictions need {_REGIMES[name].needs}, got ({params.n}, {params.m})"
-        )
+def _require_regime(params: JahangirParams, what: str, *kinds: str) -> None:
+    """Refuse ``what`` predictions unless ``params`` lies in one of the regimes ``kinds``."""
+    if regime(params) not in kinds:
+        needs = " or ".join(_REGIMES[kind].needs for kind in kinds)
+        raise GraphError(f"{what} predictions need {needs}, got ({params.n}, {params.m})")
 
 
 def _nonconsecutive(m: int) -> list[tuple[int, int]]:
@@ -168,11 +169,7 @@ def srg_edge_families(params: JahangirParams) -> _Tagged:
     number of midpoints.  "distant": midpoints of non-consecutive cycles.
     "within": same-segment positions i >= 2 and i + d, d a midpoint position.
     """
-    if regime(params) not in ("even", "odd"):
-        raise GraphError(
-            f"edge-family predictions need {_REGIMES['even'].needs} or {_REGIMES['odd'].needs}, "
-            f"got ({params.n}, {params.m})"
-        )
+    _require_regime(params, "edge-family", "even", "odd")
     n, m = params.n, params.m
     pair = params.pair
     half = n // 2
@@ -204,50 +201,24 @@ def _consecutive_pairs(params: JahangirParams, starts: Sequence[int]) -> _Pairs:
     )
 
 
-# ---------- predicted optimal covers ----------
+# ---------- predicted optimal cover ----------
 
 
-def predicted_cover_even(params: JahangirParams) -> frozenset[int]:
-    """Predicted minimum vertex cover of the strong resolving graph, even regime.
+def predicted_cover(params: JahangirParams) -> frozenset[int]:
+    """Predicted minimum vertex cover of the strong resolving graph, even and odd regimes.
 
-    Per segment: the midpoint vertex plus the vertices at positions
-    2 .. n/2 - 1.  Size m(n-2)/2.
+    The rim positions chosen in segment k = 0 .. m-1.  Even n: 2 .. n/2 - 1
+    and the midpoint n/2 + 1 in every segment, m(n-2)/2 vertices.  Odd n,
+    h = (n-1)/2: 2 .. h+2 for k <= m-3, 2 .. h for k = m-2 and h+2 .. n
+    for k = m-1, m(n-1)/2 + m - 3 vertices.
     """
-    _require_regime(params, "even")
-    n, m = params.n, params.m
-    rim_id = params.rim_id
-    half = n // 2
-    chosen: set[int] = set()
-    for k in range(m):
-        chosen.add(rim_id(n * k + half + 1))
-        for i in range(2, half):
-            chosen.add(rim_id(n * k + i))
-    return frozenset(chosen)
-
-
-def predicted_cover_odd(params: JahangirParams) -> frozenset[int]:
-    """Predicted minimum vertex cover of the strong resolving graph, odd regime.
-
-    With h = (n-1)/2: both near-midpoint vertices (positions h+1, h+2) of
-    the first m-2 segments, the position h+2 vertex of the last segment,
-    positions 2 .. h of every segment but the last, and positions
-    h+3 .. n of the last segment.  Size m(n-1)/2 + m - 3.
-    """
-    _require_regime(params, "odd")
-    n, m = params.n, params.m
-    rim_id = params.rim_id
-    half = n // 2
-    chosen: set[int] = set()
-    for k in range(m - 2):
-        chosen.add(rim_id(n * k + half + 1))
-        chosen.add(rim_id(n * k + half + 2))
-    chosen.add(rim_id(n * (m - 1) + half + 2))
-    for k in range(m - 1):
-        for i in range(2, half + 1):
-            chosen.add(rim_id(n * k + i))
-    for i in range(half + 3, n + 1):
-        chosen.add(rim_id(n * (m - 1) + i))
-    return frozenset(chosen)
+    _require_regime(params, "cover", "even", "odd")
+    n, m, half = params.n, params.m, params.n // 2
+    if n % 2 == 0:
+        spans = [(*range(2, half), half + 1)] * m
+    else:
+        spans = [range(2, half + 3)] * (m - 2) + [range(2, half + 1), range(half + 2, n + 1)]
+    return frozenset(params.rim_id(n * k + i) for k, span in enumerate(spans) for i in span)
 
 
 # ---------- the regime table and the characterized long-distance pairs ----------
@@ -258,8 +229,7 @@ class _Regime(NamedTuple):
 
     sdim: Callable[[int, int], int]  # the closed form in (n, m)
     cases: dict[str, tuple]  # extremal-distance cases
-    cover: Callable[[JahangirParams], frozenset[int]] | None = None  # predicted optimal cover
-    needs: str = ""  # the condition the builders name outside the regime
+    needs: str = ""  # the condition a refusal names outside the regime
 
 
 # A case maps to (tag, SRG edge family, distance offset, off-path tag):
@@ -271,7 +241,6 @@ _REGIMES = {
     "base": _Regime(sdim=lambda n, m: 3, cases={}),
     "even": _Regime(
         sdim=lambda n, m: m * (n - 2) // 2,
-        cover=predicted_cover_even,
         cases={
             "even-a": ("n_plus_1", "adjacent", 1, None),
             "even-b": ("n_plus_2", "distant", 2, None),
@@ -281,7 +250,6 @@ _REGIMES = {
     ),
     "odd": _Regime(
         sdim=lambda n, m: m * (n - 1) // 2 + m - 3,
-        cover=predicted_cover_odd,
         cases={
             "odd-a": ("n_plus_1", "adjacent", 1, "n_off_diametrical"),
             "odd-b": ("n_plus_1", "distant", 1, None),
@@ -308,7 +276,8 @@ def extremal_distance_pairs(params: JahangirParams, case: str) -> _Tagged:
     on no diametrical path.
     """
     _check_case(case)
-    _require_regime(params, next(kind for kind, spec in _REGIMES.items() if case in spec.cases))
+    kind = next(kind for kind, spec in _REGIMES.items() if case in spec.cases)
+    _require_regime(params, f"{kind}-n", kind)
     return _extremal_pairs(params, srg_edge_families(params), case)
 
 
@@ -394,9 +363,12 @@ def measured_distance_pairs(g: Graph, params: JahangirParams, case: str) -> _Tag
 
     Scans the distance balls of ``g`` for pairs meeting each case's
     distance condition, so comparing it with the closed-form sets checks
-    the characterization in both directions at once.
+    the characterization in both directions at once.  ``g`` must be J(n, m)
+    numbered as ``params`` numbers it.
     """
     _check_case(case)
+    if g.adjacency != build_jahangir(params)[0].adjacency:
+        raise GraphError(f"graph is not J({params.n}, {params.m}) in its rim numbering")
     return _measure(list(distance_balls(g)), params, case)[0]
 
 
@@ -492,7 +464,7 @@ def verify_predictions(
     if spec is not None and spec.cases:
         balls = list(distance_balls(g))  # read only by the extremal-distance scans
         families = srg_edge_families(params)
-        predicted_cover = spec.cover(params)
+        cover = predicted_cover(params)
         predicted_edges = frozenset().union(*families.values())
         actual_edges = frozenset(srg.edges())
         srg_match = predicted_edges == actual_edges
@@ -506,8 +478,8 @@ def verify_predictions(
                     f"computed but unpredicted: [{_named_pairs(params, extra)}]",
                 )
             )
-        cover_valid, uncovered = is_vertex_cover(srg, predicted_cover)
-        cover_size = len(predicted_cover)
+        cover_valid, uncovered = is_vertex_cover(srg, cover)
+        cover_size = len(cover)
         if not cover_valid:
             assert uncovered is not None
             discrepancies.append(

@@ -260,6 +260,48 @@ def scalar_measure(
     return measured, on_path
 
 
+def per_regime_cover_even(params: JahangirParams) -> frozenset[int]:
+    """The even-regime cover builder that ``predicted_cover`` replaced, kept as its oracle.
+
+    Per segment: the midpoint vertex plus the vertices at positions
+    2 .. n/2 - 1.  Size m(n-2)/2.  Callers pass even-regime cells only.
+    """
+    n, m = params.n, params.m
+    rim_id = params.rim_id
+    half = n // 2
+    chosen: set[int] = set()
+    for k in range(m):
+        chosen.add(rim_id(n * k + half + 1))
+        for i in range(2, half):
+            chosen.add(rim_id(n * k + i))
+    return frozenset(chosen)
+
+
+def per_regime_cover_odd(params: JahangirParams) -> frozenset[int]:
+    """The odd-regime cover builder that ``predicted_cover`` replaced, kept as its oracle.
+
+    With h = (n-1)/2: both near-midpoint vertices (positions h+1, h+2) of
+    the first m-2 segments, the position h+2 vertex of the last segment,
+    positions 2 .. h of every segment but the last, and positions
+    h+3 .. n of the last segment.  Size m(n-1)/2 + m - 3.  Callers pass
+    odd-regime cells only.
+    """
+    n, m = params.n, params.m
+    rim_id = params.rim_id
+    half = n // 2
+    chosen: set[int] = set()
+    for k in range(m - 2):
+        chosen.add(rim_id(n * k + half + 1))
+        chosen.add(rim_id(n * k + half + 2))
+    chosen.add(rim_id(n * (m - 1) + half + 2))
+    for k in range(m - 1):
+        for i in range(2, half + 1):
+            chosen.add(rim_id(n * k + i))
+    for i in range(half + 3, n + 1):
+        chosen.add(rim_id(n * (m - 1) + i))
+    return frozenset(chosen)
+
+
 def id_pairs(lab: JahangirParams, listing) -> frozenset:
     """Map a golden listing of rim-position pairs to unordered id pairs."""
     return frozenset(lab.pair(i, j) for i, j in listing)

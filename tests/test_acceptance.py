@@ -20,8 +20,7 @@ from strongdim import (
     is_vertex_cover,
     matching_lower_bound,
     measured_distance_pairs,
-    predicted_cover_even,
-    predicted_cover_odd,
+    predicted_cover,
     sdim_via_cover,
     strong_resolving_graph,
     verify_predictions,
@@ -70,7 +69,7 @@ def test_even_worked_example_j_6_5():
     srg = strong_resolving_graph(g)
     edges_ok = frozenset(srg.edges()) == golden and len(golden) == 20
     alpha = exact_min_vertex_cover(srg).size
-    cover = predicted_cover_even(p)
+    cover = predicted_cover(p)
     cover_ok = (
         cover == id_set(lab, EVEN_65_COVER)
         and is_vertex_cover(srg, cover) == (True, None)
@@ -95,7 +94,7 @@ def test_odd_worked_example_j_5_5():
     srg = strong_resolving_graph(g)
     edges_ok = frozenset(srg.edges()) == golden and len(golden) == 40
     alpha = exact_min_vertex_cover(srg).size
-    cover = predicted_cover_odd(p)
+    cover = predicted_cover(p)
     cover_ok = (
         cover == id_set(lab, ODD_55_COVER)
         and is_vertex_cover(srg, cover) == (True, None)

@@ -75,6 +75,12 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, [(0, 2)])
 
+    def test_bool_vertex_count_rejected(self):
+        # a graph of order True would serialize as "n": true, which parse refuses
+        with pytest.raises(GraphError) as excinfo:
+            build_graph(True, [])
+        assert str(excinfo.value) == "vertex count must be a nonnegative integer, got True"
+
     def test_labels_are_read_only(self):
         source = {0: "a", 1: "b"}
         g = build_graph(2, [(0, 1)], labels=source)
@@ -210,6 +216,7 @@ class TestGraphFromMasks:
             (3, [1 << 9, 0b000, 0b000], "outside vertex ids"),
             (3, [-1, 0b000, 0b000], "outside vertex ids"),
             (3, [0b010, 0b001], "expected 3 neighbour masks"),
+            (True, [0], "vertex count must be a nonnegative integer, got True"),
         ],
     )
     def test_rejects_broken_masks(self, order, masks, message):

@@ -17,8 +17,7 @@ from strongdim import (
     extremal_distance_pairs,
     is_vertex_cover,
     measured_distance_pairs,
-    predicted_cover_even,
-    predicted_cover_odd,
+    predicted_cover,
     regime,
     sdim_formula,
     srg_edge_families,
@@ -37,6 +36,8 @@ from helpers import (
     balls_from_distances,
     id_pairs,
     id_set,
+    per_regime_cover_even,
+    per_regime_cover_odd,
     scalar_measure,
 )
 
@@ -45,7 +46,7 @@ ODD_GRID = [(n, m) for n in (5, 7, 9, 11) for m in range(4, 9)]
 REGIME_GRID = [(n, m) for n in range(2, 17) for m in range(3, 13)]
 # every even- and odd-regime cell of n 5..16, m 4..12
 SCAN_GRID = [(n, m) for n in range(5, 17) for m in range(4, 13)]
-FAMILIES_NEED = "edge-family predictions need even n > 5 and m >= 4 or odd n >= 5 and m >= 4"
+BOTH_NEED = "even n > 5 and m >= 4 or odd n >= 5 and m >= 4"
 
 
 class TestConstruction:
@@ -138,19 +139,28 @@ class TestRegime:
 
     @pytest.mark.parametrize("n,m", REGIME_GRID)
     def test_family_predictions_need_their_regime(self, n, m):
-        # the families exist exactly in the even and odd regimes
+        # the families and the cover exist exactly in the even and odd regimes
         p = JahangirParams(n, m)
         if regime(p) in ("even", "odd"):
             assert set(srg_edge_families(p)) == {"adjacent", "distant", "within"}
+            assert len(predicted_cover(p)) == sdim_formula(p)
         else:
             with pytest.raises(GraphError, match="edge-family predictions"):
                 srg_edge_families(p)
+            with pytest.raises(GraphError, match="cover predictions"):
+                predicted_cover(p)
 
     @pytest.mark.parametrize("n,m", [(4, 4), (2, 3)])  # exploratory, base
     def test_edge_family_refusal_message(self, n, m):
         with pytest.raises(GraphError) as excinfo:
             srg_edge_families(JahangirParams(n, m))
-        assert str(excinfo.value) == f"{FAMILIES_NEED}, got ({n}, {m})"
+        assert str(excinfo.value) == f"edge-family predictions need {BOTH_NEED}, got ({n}, {m})"
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (2, 3)])  # exploratory, base
+    def test_cover_refusal_message(self, n, m):
+        with pytest.raises(GraphError) as excinfo:
+            predicted_cover(JahangirParams(n, m))
+        assert str(excinfo.value) == f"cover predictions need {BOTH_NEED}, got ({n}, {m})"
 
     @pytest.mark.parametrize(
         "n,m,expected",
@@ -181,20 +191,6 @@ class TestRegime:
                 else:
                     expected = (None, None)
                 assert (regime(p), sdim_formula(p)) == expected, (n, m)
-
-    @pytest.mark.parametrize(
-        "builder,needs",
-        [
-            (predicted_cover_even, "even-n predictions need even n > 5"),
-            (predicted_cover_odd, "odd-n predictions need odd n >= 5"),
-        ],
-    )
-    def test_require_regime_messages(self, builder, needs):
-        wrong_parity = (5, 5) if needs.startswith("even") else (6, 5)
-        for n, m in ((4, 4), (2, 3), wrong_parity):  # exploratory, base, wrong parity
-            with pytest.raises(GraphError) as excinfo:
-                builder(JahangirParams(n, m))
-            assert str(excinfo.value) == f"{needs} and m >= 4, got ({n}, {m})"
 
 
 class TestEvenFamilies:
@@ -263,42 +259,56 @@ def test_families_match_computed_srg_beyond_the_goldens(n):
     for m in range(4, 13):
         p = JahangirParams(n, m)
         g, _ = build_jahangir(p)
+        srg = strong_resolving_graph(g)
         predicted = frozenset().union(*srg_edge_families(p).values())
-        assert predicted == frozenset(strong_resolving_graph(g).edges()), (n, m)
+        assert predicted == frozenset(srg.edges()), (n, m)
+        cover = predicted_cover(p)
+        assert is_vertex_cover(srg, cover) == (True, None), (n, m)
+        assert len(cover) == sdim_formula(p), (n, m)
+
+
+def test_cover_matches_the_per_regime_builders():
+    # the one builder against the two it replaced, on every even and odd cell
+    # of n 5..40 x m 4..40
+    for n in range(5, 41):
+        oracle = per_regime_cover_even if n % 2 == 0 else per_regime_cover_odd
+        for m in range(4, 41):
+            p = JahangirParams(n, m)
+            assert predicted_cover(p) == oracle(p), (n, m)
 
 
 class TestPredictedCovers:
     def test_even_golden_6_5(self):
         p = JahangirParams(6, 5)
         _, lab = build_jahangir(p)
-        cover = predicted_cover_even(p)
+        cover = predicted_cover(p)
         assert cover == id_set(lab, EVEN_65_COVER)
         assert len(cover) == 10
 
     def test_even_size_8_4(self):
-        assert len(predicted_cover_even(JahangirParams(8, 4))) == 12
+        assert len(predicted_cover(JahangirParams(8, 4))) == 12
 
     def test_even_is_cover_6_4(self):
         p = JahangirParams(6, 4)
         g, _ = build_jahangir(p)
-        cover = predicted_cover_even(p)
+        cover = predicted_cover(p)
         assert len(cover) == 8
         assert is_vertex_cover(strong_resolving_graph(g), cover) == (True, None)
 
     def test_odd_golden_5_5(self):
         p = JahangirParams(5, 5)
         _, lab = build_jahangir(p)
-        cover = predicted_cover_odd(p)
+        cover = predicted_cover(p)
         assert cover == id_set(lab, ODD_55_COVER)
         assert len(cover) == 12
 
     def test_odd_size_7_4(self):
-        assert len(predicted_cover_odd(JahangirParams(7, 4))) == 13
+        assert len(predicted_cover(JahangirParams(7, 4))) == 13
 
     def test_odd_is_cover_5_4(self):
         p = JahangirParams(5, 4)
         g, _ = build_jahangir(p)
-        cover = predicted_cover_odd(p)
+        cover = predicted_cover(p)
         srg = strong_resolving_graph(g)
         assert is_vertex_cover(srg, cover) == (True, None)
         # size formula m(n-1)/2 + m - 3 gives 9 here, and the exact solver agrees
@@ -307,11 +317,11 @@ class TestPredictedCovers:
 
     @pytest.mark.parametrize("n,m", EVEN_GRID)
     def test_even_sizes_match_formula(self, n, m):
-        assert len(predicted_cover_even(JahangirParams(n, m))) == m * (n - 2) // 2
+        assert len(predicted_cover(JahangirParams(n, m))) == m * (n - 2) // 2
 
     @pytest.mark.parametrize("n,m", ODD_GRID)
     def test_odd_sizes_match_formula(self, n, m):
-        assert len(predicted_cover_odd(JahangirParams(n, m))) == m * (n - 1) // 2 + m - 3
+        assert len(predicted_cover(JahangirParams(n, m))) == m * (n - 1) // 2 + m - 3
 
 
 class TestExtremalDistancePairs:
@@ -348,6 +358,15 @@ class TestExtremalDistancePairs:
         assert str(excinfo.value) == "odd-n predictions need odd n >= 5 and m >= 4, got (6, 5)"
         with pytest.raises(GraphError, match="even-n predictions"):
             extremal_distance_pairs(JahangirParams(4, 4), "even-b")
+
+    @pytest.mark.parametrize("graph,params,case", [((5, 5), (6, 5), "even-c"), ((7, 4), (5, 4), "odd-a")])
+    def test_measured_pairs_refuse_another_graph(self, graph, params, case):
+        # without the check the first raises a bare IndexError and the second
+        # returns 22 n_plus_1 pairs where the closed form has 4
+        g, _ = build_jahangir(JahangirParams(*graph))
+        with pytest.raises(GraphError) as excinfo:
+            measured_distance_pairs(g, JahangirParams(*params), case)
+        assert str(excinfo.value) == f"graph is not J{params} in its rim numbering"
 
     def test_unknown_case(self):
         with pytest.raises(GraphError, match="unknown case"):

@@ -27,7 +27,9 @@ def test_every_exported_name_resolves():
      (strongdim, "DistanceMatrix"), (graphs, "DistanceMatrix"),
      (strongdim, "srg_edge_families_even"), (jahangir, "srg_edge_families_even"),
      (strongdim, "srg_edge_families_odd"), (jahangir, "srg_edge_families_odd"),
-     (jahangir, "EVEN_CASES"), (jahangir, "ODD_CASES")],
+     (jahangir, "EVEN_CASES"), (jahangir, "ODD_CASES"),
+     (strongdim, "predicted_cover_even"), (jahangir, "predicted_cover_even"),
+     (strongdim, "predicted_cover_odd"), (jahangir, "predicted_cover_odd")],
 )
 def test_folded_types_are_gone(module, name):
     assert not hasattr(module, name)
@@ -39,6 +41,7 @@ def test_duplicate_members_are_gone():
     assert list(inspect.signature(strongdim.diameter).parameters) == ["g"]
     report_fields = {f.name for f in dataclasses.fields(strongdim.VerificationReport)}
     assert "alpha_computed" in report_fields and "pipeline_sdim" not in report_fields
+    assert "cover" not in jahangir._Regime._fields
 
 
 def test_dead_knobs_are_gone():
