@@ -85,8 +85,9 @@ def is_strong_resolving_set(
     """Check whether ``subset`` strongly resolves every vertex pair.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
-    unresolved pair in sorted order.  Requires a connected graph.  ``dm``
-    is not read (pass None): the distances come from the balls of ``g``.
+    unresolved pair in sorted order.  Requires a connected graph; then
+    each id is checked in the order given, and the first that is not a
+    vertex raises :class:`GraphError`.  ``dm`` is not read (pass None): the distances come from the balls of ``g``.
     ``perfbench`` still passes it positionally; the parameter can go once
     it stops.
 
@@ -113,9 +114,10 @@ def is_strong_resolving_set(
     full = (1 << n) - 1
     if n > 1 and radii[-1][0] != full:
         raise DisconnectedGraphError("strong resolution is defined for connected graphs")
-    chosen = set(subset)
-    for w in sorted(chosen):
+    ids = list(subset)
+    for w in ids:  # in the order given, before hashing: the first bad id is named
         check_vertex(n, w)
+    chosen = set(ids)
     adj = g.adjacency
     hit = [0] * n
     reach = [0] * n  # radius k + 1; nothing lies beyond the last radius

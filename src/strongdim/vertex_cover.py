@@ -6,7 +6,9 @@ Kameda (2007) and San Segundo et al.'s bit-parallel BBMC (2011): degree-0 and
 degree-1 reductions at the root only, then a branch and bound whose nodes
 partition their candidates greedily into cliques.  The clique numbers both
 bound a node and choose the vertices it branches on; the recursion is at
-most α + 1 deep.  :func:`exact_min_vertex_cover` returns the complement of
+most α + 1 deep.  A node reuses its parent's cliques up to the first one
+that lost a vertex and partitions only the rest afresh, which gives the
+partition a fresh build would, so the search tree is the same.  :func:`exact_min_vertex_cover` returns the complement of
 that set, with ``nodes_explored`` counting the search nodes, the root as 1.
 The relabelling and branching order are fixed, so the same input always
 gives the same optimal cover, which keeps downstream results reproducible.
@@ -17,6 +19,8 @@ sanity-check a cover's size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .graphs import Graph, SizeLimitError, check_vertex
@@ -106,6 +110,15 @@ def _clique_partition(nbr: list[int], cand: int) -> list[int]:
     k-th clique can extend an independent set by at most k: this is the
     greedy colouring of the complement graph that bounds a maximum-clique
     search.
+
+    Prefix rule: for ``child`` a subset of ``cand``, the cliques of ``cand``
+    before the first one that meets ``cand & ~child`` are also the first
+    cliques of ``child``, so the partition of ``child`` is that prefix
+    followed by the partition of the rest of ``child``.  Each such clique
+    opened at the lowest vertex of a ``rest`` that differs from the child's
+    only by removed vertices, and took the lowest of its shrinking
+    neighbourhood every time; no removed vertex was ever the lowest pick,
+    so the child makes the same picks.
     """
     classes = []
     rest = cand
@@ -132,12 +145,17 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     is bit ``i`` of every mask.  At the root, isolated and degree-1 vertices
     join the set to a fixpoint (the neighbor of a degree-1 vertex leaves
     play); no reduction runs below the root.  Each search node partitions
-    its candidates greedily into cliques (:func:`_clique_partition`).  Each
-    clique holds at most one vertex of an independent set, so a vertex in
-    the k-th clique extends the current set by at most k.  Only vertices
-    with k above the best size minus the current size are branched on,
-    highest k first, and the node stops once the current size plus k cannot
-    beat the best set found.  Each level adds one vertex to the set, so the
+    its candidates greedily into cliques (:func:`_clique_partition`): the
+    root from scratch, every other node by keeping its parent's cliques up
+    to the first one that lost a vertex (the branched vertex, one of its
+    neighbours or an earlier-branched sibling) and partitioning the rest.
+    By the prefix rule of :func:`_clique_partition` that is the partition a
+    fresh build gives, so branching order, node count and result do not
+    depend on the reuse.  Each clique holds at most one vertex of an
+    independent set, so a vertex in the k-th clique extends the current set
+    by at most k.  Only vertices with k above the best size minus the
+    current size are branched on, highest k first, and the node stops once
+    the current size plus k cannot beat the best set found.  Each level adds one vertex to the set, so the
     recursion is at most α + 1 deep, α being the independence number.
 
     Deterministic by construction: the relabelling and the branching order
@@ -148,9 +166,12 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     n = g.vertex_count
     if n > EXACT_COVER_CAP:
         raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {EXACT_COVER_CAP}")
-    order = sorted(range(n), key=lambda v: len(g.adjacency[v]))
-    position = {v: i for i, v in enumerate(order)}
-    nbr = [sum(1 << position[u] for u in g.adjacency[v]) for v in order]
+    adj = g.adjacency
+    order = sorted(range(n), key=lambda v: len(adj[v]))
+    bit = [0] * n  # bit[v] is the mask bit of vertex v's position in order
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    nbr = [reduce(or_, map(bit.__getitem__, adj[v]), 0) for v in order]
 
     # Root reductions to a fixpoint: an isolated vertex joins the set, and
     # so does a degree-1 vertex, whose neighbor then leaves play.
@@ -178,14 +199,14 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     best_size = 0
     nodes = 0
 
-    def search(cand: int, size: int, chosen: int) -> None:
+    def search(cand: int, size: int, chosen: int, classes: list[int]) -> None:
         nonlocal best_set, best_size, nodes
         nodes += 1
         if not cand:
             if size > best_size:
                 best_set, best_size = chosen, size
             return
-        classes = _clique_partition(nbr, cand)
+        node_cand = cand
         # only a vertex in clique k > best - size can lead to a larger set;
         # the highest cliques go first, highest position first within one
         for k in range(len(classes), best_size - size, -1):
@@ -194,12 +215,22 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
                 if size + k <= best_size:
                     return
                 v = clique.bit_length() - 1
-                bit = 1 << v
-                clique ^= bit
-                cand ^= bit
-                search(cand & ~nbr[v], size + 1, chosen | bit)
+                low = 1 << v
+                clique ^= low
+                cand ^= low
+                child = cand & ~nbr[v]
+                # the child keeps this node's cliques before the first one that
+                # lost a vertex (v, a neighbour or an earlier sibling) and
+                # partitions the rest afresh; v itself is lost, so i stops
+                lost = node_cand & ~child
+                rest = child
+                i = 0
+                while not classes[i] & lost:
+                    rest ^= classes[i]
+                    i += 1
+                search(child, size + 1, chosen | low, classes[:i] + _clique_partition(nbr, rest))
 
-    search(live, 0, 0)
+    search(live, 0, 0, _clique_partition(nbr, live))
     return order, forced | best_set, nodes
 
 

@@ -28,6 +28,7 @@ from strongdim import (
 )
 from strongdim.graphs import check_vertex, members
 from strongdim.jahangir import _CASES, _nonconsecutive
+from strongdim.vertex_cover import EXACT_COVER_CAP, _clique_partition
 
 
 def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Graph:
@@ -196,6 +197,67 @@ def bfs_is_strong_resolving_set(
             if not on_path[v] & bit[u]:
                 return False, (u, v)
     return True, None
+
+
+def scratch_mis_search(g: Graph) -> tuple[list[int], int, int]:
+    """Every node partitions its candidates afresh: the oracle for ``_mis_search``.
+
+    The body ``_mis_search`` ran before its nodes reused their parent's
+    cliques, with the same relabelling, root reductions, branching order,
+    result ``(order, mask, nodes)`` and errors.
+    """
+    n = g.vertex_count
+    if n > EXACT_COVER_CAP:
+        raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {EXACT_COVER_CAP}")
+    order = sorted(range(n), key=lambda v: len(g.adjacency[v]))
+    position = {v: i for i, v in enumerate(order)}
+    nbr = [sum(1 << position[u] for u in g.adjacency[v]) for v in order]
+
+    live = (1 << n) - 1
+    forced = 0
+    taken = True
+    while taken:
+        taken = False
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not live & low:
+                continue
+            near = nbr[low.bit_length() - 1] & live
+            if not near:
+                forced |= low
+                live ^= low
+            elif not near & (near - 1):
+                forced |= low
+                live &= ~(low | near)
+                taken = True
+
+    best_set = 0
+    best_size = 0
+    nodes = 0
+
+    def search(cand: int, size: int, chosen: int) -> None:
+        nonlocal best_set, best_size, nodes
+        nodes += 1
+        if not cand:
+            if size > best_size:
+                best_set, best_size = chosen, size
+            return
+        classes = _clique_partition(nbr, cand)
+        for k in range(len(classes), best_size - size, -1):
+            clique = classes[k - 1]
+            while clique:
+                if size + k <= best_size:
+                    return
+                v = clique.bit_length() - 1
+                bit = 1 << v
+                clique ^= bit
+                cand ^= bit
+                search(cand & ~nbr[v], size + 1, chosen | bit)
+
+    search(live, 0, 0)
+    return order, forced | best_set, nodes
 
 
 def balls_from_distances(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -265,6 +265,15 @@ class TestIsStrongResolvingSet:
         with pytest.raises(GraphError, match="out of range"):
             is_strong_resolving_set(cycle_graph(5), None, [0, 5])
 
+    @pytest.mark.parametrize(
+        "subset,named",
+        [([0, "a"], "'a'"), ([0, None], "None"), ([0, 7, 5], "7"), ([None, "a"], "None"), ([0, [1]], r"\[1\]")],
+    )
+    def test_bad_ids_raise_graph_error_naming_the_first(self, subset, named):
+        # ids that do not sort or hash among ints are refused, not a TypeError
+        with pytest.raises(GraphError, match=rf"out of range for order 5: {named}$"):
+            is_strong_resolving_set(cycle_graph(5), None, subset)
+
     @pytest.mark.parametrize("order", [0, 1])
     def test_trivial_orders_are_resolved(self, order):
         g = build_graph(order, [])

@@ -19,8 +19,16 @@ from strongdim import (
     sdim_formula,
     strong_resolving_graph,
 )
-from strongdim.vertex_cover import _clique_partition
-from helpers import exhaustive_min_cover_size, pinned_250_vertex_graph, random_graph
+from strongdim.cli import main
+from strongdim.vertex_cover import _clique_partition, _mis_search
+from helpers import (
+    exhaustive_min_cover_size,
+    large_random_graphs,
+    pinned_250_vertex_graph,
+    random_graph,
+    scratch_mis_search,
+)
+from test_golden import SDIM_CELLS
 
 
 def srg_of(n, m):
@@ -201,6 +209,75 @@ class TestExactCover:
     def test_bound_sandwich(self, g):
         exact = exact_min_vertex_cover(g)
         assert matching_lower_bound(g) <= exact.size <= greedy_cover(g).size
+
+
+@st.composite
+def seeded_graphs(draw, max_order, densities):
+    """Like :func:`graphs_of_density`, but the edges come from a drawn seed: cheap at order 40."""
+    order = draw(st.integers(0, max_order))
+    density = draw(st.floats(*densities))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(order) for v in range(u + 1, order) if rng.random() < density]
+    return build_graph(order, edges)
+
+
+def cell_srg(cell):
+    """The strong resolving graph of a ``jahangir:n,m`` spec."""
+    n, m = map(int, cell.removeprefix("jahangir:").split(","))
+    return srg_of(n, m)
+
+
+class TestPartitionReuse:
+    """A node's cliques are its parent's up to the first that lost a vertex, then a rebuild."""
+
+    @given(seeded_graphs(max_order=40, densities=(0.02, 0.95)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_prefix_plus_rebuilt_tail_is_the_fresh_partition(self, g, data):
+        nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        full = (1 << g.vertex_count) - 1
+        parent = data.draw(st.integers(0, full))
+        child = parent & data.draw(st.integers(0, full))
+        classes = _clique_partition(nbr, parent)
+        lost = parent & ~child
+        i = next((i for i, clique in enumerate(classes) if clique & lost), len(classes))
+        kept = classes[:i]
+        tail = _clique_partition(nbr, child & ~sum(kept))
+        assert kept + tail == _clique_partition(nbr, child)
+
+    @given(
+        st.one_of(
+            seeded_graphs(max_order=40, densities=(0.02, 0.15)),
+            seeded_graphs(max_order=40, densities=(0.3, 0.95)),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_search_as_the_fresh_partition_oracle(self, g):
+        assert _mis_search(g) == scratch_mis_search(g)
+
+    @pytest.mark.parametrize("cell", SDIM_CELLS)
+    def test_same_search_on_closed_form_cell_srgs(self, cell):
+        g = cell_srg(cell)
+        assert _mis_search(g) == scratch_mis_search(g)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_search_on_large_random_srgs(self, seed):
+        g = strong_resolving_graph(large_random_graphs()[seed])
+        assert _mis_search(g) == scratch_mis_search(g)
+
+
+class TestSearchTreeIsPinned:
+    """Node counts of the exact cover search; a change to the search tree shows here."""
+
+    @pytest.mark.parametrize(
+        "cell,nodes", list(zip(SDIM_CELLS, (1, 1, 1, 1, 115, 89, 76, 55)))
+    )
+    def test_closed_form_cell_srgs(self, cell, nodes):
+        assert exact_min_vertex_cover(cell_srg(cell)).nodes_explored == nodes
+
+    @pytest.mark.parametrize("spec,nodes", [("jahangir:7,4", 39), ("jahangir:5,5", 38)])
+    def test_cli_cover_of_sparse_jahangir_graphs(self, capsys, spec, nodes):
+        assert main(["cover", spec]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"nodes_explored = {nodes}"
 
 
 def cover_complement(g):
