@@ -8,10 +8,11 @@ partition their candidates greedily into cliques.  The clique numbers both
 bound a node and choose the vertices it branches on; the recursion is at
 most α + 1 deep.  A node reuses its parent's cliques up to the first one
 that lost a vertex and partitions only the rest afresh, which gives the
-partition a fresh build would, so the search tree is the same.  :func:`exact_min_vertex_cover` returns the complement of
-that set, with ``nodes_explored`` counting the search nodes, the root as 1.
-The relabelling and branching order are fixed, so the same input always
-gives the same optimal cover, which keeps downstream results reproducible.
+partition a fresh build would, so the search tree is the same.
+:func:`exact_min_vertex_cover` returns the complement of that set, with
+``nodes_explored`` counting the search nodes, the root as 1.  The
+relabelling and branching order are fixed, so the same input always gives
+the same optimal cover, which keeps downstream results reproducible.
 :func:`matching_lower_bound` is a cheap bound kept for callers that
 sanity-check a cover's size.
 """
@@ -155,8 +156,9 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     independent set, so a vertex in the k-th clique extends the current set
     by at most k.  Only vertices with k above the best size minus the
     current size are branched on, highest k first, and the node stops once
-    the current size plus k cannot beat the best set found.  Each level adds one vertex to the set, so the
-    recursion is at most α + 1 deep, α being the independence number.
+    the current size plus k cannot beat the best set found.  Each level
+    adds one vertex to the set, so the recursion is at most α + 1 deep, α
+    being the independence number.
 
     Deterministic by construction: the relabelling and the branching order
     are fixed, and the best set is replaced only by a strictly larger one,
@@ -215,9 +217,9 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
                 if size + k <= best_size:
                     return
                 v = clique.bit_length() - 1
-                low = 1 << v
-                clique ^= low
-                cand ^= low
+                vbit = 1 << v
+                clique ^= vbit
+                cand ^= vbit
                 child = cand & ~nbr[v]
                 # the child keeps this node's cliques before the first one that
                 # lost a vertex (v, a neighbour or an earlier sibling) and
@@ -228,7 +230,7 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
                 while not classes[i] & lost:
                     rest ^= classes[i]
                     i += 1
-                search(child, size + 1, chosen | low, classes[:i] + _clique_partition(nbr, rest))
+                search(child, size + 1, chosen | vbit, classes[:i] + _clique_partition(nbr, rest))
 
     search(live, 0, 0, _clique_partition(nbr, live))
     return order, forced | best_set, nodes
