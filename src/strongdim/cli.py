@@ -37,11 +37,10 @@ def _parse_jahangir_shorthand(text: str) -> JahangirParams:
     body = text.split(":", 1)[1]
     try:
         n_str, m_str = body.split(",")
-        return JahangirParams(int(n_str), int(m_str))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, GraphError):
-            raise
+        n, m = int(n_str), int(m_str)
+    except ValueError as exc:
         raise GraphError(f"bad jahangir shorthand {text!r}, expected jahangir:n,m") from exc
+    return JahangirParams(n, m)
 
 
 def _load_graph(source: str) -> tuple[Graph, JahangirParams | None]:
@@ -181,11 +180,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_cell(task: tuple[int, int, int]) -> VerificationReport:
-    n, m, cap = task
-    return verify_predictions(JahangirParams(n, m), brute_cap=cap)
-
-
 def _render_table(reports: list[VerificationReport]) -> str:
     def mark(flag: bool | None) -> str:
         if flag is None:
@@ -219,18 +213,18 @@ def _render_table(reports: list[VerificationReport]) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(args.n)
     m_lo, m_hi = _parse_range(args.m)
-    cap = _brute_cap(args.brute_cap)
-    tasks = [(n, m, cap) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
+    verify_cell = functools.partial(verify_predictions, brute_cap=_brute_cap(args.brute_cap))
     jobs = _worker_count(args.jobs, os.cpu_count())
+    cells = [JahangirParams(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
     if jobs > 1:
         # imported here: loading multiprocessing costs about 2 MB of memory,
         # which every other command and every library user of cli would pay
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_cell, tasks))
+            reports = list(pool.map(verify_cell, cells))
     else:
-        reports = [_verify_cell(task) for task in tasks]
+        reports = [verify_cell(cell) for cell in cells]
     if args.json:
         print(json.dumps([rep.to_dict() for rep in reports], indent=2))
     else:

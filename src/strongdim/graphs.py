@@ -96,16 +96,13 @@ def build_graph(
     """
     _check_count(vertex_count)
     neighbor_sets: list[set[int]] = [set() for _ in range(vertex_count)]
-    seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
         check_vertex(vertex_count, u)
         check_vertex(vertex_count, v)
         if u == v:
             raise GraphError(f"self-loop ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if v in neighbor_sets[u]:
             raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
@@ -387,7 +384,5 @@ def parse(text: str) -> Graph:
             labels[vid] = value
     try:
         return build_graph(n, edge_list, labels)
-    except ParseError:
-        raise
     except GraphError as exc:
         raise ParseError(str(exc)) from exc

@@ -9,16 +9,15 @@ and maps rim positions to vertex ids and names.
 
 The paper gives the strong metric dimension in three parameter regimes, and
 in two of them the strong resolving graph's edges and an optimal vertex
-cover.  :func:`regime` is the one place the regime conditions are written;
-the private table ``_REGIMES`` holds everything else, one row per regime:
-the closed form, the extremal-distance cases (merged into ``_CASES``) and
-the condition a refusal names.  The even and odd edge families differ
-only in a segment's midpoint positions, so :func:`srg_edge_families`
-builds both, and :func:`predicted_cover` lists the rim positions of both
-regimes' covers segment by segment.  :func:`verify_predictions`
-recomputes all of that through
-:func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact cover,
-re-check) and reports any disagreement with the closed forms.
+cover.  The private table ``_REGIMES`` holds one row per regime: the
+condition :func:`regime` looks up, the closed form, the extremal-distance
+cases (merged into ``_CASES``) and the condition's text a refusal names.
+The even and odd edge families differ only in a segment's midpoint
+positions, so :func:`srg_edge_families` builds both, and
+:func:`predicted_cover` lists the rim positions of both regimes' covers
+segment by segment.  :func:`verify_predictions` recomputes all of that
+through :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact
+cover, re-check) and reports any disagreement with the closed forms.
 
 The extremal-distance scans read every radius of
 :func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds a
@@ -123,17 +122,11 @@ def build_jahangir(params: JahangirParams) -> tuple[Graph, JahangirParams]:
 def regime(params: JahangirParams) -> str | None:
     """The closed-form regime of J(n, m): "base", "even", "odd", or None.
 
-    "base" is m = 3 with n in {2, 3, 4}; "even" is even n > 5 with m >= 4;
-    "odd" is odd n >= 5 with m >= 4.  None marks exploratory parameters.
+    The first row of ``_REGIMES`` whose condition holds: "base" is m = 3
+    with n in {2, 3, 4}, "even" even n > 5 and "odd" odd n >= 5, both with
+    m >= 4.  None marks exploratory parameters.
     """
-    n, m = params.n, params.m
-    if m == 3 and n in (2, 3, 4):
-        return "base"
-    if m >= 4 and n % 2 == 0 and n > 5:
-        return "even"
-    if m >= 4 and n % 2 == 1 and n >= 5:
-        return "odd"
-    return None
+    return next((kind for kind, spec in _REGIMES.items() if spec.holds(params.n, params.m)), None)
 
 
 def sdim_formula(params: JahangirParams) -> int | None:
@@ -225,8 +218,9 @@ def predicted_cover(params: JahangirParams) -> frozenset[int]:
 
 
 class _Regime(NamedTuple):
-    """What the paper states for one regime of :func:`regime`; base has only its closed form."""
+    """A regime's condition and what the paper states in it; base has only its closed form."""
 
+    holds: Callable[[int, int], bool]  # whether (n, m) lies in the regime
     sdim: Callable[[int, int], int]  # the closed form in (n, m)
     cases: dict[str, tuple]  # extremal-distance cases
     needs: str = ""  # the condition a refusal names outside the regime
@@ -238,8 +232,9 @@ class _Regime(NamedTuple):
 # n//2 + offset "within" one segment.  An off-path tag adds the family's
 # scan one closer: its pairs that lie on no diametrical path.
 _REGIMES = {
-    "base": _Regime(sdim=lambda n, m: 3, cases={}),
+    "base": _Regime(holds=lambda n, m: m == 3 and n in (2, 3, 4), sdim=lambda n, m: 3, cases={}),
     "even": _Regime(
+        holds=lambda n, m: m >= 4 and n % 2 == 0 and n > 5,
         sdim=lambda n, m: m * (n - 2) // 2,
         cases={
             "even-a": ("n_plus_1", "adjacent", 1, None),
@@ -249,6 +244,7 @@ _REGIMES = {
         needs="even n > 5 and m >= 4",
     ),
     "odd": _Regime(
+        holds=lambda n, m: m >= 4 and n % 2 == 1 and n >= 5,
         sdim=lambda n, m: m * (n - 1) // 2 + m - 3,
         cases={
             "odd-a": ("n_plus_1", "adjacent", 1, "n_off_diametrical"),

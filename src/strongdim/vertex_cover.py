@@ -43,11 +43,13 @@ def is_vertex_cover(g: Graph, subset: Iterable[int]) -> tuple[bool, tuple[int, i
     """Check whether ``subset`` touches every edge.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is
-    the first uncovered edge in sorted order.
+    the first uncovered edge in sorted order.  The first id, in the order
+    given, that is not a vertex raises :class:`GraphError`.
     """
-    chosen = set(subset)
-    for v in chosen:
+    ids = list(subset)
+    for v in ids:  # in the order given, before hashing: the first bad id is named
         check_vertex(g.vertex_count, v)
+    chosen = set(ids)
     for u, v in g.edges():
         if u not in chosen and v not in chosen:
             return False, (u, v)

@@ -183,6 +183,18 @@ class TestSdim:
         assert code == 2
         assert "expected jahangir:n,m" in err
 
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("jahangir:x", "bad jahangir shorthand 'jahangir:x', expected jahangir:n,m"),
+            ("jahangir:5,5,5", "bad jahangir shorthand 'jahangir:5,5,5', expected jahangir:n,m"),
+            ("jahangir:1,3", "jahangir parameters need n >= 2 and m >= 3, got (1, 3)"),
+        ],
+    )
+    def test_bad_jahangir_input_exact_error(self, capsys, source, message):
+        code, out, err = run_cli(capsys, ["sdim", source])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_auto_reports_cross_check_mismatch(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "sdim_formula", lambda params: 99)
         code, _, err = run_cli(capsys, ["sdim", "jahangir:6,5"])
@@ -342,6 +354,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "--n", "8..6"])
         assert code == 2
         assert "empty range" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_cell_rejected(self, capsys, jobs):
+        code, out, err = run_cli(capsys, ["verify", "--n", "1..2", "--m", "3..3", "--jobs", jobs])
+        assert (code, out) == (2, "")
+        assert err == "error: jahangir parameters need n >= 2 and m >= 3, got (1, 3)\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

@@ -169,6 +169,14 @@ class TestRegime:
     def test_values(self, n, m, expected):
         assert regime(JahangirParams(n, m)) == expected
 
+    def test_regime_rows_are_disjoint(self):
+        # regime returns the first row that holds, which would hide an overlap
+        for n in range(2, 41):
+            for m in range(3, 41):
+                holding = [kind for kind, spec in jahangir._REGIMES.items() if spec.holds(n, m)]
+                assert len(holding) <= 1, (n, m, holding)
+                assert regime(JahangirParams(n, m)) == (holding[0] if holding else None), (n, m)
+
     def test_every_case_belongs_to_one_regime_row(self):
         for case in jahangir._CASES:
             rows = [kind for kind, spec in jahangir._REGIMES.items() if case in spec.cases]

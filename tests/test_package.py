@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import strongdim
-from strongdim import graphs, jahangir, strong_metric, vertex_cover
+from strongdim import cli, graphs, jahangir, strong_metric, vertex_cover
 
 
 def test_every_exported_name_resolves():
@@ -29,7 +29,8 @@ def test_every_exported_name_resolves():
      (strongdim, "srg_edge_families_odd"), (jahangir, "srg_edge_families_odd"),
      (jahangir, "EVEN_CASES"), (jahangir, "ODD_CASES"),
      (strongdim, "predicted_cover_even"), (jahangir, "predicted_cover_even"),
-     (strongdim, "predicted_cover_odd"), (jahangir, "predicted_cover_odd")],
+     (strongdim, "predicted_cover_odd"), (jahangir, "predicted_cover_odd"),
+     (cli, "_verify_cell")],
 )
 def test_folded_types_are_gone(module, name):
     assert not hasattr(module, name)
@@ -104,6 +105,22 @@ def test_every_definition_is_used():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []
+
+
+def test_no_handler_only_reraises():
+    # ``except X: raise`` changes nothing unless a later clause would catch X;
+    # there it is a second statement of which errors pass, so it is refused
+    package = Path(strongdim.__file__).parent
+    found = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler)
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise)
+        and node.body[0].exc is None
+    ]
+    assert found == []
 
 
 def test_runtime_is_stdlib_only():

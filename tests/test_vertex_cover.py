@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +75,33 @@ class TestIsVertexCover:
     def test_out_of_range(self):
         with pytest.raises(GraphError, match="out of range"):
             is_vertex_cover(cycle_graph(4), {5})
+
+    @pytest.mark.parametrize(
+        "subset,named",
+        [([0, "a"], "'a'"), ([0, None], "None"), ([0, 7, 5], "7"), ([None, "a"], "None"), ([0, [1]], r"\[1\]")],
+    )
+    def test_bad_ids_raise_graph_error_naming_the_first(self, subset, named):
+        # the ids are checked in the order given, before any is hashed
+        with pytest.raises(GraphError, match=rf"out of range for order 5: {named}$"):
+            is_vertex_cover(cycle_graph(5), subset)
+
+    def test_named_id_does_not_depend_on_the_hash_seed(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from strongdim import cycle_graph, is_vertex_cover\n"
+            "try:\n"
+            "    is_vertex_cover(cycle_graph(5), [None, 'a'])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        outputs = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"GraphError vertex id out of range for order 5: None\n"}
 
     def test_published_even_cover(self):
         g, lab = build_jahangir(JahangirParams(6, 5))
