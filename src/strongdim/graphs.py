@@ -8,10 +8,12 @@ invariants (sorted neighbor lists, symmetry, no self-loops, no parallel edges).
 Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
 bitsets (bit ``v`` stands for vertex ``v``): O(diam * (V + E)) big-integer
-ORs for all of them.  It is the one ball-growing loop of the program: MMD
-detection, the strong-resolution re-check, ``verify``'s extremal-distance
-scans and :func:`diameter` read it.  :func:`all_pairs_distances`, one BFS
-row per vertex, is kept for brute force and scalar checks.
+ORs for all of them.  It is the one ball-growing loop of the program, and
+a pipeline run or ``verify`` cell calls it once: MMD detection, the
+strong-resolution re-check and ``verify``'s extremal-distance scans read
+that one list of radii, and :func:`diameter` grows its own.
+:func:`all_pairs_distances`, one BFS row per vertex, is kept for brute
+force and scalar checks.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ cover, re-check) and reports any disagreement with the closed forms.
 
 The extremal-distance scans read every radius of
 :func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds a
-dense all-pairs distance matrix.  The pairs at distance t are read off the
+dense all-pairs distance matrix.  :func:`verify_predictions` grows that
+list once per cell and hands the same list to the pipeline's MMD scan and
+re-check.  The pairs at distance t are read off the
 spheres ``ball[t][x] ^ ball[t-1][x]``, each ANDed with one vertex mask per
 cycle or segment, the diameter D is the number of radii minus one, and the
 diametrical-path condition of odd-a is tested on spheres as well (see
@@ -446,7 +448,8 @@ def verify_predictions(
     """
     n, m = params.n, params.m
     g, _ = build_jahangir(params)
-    srg, result = cover_pipeline(g)
+    radii = list(distance_balls(g))  # the one growth: the pipeline and the scans read it
+    srg, result = cover_pipeline(g, radii=radii)
     alpha = result.size
     kind = regime(params)
 
@@ -458,7 +461,6 @@ def verify_predictions(
 
     spec = _REGIMES[kind] if kind is not None else None
     if spec is not None and spec.cases:
-        balls = list(distance_balls(g))  # read only by the extremal-distance scans
         families = srg_edge_families(params)
         cover = predicted_cover(params)
         predicted_edges = frozenset().union(*families.values())
@@ -493,7 +495,7 @@ def verify_predictions(
             )
         for case in spec.cases:
             expected = _extremal_pairs(params, families, case)
-            observed, excluded = _measure(balls, params, case)
+            observed, excluded = _measure(radii, params, case)
             if excluded:
                 # the "lies on no diametrical path" side condition is resolved
                 # by an endpoint scan; say so whenever it excluded pairs (the

@@ -14,11 +14,18 @@ connectivity off the last radius.  :func:`mmd_masks` walks the radii upward
 and returns each vertex's MMD partners as one bitset row, taken from one
 bit-matrix transpose; the strong resolving graph is built straight from
 those rows by :func:`~strongdim.graphs.graph_from_masks`, whose sorted
-edges are the MMD pairs.  :func:`is_strong_resolving_set` grows its own
-radii and walks them downward once for all chosen vertices together.  It
-shares no code with the MMD scan, so it judges the cover independently of
-MMD detection.  :func:`strongly_resolves` and :func:`is_maximally_distant`
-are the scalar definitions both are tested against.
+edges are the MMD pairs.  :func:`is_strong_resolving_set` walks the radii
+downward once for all chosen vertices together.  Each scan takes the radii
+as the keyword ``radii`` (the list ``list(distance_balls(g))``) or grows its
+own; :func:`cover_pipeline` grows them once and hands the same list to
+both, and reads connectivity off it too.  Sharing the list loses the
+re-check no independence: the radii are a deterministic function of the
+graph that both scans would otherwise recompute identically, and
+:func:`~strongdim.graphs.distance_balls` is judged on its own, against BFS
+rows and by brute force on small graphs.  The re-check shares no code with
+the MMD scan, so it still judges the cover independently of MMD detection.
+:func:`strongly_resolves` and :func:`is_maximally_distant` are the scalar
+definitions both are tested against.
 
 :func:`brute_force_sdim` is the independent judge: it works from the
 definition alone and shares no code with the scans above or the cover
@@ -79,8 +86,18 @@ def strongly_resolves(dist: tuple[tuple[int, ...], ...], w: int, u: int, v: int)
     return dist[u][w] == duv + dist[v][w] or dist[v][w] == duv + dist[u][w]
 
 
+def _radii(g: Graph, radii: list[list[int]] | None) -> list[list[int]]:
+    """``list(distance_balls(g))`` when ``radii`` is None, else ``radii`` once its radius 0 fits ``g``."""
+    if radii is None:
+        return list(distance_balls(g))
+    rows = len(radii[0]) if radii else 0
+    if not radii or rows != g.vertex_count:
+        raise GraphError(f"radius 0 of the radii has {rows} rows, the graph has {g.vertex_count} vertices")
+    return radii
+
+
 def is_strong_resolving_set(
-    g: Graph, dm: object, subset: Iterable[int]
+    g: Graph, dm: object, subset: Iterable[int], *, radii: list[list[int]] | None = None
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check whether ``subset`` strongly resolves every vertex pair.
 
@@ -104,13 +121,15 @@ def is_strong_resolving_set(
     ``w`` is such a neighbour.  Only one radius of ``reach`` is live at a
     time.  Cost: O(diam * (V + E)) big-integer operations plus at most
     V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
-    the scalar definition.  The balls are grown here, not shared with
-    :func:`mmd_masks`, so the re-check judges the cover independently of
-    MMD detection.  The last radius is the fixed point, so it also tells
-    whether ``g`` is connected; no separate BFS runs.
+    the scalar definition.  ``radii`` is ``list(distance_balls(g))``, grown
+    here when None; it is read, never modified.  The walk shares no code
+    with :func:`mmd_masks`, so the re-check judges the cover independently
+    of MMD detection even when both read the same radii.  The last radius
+    is the fixed point, so it also tells whether ``g`` is connected; no
+    separate BFS runs.
     """
     n = g.vertex_count
-    radii = list(distance_balls(g))
+    radii = _radii(g, radii)
     full = (1 << n) - 1
     if n > 1 and radii[-1][0] != full:
         raise DisconnectedGraphError("strong resolution is defined for connected graphs")
@@ -121,10 +140,10 @@ def is_strong_resolving_set(
     adj = g.adjacency
     hit = [0] * n
     reach = [0] * n  # radius k + 1; nothing lies beyond the last radius
-    # radii are popped as the walk goes down, so none is live in the final scan
-    while radii:
-        ball = radii.pop()
-        inner = radii[-1] if radii else [0] * n
+    empty = [0] * n
+    for k in range(len(radii) - 1, -1, -1):
+        ball = radii[k]
+        inner = radii[k - 1] if k else empty
         nxt = []
         for v in range(n):
             sphere = ball[v] ^ inner[v]  # inner[v] is a subset of ball[v]
@@ -255,7 +274,7 @@ def is_maximally_distant(g: Graph, dist: tuple[tuple[int, ...], ...], u: int, v:
     return all(dist[w][v] <= duv for w in g.adjacency[u])
 
 
-def mmd_masks(g: Graph) -> list[int]:
+def mmd_masks(g: Graph, *, radii: list[list[int]] | None = None) -> list[int]:
     """Per vertex, the bitset of the vertices it is mutually maximally distant from.
 
     At radius k of :func:`~strongdim.graphs.distance_balls`, ``far[u]`` gains
@@ -263,12 +282,14 @@ def mmd_masks(g: Graph) -> list[int]:
     k of every neighbour of ``u``: those ``u`` is maximally distant from.  The
     MMD rows are ``far`` ANDed with its :func:`~strongdim.graphs.transpose`.
     O(diam * (V + E)) big-integer operations plus one transpose.  The last
-    radius, the fixed point, tells whether ``g`` is connected.
+    radius, the fixed point, tells whether ``g`` is connected.  ``radii`` is
+    ``list(distance_balls(g))``, read and never modified; when None the
+    balls are grown here, two radii live at a time.
     """
     n = g.vertex_count
     adj = g.adjacency
     far = [0] * n
-    balls = distance_balls(g)
+    balls = distance_balls(g) if radii is None else iter(_radii(g, radii))
     inner = next(balls)
     for ball in balls:
         for u in range(n):
@@ -288,29 +309,39 @@ def mmd_masks(g: Graph) -> list[int]:
     return unpack_rows(packed & transpose(packed, side), side, n)
 
 
-def strong_resolving_graph(g: Graph, dm: object = None) -> Graph:
+def strong_resolving_graph(
+    g: Graph, dm: object = None, *, radii: list[list[int]] | None = None
+) -> Graph:
     """Graph on the same vertices whose edges are the MMD pairs of ``g``, from :func:`mmd_masks`.
 
-    Labels carry over so derived output stays readable.  ``dm`` is not
-    read; ``perfbench`` still passes it positionally.
+    Labels carry over so derived output stays readable.  ``radii`` goes to
+    :func:`mmd_masks` as it is.  ``dm`` is not read; ``perfbench`` still
+    passes it positionally.
     """
-    return graph_from_masks(g.vertex_count, mmd_masks(g), g.labels)
+    return graph_from_masks(g.vertex_count, mmd_masks(g, radii=radii), g.labels)
 
 
-def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:
+def cover_pipeline(
+    g: Graph, *, radii: list[list[int]] | None = None
+) -> tuple[Graph, StrongBasisResult]:
     """The strong resolving graph and a minimum strong resolving set read off its optimal cover.
 
     The basis is re-checked against the definition; a failure would mean
     the reduction itself is broken, so it raises
     :class:`InternalInconsistencyError` rather than returning quietly.
-    Both the MMD detection and the re-check grow the distance balls of
-    ``g``, each its own, so no all-pairs distance matrix is built.
+    The distance balls of ``g`` are grown once, as ``radii``
+    (``list(distance_balls(g))``) unless the caller passes that list, and
+    the MMD detection and the re-check both read it; no all-pairs distance
+    matrix is built and no separate connectivity BFS runs, since the last
+    radius tells whether ``g`` is connected.  The list is not modified.
     """
-    if not is_connected(g):
+    n = g.vertex_count
+    radii = _radii(g, radii)
+    if n > 1 and radii[-1][0] != (1 << n) - 1:
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")
-    srg = strong_resolving_graph(g)
+    srg = strong_resolving_graph(g, radii=radii)
     cover = exact_min_vertex_cover(srg)
-    ok, witness = is_strong_resolving_set(g, None, cover.cover)
+    ok, witness = is_strong_resolving_set(g, None, cover.cover, radii=radii)
     if not ok:
         raise InternalInconsistencyError(
             f"optimal cover of the strong resolving graph left pair {witness} unresolved"

@@ -471,9 +471,27 @@ class TestVerifyPredictions:
         assert verify_predictions(JahangirParams(3, 3)).brute_sdim == 3
         assert built == [10]
 
+    @pytest.mark.parametrize("n,m", [(6, 5), (5, 5)])  # even, odd
+    def test_grows_the_balls_once_per_cell(self, monkeypatch, n, m):
+        calls = []
+
+        def counted(module):
+            real = module.distance_balls
+
+            def grow(g):
+                calls.append(module.__name__)
+                return real(g)
+
+            return grow
+
+        for module in (jahangir, strong_metric):
+            monkeypatch.setattr(module, "distance_balls", counted(module))
+        assert verify_predictions(JahangirParams(n, m)).passed
+        assert calls == ["strongdim.jahangir"]
+
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
         monkeypatch.setattr(
-            strong_metric, "is_strong_resolving_set", lambda g, dm, s: (False, (0, 1))
+            strong_metric, "is_strong_resolving_set", lambda g, dm, s, *, radii=None: (False, (0, 1))
         )
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(0, 1\) unresolved"):
             verify_predictions(JahangirParams(6, 5))
@@ -497,20 +515,28 @@ class TestVerifyPredictions:
         assert doc["alpha"] == doc["pipeline_sdim"] == 8
 
 
-def _with_distance(u: int, v: int, value: int):
-    """A ``distance_balls`` whose balls misreport d(u, v) = d(v, u) as ``value``."""
-    def skewed(g):
-        rows = [list(row) for row in all_pairs_distances(g)]
-        rows[u][v] = rows[v][u] = value
-        return balls_from_distances(rows)
+def _with_distance(params: JahangirParams, u: int, v: int, value: int):
+    """A ``_measure`` that scans balls of J(n, m) misreporting d(u, v) = d(v, u) as ``value``.
 
-    return skewed
+    Only the extremal-distance scans see the skew; the pipeline keeps the true radii.
+    """
+    real = jahangir._measure
+    g, _ = build_jahangir(params)
+    rows = [list(row) for row in all_pairs_distances(g)]
+    rows[u][v] = rows[v][u] = value
+    skewed = balls_from_distances(rows)
+
+    def measure(balls, params, case):
+        assert balls == list(distance_balls(g))  # the radii the pipeline read
+        return real(skewed, params, case)
+
+    return measure
 
 
 class TestDiscrepancyReports:
     """Every Discrepancy branch, reached by feeding verify_predictions wrong data.
 
-    The fakes go in through module attributes (``jahangir.distance_balls``,
+    The fakes go in through module attributes (``jahangir._measure``,
     ``jahangir.cover_pipeline``), the names verify_predictions looks up per call.
     """
 
@@ -556,7 +582,7 @@ class TestDiscrepancyReports:
     def test_skewed_distance(self, monkeypatch, n, m, positions, value, discrepancies, excluded):
         params = JahangirParams(n, m)
         u, v = (params.rim_id(pos) for pos in positions)
-        monkeypatch.setattr(jahangir, "distance_balls", _with_distance(u, v, value))
+        monkeypatch.setattr(jahangir, "_measure", _with_distance(params, u, v, value))
         report = verify_predictions(params)
         assert [(d.kind, d.detail) for d in report.discrepancies] == discrepancies
         assert report.notes == (() if excluded is None else (self.ODD_NOTE.format(excluded),))
@@ -567,8 +593,8 @@ class TestDiscrepancyReports:
         # (u1-u6, which the predicted cover misses) and a cover one too large
         real = jahangir.cover_pipeline
 
-        def skewed(g):
-            srg, result = real(g)
+        def skewed(g, *, radii=None):
+            srg, result = real(g, radii=radii)
             edges = (set(srg.edges()) - {(1, 5)}) | {(0, 5)}
             bigger = StrongBasisResult(result.size + 1, result.basis, result.method)
             return build_graph(srg.vertex_count, sorted(edges), srg.labels), bigger
@@ -589,8 +615,8 @@ class TestDiscrepancyReports:
     def test_skewed_pipeline_base_case(self, monkeypatch):
         real = jahangir.cover_pipeline
 
-        def skewed(g):
-            srg, result = real(g)
+        def skewed(g, *, radii=None):
+            srg, result = real(g, radii=radii)
             return srg, StrongBasisResult(result.size - 1, result.basis[1:], result.method)
 
         monkeypatch.setattr(jahangir, "cover_pipeline", skewed)

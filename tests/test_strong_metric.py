@@ -16,6 +16,7 @@ from strongdim import (
     complete_graph,
     cover_pipeline,
     cycle_graph,
+    distance_balls,
     is_maximally_distant,
     is_strong_resolving_set,
     path_graph,
@@ -538,25 +539,35 @@ class TestSdimViaCover:
         with pytest.raises(DisconnectedGraphError):
             sdim_via_cover(build_graph(4, [(0, 1), (2, 3)]))
 
-    def test_runs_one_connectivity_bfs(self, monkeypatch):
+    def test_runs_no_connectivity_bfs(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("the pipeline ran is_connected")
+
+        monkeypatch.setattr(strong_metric, "is_connected", refuse)
+        assert sdim_via_cover(cycle_graph(6)).size == 3
+        with pytest.raises(DisconnectedGraphError, match="^strong metric dimension needs a connected graph$"):
+            sdim_via_cover(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_grows_the_balls_once(self, monkeypatch):
         calls = []
-        real = strong_metric.is_connected
+        real = strong_metric.distance_balls
 
         def counted(g):
             calls.append(g.vertex_count)
             return real(g)
 
-        monkeypatch.setattr(strong_metric, "is_connected", counted)
-        assert sdim_via_cover(cycle_graph(6)).size == 3
-        assert calls == [6]
+        monkeypatch.setattr(strong_metric, "distance_balls", counted)
+        g, _ = build_jahangir(JahangirParams(5, 5))
+        assert sdim_via_cover(g).size == 12
+        assert calls == [26]
 
     def test_recheck_catches_a_dropped_mmd_pair(self, monkeypatch):
         # without the pair (2, 5) of C_6 the SRG loses an edge, the optimal
         # cover misses it, and the real re-check must notice on its own
         real = strong_metric.mmd_masks
 
-        def dropped(g):
-            masks = real(g)
+        def dropped(g, *, radii=None):
+            masks = real(g, radii=radii)
             assert masks[2] >> 5 & 1 and masks[5] >> 2 & 1
             masks[2] &= ~(1 << 5)
             masks[5] &= ~(1 << 2)
@@ -587,3 +598,68 @@ class TestSdimViaCover:
         result = sdim_via_cover(g)
         assert result.size == brute_force_sdim(g).size
         assert is_strong_resolving_set(g, all_pairs_distances(g), result.basis) == (True, None)
+
+
+def _shared_and_grown(g):
+    """Each radii-taking function on ``g``, given one shared list and growing its own.
+
+    Returns the two lists of results and the shared list after every call.
+    """
+    radii = list(distance_balls(g))
+    basis = sdim_via_cover(g).basis
+    subsets = (basis, basis[1:])  # a basis and, for order > 1, a set that leaves a pair unresolved
+    shared = [
+        mmd_masks(g, radii=radii),
+        strong_resolving_graph(g, radii=radii),
+        *(is_strong_resolving_set(g, None, s, radii=radii) for s in subsets),
+        cover_pipeline(g, radii=radii),
+    ]
+    grown = [
+        mmd_masks(g),
+        strong_resolving_graph(g),
+        *(is_strong_resolving_set(g, None, s) for s in subsets),
+        cover_pipeline(g),
+    ]
+    return shared, grown, radii
+
+
+class TestSharedRadii:
+    """Handing the radii in changes no result and leaves the list as it was."""
+
+    @given(connected_graphs(max_order=12))
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_graphs(self, g):
+        shared, grown, radii = _shared_and_grown(g)
+        assert shared == grown
+        assert radii == list(distance_balls(g))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_large_random_graphs(self, seed):
+        g = LARGE_RANDOM_GRAPHS[seed]
+        shared, grown, radii = _shared_and_grown(g)
+        assert shared == grown
+        assert radii == list(distance_balls(g))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, radii: mmd_masks(g, radii=radii),
+            lambda g, radii: strong_resolving_graph(g, radii=radii),
+            lambda g, radii: is_strong_resolving_set(g, None, [0], radii=radii),
+            lambda g, radii: cover_pipeline(g, radii=radii),
+        ],
+        ids=["mmd_masks", "strong_resolving_graph", "is_strong_resolving_set", "cover_pipeline"],
+    )
+    @pytest.mark.parametrize(
+        "radii,rows",
+        [
+            ([], 0),
+            (list(distance_balls(build_graph(0, []))), 0),
+            (list(distance_balls(cycle_graph(5))), 5),
+            (list(distance_balls(cycle_graph(7))), 7),
+        ],
+        ids=["no-radius", "order-0", "order-5", "order-7"],
+    )
+    def test_rejects_radii_of_another_order(self, call, radii, rows):
+        with pytest.raises(GraphError, match=f"^radius 0 of the radii has {rows} rows, the graph has 6 vertices$"):
+            call(cycle_graph(6), radii)
