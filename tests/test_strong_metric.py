@@ -600,14 +600,15 @@ class TestSdimViaCover:
         assert is_strong_resolving_set(g, all_pairs_distances(g), result.basis) == (True, None)
 
 
-def _shared_and_grown(g):
-    """Each radii-taking function on ``g``, given one shared list and growing its own.
+def assert_shared_radii_change_nothing(g):
+    """Each radii-taking function gives on one shared list what it gives growing its own.
 
-    Returns the two lists of results and the shared list after every call.
+    The re-check runs on the pipeline basis and on the basis less its first
+    vertex; the shared list must be unchanged after every call.
     """
     radii = list(distance_balls(g))
     basis = sdim_via_cover(g).basis
-    subsets = (basis, basis[1:])  # a basis and, for order > 1, a set that leaves a pair unresolved
+    subsets = (basis, basis[1:])
     shared = [
         mmd_masks(g, radii=radii),
         strong_resolving_graph(g, radii=radii),
@@ -620,7 +621,8 @@ def _shared_and_grown(g):
         *(is_strong_resolving_set(g, None, s) for s in subsets),
         cover_pipeline(g),
     ]
-    return shared, grown, radii
+    assert shared == grown
+    assert radii == list(distance_balls(g))
 
 
 class TestSharedRadii:
@@ -629,16 +631,11 @@ class TestSharedRadii:
     @given(connected_graphs(max_order=12))
     @settings(max_examples=100, deadline=None)
     def test_hypothesis_graphs(self, g):
-        shared, grown, radii = _shared_and_grown(g)
-        assert shared == grown
-        assert radii == list(distance_balls(g))
+        assert_shared_radii_change_nothing(g)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_large_random_graphs(self, seed):
-        g = LARGE_RANDOM_GRAPHS[seed]
-        shared, grown, radii = _shared_and_grown(g)
-        assert shared == grown
-        assert radii == list(distance_balls(g))
+        assert_shared_radii_change_nothing(LARGE_RANDOM_GRAPHS[seed])
 
     @pytest.mark.parametrize(
         "call",
