@@ -356,18 +356,15 @@ def _measure(balls: list[list[int]], params: JahangirParams, case: str) -> tuple
     return measured, on_path
 
 
-def measured_distance_pairs(g: Graph, params: JahangirParams, case: str) -> _Tagged:
+def measured_distance_pairs(params: JahangirParams, case: str) -> _Tagged:
     """BFS-side counterpart of :func:`extremal_distance_pairs`.
 
-    Scans the distance balls of ``g`` for pairs meeting each case's
-    distance condition, so comparing it with the closed-form sets checks
-    the characterization in both directions at once.  ``g`` must be J(n, m)
-    numbered as ``params`` numbers it.
+    Builds J(n, m) and scans its distance balls for pairs meeting each
+    case's distance condition, so comparing it with the closed-form sets
+    checks the characterization in both directions at once.
     """
     _check_case(case)
-    if g.adjacency != build_jahangir(params)[0].adjacency:
-        raise GraphError(f"graph is not J({params.n}, {params.m}) in its rim numbering")
-    return _measure(list(distance_balls(g)), params, case)[0]
+    return _measure(list(distance_balls(build_jahangir(params)[0])), params, case)[0]
 
 
 # ---------- end-to-end verification ----------
@@ -386,7 +383,7 @@ class VerificationReport:
     """Outcome of checking every applicable prediction for one (n, m).
 
     Comparison fields are None when the parameters fall outside the
-    regime that defines them (``exploratory`` marks parameters with no
+    regime that defines them (:attr:`exploratory` marks parameters with no
     closed form at all); ``discrepancies`` is empty exactly when every
     applicable comparison agreed.  ``alpha_computed``, the optimal cover
     size of the strong resolving graph, is also the pipeline's strong
@@ -396,7 +393,6 @@ class VerificationReport:
 
     n: int
     m: int
-    exploratory: bool
     srg_edges_match: bool | None
     predicted_cover_valid: bool | None
     predicted_cover_size: int | None
@@ -405,6 +401,10 @@ class VerificationReport:
     brute_sdim: int | None
     discrepancies: tuple[Discrepancy, ...] = field(default_factory=tuple)
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def exploratory(self) -> bool:
+        return self.formula_sdim is None
 
     @property
     def passed(self) -> bool:
@@ -517,28 +517,18 @@ def verify_predictions(
                 discrepancies.append(Discrepancy(f"distance-pairs-{case}", "; ".join(parts)))
 
     formula = sdim_formula(params)
-    if formula is not None and formula != alpha:
-        discrepancies.append(
-            Discrepancy(
-                "sdim-formula",
-                f"closed form gives {formula} but the cover pipeline gives {alpha}",
-            )
-        )
-    brute: int | None = None
-    if g.vertex_count <= brute_cap:
-        brute = brute_force_sdim(g, brute_cap).size
-        if brute != alpha:
-            discrepancies.append(
-                Discrepancy(
-                    "sdim-brute",
-                    f"exhaustive search gives {brute} but the cover pipeline gives {alpha}",
-                )
-            )
+    brute = brute_force_sdim(g, brute_cap).size if g.vertex_count <= brute_cap else None
+    for check, source, value in (
+        ("sdim-formula", "closed form", formula),
+        ("sdim-brute", "exhaustive search", brute),
+    ):
+        if value is not None and value != alpha:
+            detail = f"{source} gives {value} but the cover pipeline gives {alpha}"
+            discrepancies.append(Discrepancy(check, detail))
 
     return VerificationReport(
         n=n,
         m=m,
-        exploratory=kind is None,
         srg_edges_match=srg_match,
         predicted_cover_valid=cover_valid,
         predicted_cover_size=cover_size,

@@ -10,12 +10,12 @@ which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
 The two whole-graph scans work on Python integers used as vertex bitsets
 (bit ``v`` stands for vertex ``v``).  Both read the radii of
 :func:`~strongdim.graphs.distance_balls`, not a distance matrix, and read
-connectivity off the last radius.  :func:`mmd_masks` walks the radii upward
-and returns each vertex's MMD partners as one bitset row, taken from one
-bit-matrix transpose; the strong resolving graph is built straight from
-those rows by :func:`~strongdim.graphs.graph_from_masks`, whose sorted
-edges are the MMD pairs.  :func:`is_strong_resolving_set` walks the radii
-downward once for all chosen vertices together.  Each scan takes the radii
+connectivity off the last radius.  :func:`strong_resolving_graph` walks
+the radii upward, takes each vertex's MMD partners as one bitset row from
+one bit-matrix transpose, and builds the graph straight from those rows by
+:func:`~strongdim.graphs.graph_from_masks`, whose sorted edges are the MMD
+pairs.  :func:`is_strong_resolving_set` walks the radii downward once for
+all chosen vertices together.  Each scan takes the radii
 as the keyword ``radii`` (the list ``list(distance_balls(g))``) or grows its
 own; :func:`cover_pipeline` grows them once and hands the same list to
 both, and reads connectivity off it too.  Sharing the list loses the
@@ -44,6 +44,7 @@ from .graphs import (
     Graph,
     GraphError,
     SizeLimitError,
+    UNREACHABLE,
     all_pairs_distances,
     check_vertex,
     distance_balls,
@@ -76,14 +77,18 @@ def strongly_resolves(dist: tuple[tuple[int, ...], ...], w: int, u: int, v: int)
     """True when u is on a shortest w-v path or v is on a shortest w-u path.
 
     ``dist`` holds the rows of :func:`~strongdim.graphs.all_pairs_distances`.
+    Raises :class:`DisconnectedGraphError` when ``w``, ``u`` and ``v`` do not
+    all lie in one component.
     """
     check_vertex(len(dist), w)
     check_vertex(len(dist), u)
     check_vertex(len(dist), v)
     if u == v:
         raise GraphError(f"strongly_resolves needs two distinct vertices, got u = v = {u}")
-    duv = dist[u][v]
-    return dist[u][w] == duv + dist[v][w] or dist[v][w] == duv + dist[u][w]
+    duv, duw, dvw = dist[u][v], dist[u][w], dist[v][w]
+    if UNREACHABLE in (duv, duw, dvw):
+        raise DisconnectedGraphError("strong resolution is defined for connected graphs")
+    return duw == duv + dvw or dvw == duv + duw
 
 
 def _radii(g: Graph, radii: list[list[int]] | None) -> list[list[int]]:
@@ -123,10 +128,10 @@ def is_strong_resolving_set(
     V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
     the scalar definition.  ``radii`` is ``list(distance_balls(g))``, grown
     here when None; it is read, never modified.  The walk shares no code
-    with :func:`mmd_masks`, so the re-check judges the cover independently
-    of MMD detection even when both read the same radii.  The last radius
-    is the fixed point, so it also tells whether ``g`` is connected; no
-    separate BFS runs.
+    with :func:`strong_resolving_graph`, so the re-check judges the cover
+    independently of MMD detection even when both read the same radii.
+    The last radius is the fixed point, so it also tells whether ``g`` is
+    connected; no separate BFS runs.
     """
     n = g.vertex_count
     radii = _radii(g, radii)
@@ -247,8 +252,9 @@ def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasis
     result is the smallest size and the lexicographically first basis of
     that size, the set that trying every k-subset in order would return.
     Worst-case time is still exponential in the order.  Shares no code with
-    :func:`is_strong_resolving_set`, :func:`mmd_masks` or the cover search,
-    so it can judge them.  Refuses graphs larger than ``size_cap``.
+    :func:`is_strong_resolving_set`, :func:`strong_resolving_graph` or the
+    cover search, so it can judge them.  Refuses graphs larger than
+    ``size_cap``.
     """
     if g.vertex_count > size_cap:
         raise SizeLimitError(
@@ -265,26 +271,37 @@ def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasis
 
 
 def is_maximally_distant(g: Graph, dist: tuple[tuple[int, ...], ...], u: int, v: int) -> bool:
-    """True when no neighbor of ``u`` is farther from ``v`` than ``u`` is, by the rows ``dist``."""
+    """True when no neighbor of ``u`` is farther from ``v`` than ``u`` is, by the rows ``dist``.
+
+    Raises :class:`DisconnectedGraphError` when ``u`` and ``v`` lie in
+    different components.
+    """
     check_vertex(g.vertex_count, u)
     check_vertex(g.vertex_count, v)
     if u == v:
         raise GraphError(f"maximal distance needs two distinct vertices, got u = v = {u}")
     duv = dist[u][v]
+    if duv == UNREACHABLE:  # u's neighbours share its component: their reads are finite when this one is
+        raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
     return all(dist[w][v] <= duv for w in g.adjacency[u])
 
 
-def mmd_masks(g: Graph, *, radii: list[list[int]] | None = None) -> list[int]:
-    """Per vertex, the bitset of the vertices it is mutually maximally distant from.
+def strong_resolving_graph(
+    g: Graph, dm: object = None, *, radii: list[list[int]] | None = None
+) -> Graph:
+    """Graph on the same vertices whose edges are the mutually maximally distant pairs of ``g``.
 
     At radius k of :func:`~strongdim.graphs.distance_balls`, ``far[u]`` gains
     the vertices of the sphere ``ball[u] ^ inner[u]`` that lie within distance
     k of every neighbour of ``u``: those ``u`` is maximally distant from.  The
-    MMD rows are ``far`` ANDed with its :func:`~strongdim.graphs.transpose`.
+    MMD rows are ``far`` ANDed with its :func:`~strongdim.graphs.transpose`,
+    and :func:`~strongdim.graphs.graph_from_masks` builds the graph from them.
     O(diam * (V + E)) big-integer operations plus one transpose.  The last
     radius, the fixed point, tells whether ``g`` is connected.  ``radii`` is
     ``list(distance_balls(g))``, read and never modified; when None the
-    balls are grown here, two radii live at a time.
+    balls are grown here, two radii live at a time.  Labels carry over so
+    derived output stays readable.  ``dm`` is not read; ``perfbench`` still
+    passes it positionally.
     """
     n = g.vertex_count
     adj = g.adjacency
@@ -306,19 +323,7 @@ def mmd_masks(g: Graph, *, radii: list[list[int]] | None = None) -> list[int]:
     if n > 1 and inner[0] != (1 << n) - 1:
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
     packed, side = pack_rows(far)
-    return unpack_rows(packed & transpose(packed, side), side, n)
-
-
-def strong_resolving_graph(
-    g: Graph, dm: object = None, *, radii: list[list[int]] | None = None
-) -> Graph:
-    """Graph on the same vertices whose edges are the MMD pairs of ``g``, from :func:`mmd_masks`.
-
-    Labels carry over so derived output stays readable.  ``radii`` goes to
-    :func:`mmd_masks` as it is.  ``dm`` is not read; ``perfbench`` still
-    passes it positionally.
-    """
-    return graph_from_masks(g.vertex_count, mmd_masks(g, radii=radii), g.labels)
+    return graph_from_masks(n, unpack_rows(packed & transpose(packed, side), side, n), g.labels)
 
 
 def cover_pipeline(

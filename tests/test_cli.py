@@ -143,9 +143,9 @@ class TestSdim:
     def test_disconnected_input(self, capsys, tmp_path):
         path = tmp_path / "split.json"
         path.write_text(DISCONNECTED_DOC)
-        code, _, err = run_cli(capsys, ["sdim", str(path)])
-        assert code == 2
-        assert "connected" in err
+        assert run_cli(capsys, ["sdim", str(path)]) == (
+            2, "", "error: strong metric dimension needs a connected graph\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["sdim", "no/such/file.json"])
@@ -255,10 +255,11 @@ class TestSrgAndMmd:
         path.write_text(C6_DOC)
         assert run_cli(capsys, ["mmd", str(path)]) == (0, "0 3\n1 4\n2 5\n", "")
 
-    def test_mmd_disconnected_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["mmd", "srg"])
+    def test_mmd_disconnected_file(self, capsys, tmp_path, command):
         path = tmp_path / "two.json"
         path.write_text(DISCONNECTED_DOC)
-        assert run_cli(capsys, ["mmd", str(path)]) == (
+        assert run_cli(capsys, [command, str(path)]) == (
             2, "", "error: MMD pairs are defined for connected graphs\n"
         )
 

@@ -367,21 +367,11 @@ class TestExtremalDistancePairs:
         with pytest.raises(GraphError, match="even-n predictions"):
             extremal_distance_pairs(JahangirParams(4, 4), "even-b")
 
-    @pytest.mark.parametrize("graph,params,case", [((5, 5), (6, 5), "even-c"), ((7, 4), (5, 4), "odd-a")])
-    def test_measured_pairs_refuse_another_graph(self, graph, params, case):
-        # without the check the first raises a bare IndexError and the second
-        # returns 22 n_plus_1 pairs where the closed form has 4
-        g, _ = build_jahangir(JahangirParams(*graph))
-        with pytest.raises(GraphError) as excinfo:
-            measured_distance_pairs(g, JahangirParams(*params), case)
-        assert str(excinfo.value) == f"graph is not J{params} in its rim numbering"
-
     def test_unknown_case(self):
         with pytest.raises(GraphError, match="unknown case"):
             extremal_distance_pairs(JahangirParams(6, 5), "even-z")
-        g, lab = build_jahangir(JahangirParams(6, 5))
         with pytest.raises(GraphError, match="unknown case 'even-z'"):
-            measured_distance_pairs(g, lab, "even-z")
+            measured_distance_pairs(JahangirParams(6, 5), "even-z")
 
     @pytest.mark.parametrize(
         "n,m,case",
@@ -389,8 +379,7 @@ class TestExtremalDistancePairs:
     )
     def test_matches_measured_even_sample(self, n, m, case):
         p = JahangirParams(n, m)
-        g, lab = build_jahangir(p)
-        assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, lab, case)
+        assert extremal_distance_pairs(p, case) == measured_distance_pairs(p, case)
 
     @pytest.mark.parametrize(
         "n,m,case",
@@ -398,8 +387,7 @@ class TestExtremalDistancePairs:
     )
     def test_matches_measured_odd_sample(self, n, m, case):
         p = JahangirParams(n, m)
-        g, lab = build_jahangir(p)
-        assert extremal_distance_pairs(p, case) == measured_distance_pairs(g, lab, case)
+        assert extremal_distance_pairs(p, case) == measured_distance_pairs(p, case)
 
     @pytest.mark.parametrize("n,m", SCAN_GRID)
     def test_ball_scans_match_scalar_oracle(self, n, m):
@@ -410,7 +398,7 @@ class TestExtremalDistancePairs:
         for case in jahangir._REGIMES[regime(p)].cases:
             measured, excluded = jahangir._measure(balls, lab, case)
             assert (measured, excluded) == scalar_measure(dm, lab, case)
-            assert measured_distance_pairs(g, lab, case) == measured
+            assert measured_distance_pairs(lab, case) == measured
 
 
 class TestVerifyPredictions:

@@ -23,7 +23,7 @@ def test_every_exported_name_resolves():
     [(strongdim, "JahangirLabeling"), (jahangir, "JahangirLabeling"),
      (strongdim, "MmdPairSet"), (strong_metric, "MmdPairSet"),
      (strongdim, "max_independent_set"), (vertex_cover, "max_independent_set"),
-     (strongdim, "mmd_pairs"), (strong_metric, "mmd_pairs"),
+     (strongdim, "mmd_pairs"), (strong_metric, "mmd_pairs"), (strong_metric, "mmd_masks"),
      (strongdim, "DistanceMatrix"), (graphs, "DistanceMatrix"),
      (strongdim, "srg_edge_families_even"), (jahangir, "srg_edge_families_even"),
      (strongdim, "srg_edge_families_odd"), (jahangir, "srg_edge_families_odd"),
@@ -42,12 +42,14 @@ def test_duplicate_members_are_gone():
     assert list(inspect.signature(strongdim.diameter).parameters) == ["g"]
     report_fields = {f.name for f in dataclasses.fields(strongdim.VerificationReport)}
     assert "alpha_computed" in report_fields and "pipeline_sdim" not in report_fields
+    assert "exploratory" not in report_fields  # a property of formula_sdim
     assert "cover" not in jahangir._Regime._fields
 
 
 def test_dead_knobs_are_gone():
     assert list(inspect.signature(strongdim.exact_min_vertex_cover).parameters) == ["g"]
     assert list(inspect.signature(strongdim.parse).parameters) == ["text"]
+    assert list(inspect.signature(strongdim.measured_distance_pairs).parameters) == ["params", "case"]
     assert not hasattr(strongdim, "EXACT_COVER_CAP")
 
 

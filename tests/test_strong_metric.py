@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +27,8 @@ from strongdim import (
     strongly_resolves,
 )
 from strongdim import strong_metric
-from strongdim.graphs import members
-from strongdim.strong_metric import _first_hitting_set, _minimal_resolver_masks, mmd_masks
+from strongdim.graphs import UNREACHABLE, members
+from strongdim.strong_metric import _first_hitting_set, _minimal_resolver_masks
 from helpers import (
     MMD_23,
     MMD_33,
@@ -125,12 +126,14 @@ def brute_outcome(search, g):
 LONG_DIAMETER_GRAPHS = long_diameter_graphs()
 LARGE_RANDOM_GRAPHS = large_random_graphs()
 # two components each: two edges, an isolated vertex beside an edge (once
-# as vertex 0, once as the last vertex) and two isolated vertices
+# as vertex 0, once as the last vertex), two isolated vertices, and a path
+# of three beside a 4-cycle
 TWO_COMPONENT_GRAPHS = [
     build_graph(4, [(0, 1), (2, 3)]),
     build_graph(3, [(1, 2)]),
     build_graph(3, [(0, 1)]),
     build_graph(2, []),
+    build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
 ]
 
 
@@ -396,6 +399,45 @@ class TestMaximallyDistant:
             is_maximally_distant(g, all_pairs_distances(g), 1, 1)
 
 
+def components(g):
+    """The components of ``g``, each as the sorted tuple of its vertex ids."""
+    dm = all_pairs_distances(g)
+    n = g.vertex_count
+    return sorted({tuple(v for v in range(n) if dm[u][v] != UNREACHABLE) for u in range(n)})
+
+
+class TestScalarDefinitionsAcrossComponents:
+    """A distance read across components raises; inside one the answers are the component's own."""
+
+    @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
+    def test_cross_component_reads_raise(self, g):
+        dm = all_pairs_distances(g)
+        side = {v: comp for comp in components(g) for v in comp}
+        for u, v in permutations(range(g.vertex_count), 2):
+            for w in range(g.vertex_count):
+                if side[w] == side[u] == side[v]:
+                    continue
+                with pytest.raises(DisconnectedGraphError, match="^strong resolution is defined for connected graphs$"):
+                    strongly_resolves(dm, w, u, v)
+            if side[u] != side[v]:
+                with pytest.raises(DisconnectedGraphError, match="^MMD pairs are defined for connected graphs$"):
+                    is_maximally_distant(g, dm, u, v)
+
+    @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
+    def test_same_component_answers_are_the_components_own(self, g):
+        dm = all_pairs_distances(g)
+        for comp in components(g):
+            index = {v: i for i, v in enumerate(comp)}
+            part = build_graph(len(comp), [(index[a], index[b]) for a, b in g.edges() if a in index])
+            part_dm = all_pairs_distances(part)
+            for u, v in permutations(comp, 2):
+                alone = is_maximally_distant(part, part_dm, index[u], index[v])
+                assert is_maximally_distant(g, dm, u, v) == alone
+                for w in comp:
+                    alone = strongly_resolves(part_dm, index[w], index[u], index[v])
+                    assert strongly_resolves(dm, w, u, v) == alone
+
+
 class TestMmdPairs:
     def test_c4_antipodes(self):
         assert srg_edge_set(cycle_graph(4)) == frozenset({(0, 2), (1, 3)})
@@ -419,16 +461,14 @@ class TestMmdPairs:
                     )
                     assert both == ((u, v) in pairs)
 
-    @pytest.mark.parametrize("scan", [mmd_masks, strong_resolving_graph])
     @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
-    def test_rejects_disconnected(self, scan, g):
+    def test_rejects_disconnected(self, g):
         with pytest.raises(DisconnectedGraphError, match="MMD pairs are defined for connected graphs"):
-            scan(g)
+            strong_resolving_graph(g)
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_trivial_orders_have_no_pairs(self, order):
         assert srg_edge_set(build_graph(order, [])) == frozenset()
-        assert mmd_masks(build_graph(order, [])) == [0] * order
 
     def test_runs_no_separate_connectivity_bfs(self, monkeypatch):
         def refuse(g):
@@ -564,16 +604,14 @@ class TestSdimViaCover:
     def test_recheck_catches_a_dropped_mmd_pair(self, monkeypatch):
         # without the pair (2, 5) of C_6 the SRG loses an edge, the optimal
         # cover misses it, and the real re-check must notice on its own
-        real = strong_metric.mmd_masks
+        real = strong_metric.strong_resolving_graph
 
-        def dropped(g, *, radii=None):
-            masks = real(g, radii=radii)
-            assert masks[2] >> 5 & 1 and masks[5] >> 2 & 1
-            masks[2] &= ~(1 << 5)
-            masks[5] &= ~(1 << 2)
-            return masks
+        def dropped(g, dm=None, *, radii=None):
+            edges = real(g, dm, radii=radii).edges()
+            edges.remove((2, 5))
+            return build_graph(g.vertex_count, edges, g.labels)
 
-        monkeypatch.setattr(strong_metric, "mmd_masks", dropped)
+        monkeypatch.setattr(strong_metric, "strong_resolving_graph", dropped)
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(2, 5\) unresolved"):
             cover_pipeline(cycle_graph(6))
 
@@ -610,13 +648,11 @@ def assert_shared_radii_change_nothing(g):
     basis = sdim_via_cover(g).basis
     subsets = (basis, basis[1:])
     shared = [
-        mmd_masks(g, radii=radii),
         strong_resolving_graph(g, radii=radii),
         *(is_strong_resolving_set(g, None, s, radii=radii) for s in subsets),
         cover_pipeline(g, radii=radii),
     ]
     grown = [
-        mmd_masks(g),
         strong_resolving_graph(g),
         *(is_strong_resolving_set(g, None, s) for s in subsets),
         cover_pipeline(g),
@@ -640,12 +676,11 @@ class TestSharedRadii:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda g, radii: mmd_masks(g, radii=radii),
             lambda g, radii: strong_resolving_graph(g, radii=radii),
             lambda g, radii: is_strong_resolving_set(g, None, [0], radii=radii),
             lambda g, radii: cover_pipeline(g, radii=radii),
         ],
-        ids=["mmd_masks", "strong_resolving_graph", "is_strong_resolving_set", "cover_pipeline"],
+        ids=["strong_resolving_graph", "is_strong_resolving_set", "cover_pipeline"],
     )
     @pytest.mark.parametrize(
         "radii,rows",
