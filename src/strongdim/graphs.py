@@ -4,6 +4,10 @@ Vertices are the integers ``0 .. vertex_count - 1``.  Graphs are immutable
 once built; :func:`build_graph` (from an edge list) and :func:`graph_from_masks`
 (from neighbour bitsets, checked as one bit matrix) enforce the representation
 invariants (sorted neighbor lists, symmetry, no self-loops, no parallel edges).
+A :class:`Graph` is read as sorted neighbour tuples (``adjacency``) or as
+neighbour bitsets (``masks``); it keeps the view it was built from and
+derives the other once, when first read, so the strong resolving graph goes
+from the MMD scan to the cover search as bitset rows and is never decoded.
 
 Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
@@ -47,29 +51,68 @@ class SizeLimitError(GraphError):
     """Input exceeds the configured size cap of an exact algorithm."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected simple graph.
+    """Immutable undirected simple graph, read through two views of one edge set.
 
-    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``.  ``labels``
-    optionally maps vertex ids to display names; it never affects the
-    structure, only serialization and diagnostics.  :func:`build_graph`
-    stores it as a read-only view of its own copy, so a validated graph
-    cannot be relabelled afterwards.
+    ``adjacency[v]`` is the sorted tuple of neighbours of ``v``; ``masks[v]``
+    is the same set as a bitset (bit ``u`` for neighbour ``u``).  A graph
+    keeps the view it was built from (:func:`build_graph` the tuples,
+    :func:`graph_from_masks` its checked rows) and derives the other once,
+    on its first read, so bit-parallel code can read a mask-built graph
+    without ever decoding it.  Equality and hashing compare the vertex count,
+    the edge set and the labels, whichever view each side was built from.
+    ``labels`` optionally maps vertex ids to display names; it never affects
+    the structure, only serialization and diagnostics.  Both builders store
+    it as a read-only view of their own copy, so a validated graph cannot be
+    relabelled afterwards.  The constructor checks nothing; build graphs
+    with :func:`build_graph` or :func:`graph_from_masks`.
     """
 
     vertex_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    _adjacency: tuple[tuple[int, ...], ...] | None
     labels: Mapping[int, str] | None = None
+    _masks: tuple[int, ...] | None = None
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adjacency = self._adjacency
+        if adjacency is None:  # lists, not generators: see all_pairs_distances
+            adjacency = tuple([tuple([*members(mask)]) for mask in self._masks])
+            object.__setattr__(self, "_adjacency", adjacency)
+        return adjacency
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        masks = self._masks
+        if masks is None:
+            bit = [1 << v for v in range(self.vertex_count)]
+            masks = tuple([sum(map(bit.__getitem__, nbrs)) for nbrs in self._adjacency])
+            object.__setattr__(self, "_masks", masks)
+        return masks
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.vertex_count, self.masks, self.labels) == (other.vertex_count, other.masks, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.masks, self.labels))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        check_vertex(self.vertex_count, v)
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        check_vertex(self.vertex_count, u)
+        check_vertex(self.vertex_count, v)
+        return bool(self.masks[u] >> v & 1)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        # from the view the graph was built from: counting decodes nothing
+        if self._masks is None:
+            return sum(map(len, self._adjacency)) // 2
+        return sum(mask.bit_count() for mask in self._masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -130,9 +173,12 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
 
     The invariants are checked on the whole bit matrix: no bit at or above
     ``vertex_count``, an empty diagonal, and equality with the
-    :func:`transpose`.  Raises :class:`GraphError` when one fails.
+    :func:`transpose`.  Raises :class:`GraphError` when one fails.  The
+    graph keeps a copy of the checked rows as its ``masks`` view; its
+    ``adjacency`` tuples are decoded only if something reads them.
     """
     _check_count(vertex_count)
+    masks = tuple(masks)
     if len(masks) != vertex_count:
         raise GraphError(f"expected {vertex_count!r} neighbour masks, got {len(masks)}")
     if any(mask < 0 or mask >> vertex_count for mask in masks):
@@ -142,8 +188,7 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     packed, side = pack_rows(masks)
     if packed != transpose(packed, side):
         raise GraphError("neighbour masks are not symmetric")
-    adjacency = tuple([tuple([*members(mask)]) for mask in masks])  # lists: see all_pairs_distances
-    return Graph(vertex_count, adjacency, _frozen_labels(vertex_count, labels))
+    return Graph(vertex_count, None, _frozen_labels(vertex_count, labels), masks)
 
 
 # ---------- distances ----------

@@ -1,10 +1,12 @@
 """Exact and heuristic vertex covers.
 
-Both covers work on Python integers used as vertex bitsets.  The exact
-core is a maximum independent set search in the style of Tomita and
-Kameda (2007) and San Segundo et al.'s bit-parallel BBMC (2011): degree-0 and
-degree-1 reductions at the root only, then a branch and bound whose nodes
-partition their candidates greedily into cliques.  The clique numbers both
+Both covers and the matching bound read the graph's ``masks`` view,
+Python integers used as vertex bitsets, so none of them decodes a graph
+built from masks, such as the strong resolving graph, into neighbour
+tuples.  The exact core is a maximum independent set search in the style
+of Tomita and Kameda (2007) and San Segundo et al.'s bit-parallel BBMC
+(2011): degree-0 and degree-1 reductions at the root only, then a branch
+and bound whose nodes partition their candidates greedily into cliques.  The clique numbers both
 bound a node and choose the vertices it branches on; the recursion is at
 most α + 1 deep.  A node reuses its parent's cliques up to the first one
 that lost a vertex and partitions only the rest afresh, which gives the
@@ -20,11 +22,9 @@ sanity-check a cover's size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable
 
-from .graphs import Graph, SizeLimitError, check_vertex
+from .graphs import Graph, SizeLimitError, check_vertex, pack_rows, transpose, unpack_rows
 
 EXACT_COVER_CAP = 256  # largest order the exact cover search accepts
 
@@ -62,16 +62,13 @@ def matching_lower_bound(g: Graph) -> int:
     Vertices are scanned in increasing id order and each one is matched to
     its lowest-id unmatched neighbor, so the bound is deterministic.
     """
-    matched = [False] * g.vertex_count
+    matched = 0
     size = 0
-    for u in range(g.vertex_count):
-        if matched[u]:
-            continue
-        for v in g.adjacency[u]:
-            if not matched[v]:
-                matched[u] = matched[v] = True
-                size += 1
-                break
+    for u, mask in enumerate(g.masks):
+        free = mask & ~matched
+        if free and not matched >> u & 1:
+            matched |= 1 << u | free & -free
+            size += 1
     return size
 
 
@@ -81,7 +78,7 @@ def greedy_cover(g: Graph) -> CoverResult:
     The result is only guaranteed optimal when it meets the matching lower
     bound; the ``optimal`` flag records that.
     """
-    nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+    nbr = g.masks
     live = (1 << g.vertex_count) - 1
     cover: list[int] = []
     while True:
@@ -145,9 +142,11 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     Bit ``i`` of ``mask`` stands for vertex ``order[i]``; ``nodes`` counts
     search nodes, the root included.  Vertices are relabelled once by
     ascending degree (lowest id on ties), and position ``i`` of that order
-    is bit ``i`` of every mask.  At the root, isolated and degree-1 vertices
-    join the set to a fixpoint (the neighbor of a degree-1 vertex leaves
-    play); no reduction runs below the root.  Each search node partitions
+    is bit ``i`` of every mask.  The relabelling works on the graph's
+    ``masks`` view as one bit matrix, so a mask-built graph is never
+    decoded into neighbour tuples.  At the root, isolated and degree-1
+    vertices join the set to a fixpoint (the neighbor of a degree-1 vertex
+    leaves play); no reduction runs below the root.  Each search node partitions
     its candidates greedily into cliques (:func:`_clique_partition`): the
     root from scratch, every other node by keeping its parent's cliques up
     to the first one that lost a vertex (the branched vertex, one of its
@@ -170,12 +169,13 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     n = g.vertex_count
     if n > EXACT_COVER_CAP:
         raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {EXACT_COVER_CAP}")
-    adj = g.adjacency
-    order = sorted(range(n), key=lambda v: len(adj[v]))
-    bit = [0] * n  # bit[v] is the mask bit of vertex v's position in order
-    for i, v in enumerate(order):
-        bit[v] = 1 << i
-    nbr = [reduce(or_, map(bit.__getitem__, adj[v]), 0) for v in order]
+    masks = g.masks
+    order = sorted(range(n), key=lambda v: masks[v].bit_count())
+    # relabelled rows P·M·Pᵀ: rows in order, one transpose, rows in order again;
+    # the transpose stands in for Pᵀ on the columns because M is symmetric
+    packed, side = pack_rows([masks[v] for v in order])
+    columns = unpack_rows(transpose(packed, side), side, n)
+    nbr = [columns[v] for v in order]
 
     # Root reductions to a fixpoint: an isolated vertex joins the set, and
     # so does a degree-1 vertex, whose neighbor then leaves play.

@@ -44,6 +44,11 @@ def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Gra
     return build_graph(order, sorted(edges))
 
 
+def masks_of(g: Graph) -> list[int]:
+    """Each vertex's neighbour bitset, summed from its ``adjacency`` tuple."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+
+
 def large_random_graphs(count=10) -> list[Graph]:
     """Connected graphs of order 60-80, graph i drawn from ``random.Random(i)``.
 

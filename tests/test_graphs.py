@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -28,7 +29,7 @@ from strongdim import (
     strong_resolving_graph,
 )
 from strongdim.graphs import graph_from_masks, members, pack_rows, transpose, unpack_rows
-from helpers import balls_from_distances, long_diameter_graphs, random_connected_graph
+from helpers import balls_from_distances, long_diameter_graphs, masks_of, random_connected_graph
 
 
 @st.composite
@@ -133,10 +134,6 @@ def summed_swap_masks(side):
     return tuple(steps)
 
 
-def masks_of(g):
-    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
-
-
 class TestTranspose:
     @pytest.mark.parametrize("side", [8, 16, 32, 64, 128, 256])
     def test_matches_naive_transpose(self, side):
@@ -187,7 +184,16 @@ class TestGraphFromMasks:
     @given(graphs(connected=False))
     @settings(max_examples=100, deadline=None)
     def test_equals_build_graph(self, g):
-        assert graph_from_masks(g.vertex_count, masks_of(g)) == g
+        n = g.vertex_count
+        h = graph_from_masks(n, masks_of(g))
+        assert h == g and hash(h) == hash(g)
+        assert h.masks == g.masks == tuple(masks_of(g))
+        assert h.adjacency == g.adjacency
+        assert h.edges() == g.edges() and h.edge_count() == g.edge_count()
+        assert [h.degree(v) for v in range(n)] == [g.degree(v) for v in range(n)] == list(map(len, g.adjacency))
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        assert [h.has_edge(u, v) for u, v in pairs] == [g.has_edge(u, v) for u, v in pairs]
+        assert [g.has_edge(u, v) for u, v in pairs] == [v in g.adjacency[u] for u, v in pairs]
 
     def test_labels_are_checked_and_read_only(self):
         source = {0: "a", 2: "c"}
@@ -228,6 +234,57 @@ class TestGraphFromMasks:
             graph_from_masks(order, masks)
 
 
+class TestViews:
+    """A graph keeps the view it was built from and derives the other once."""
+
+    BUILT = {
+        "edges": lambda: cycle_graph(5),
+        "masks": lambda: graph_from_masks(5, masks_of(cycle_graph(5))),
+    }
+
+    @pytest.mark.parametrize("built", BUILT)
+    def test_second_read_is_the_same_object(self, built):
+        g = self.BUILT[built]()
+        for view in ("masks", "adjacency", "masks"):
+            assert getattr(g, view) is getattr(g, view)
+
+    @pytest.mark.parametrize("built", BUILT)
+    @pytest.mark.parametrize("name", ["vertex_count", "adjacency", "masks", "labels", "_masks", "_adjacency", "extra"])
+    def test_setting_an_attribute_raises(self, built, name):
+        g = self.BUILT[built]()
+        g.adjacency, g.masks  # derive both views first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(g, name)
+        assert g == cycle_graph(5)
+
+    def test_counts_degrees_and_edge_tests_decode_nothing(self, monkeypatch):
+        def refuse(mask):
+            raise AssertionError("a mask-built graph was decoded into neighbour tuples")
+
+        g = graph_from_masks(5, masks_of(cycle_graph(5)))
+        monkeypatch.setattr(graphs_module, "members", refuse)
+        assert g.edge_count() == 5
+        assert [g.degree(v) for v in range(5)] == [2] * 5
+        assert g.has_edge(0, 4) and not g.has_edge(0, 2)
+        assert g == cycle_graph(5)
+
+    @pytest.mark.parametrize("built", BUILT)
+    @pytest.mark.parametrize(
+        "call", [("has_edge", -1, 0), ("has_edge", 0, -1), ("has_edge", 5, 0), ("has_edge", 0, 5),
+                 ("has_edge", 0, True), ("has_edge", 1.0, 0), ("degree", -1), ("degree", 5), ("degree", True)],
+        ids=lambda call: f"{call[0]}{call[1:]}",
+    )
+    def test_ids_that_are_not_vertices_raise(self, built, call):
+        # has_edge(-1, 0) read the last row and was True, has_edge(0, True) was
+        # True, has_edge(5, 0) raised IndexError and degree(-1) was 2
+        name, *ids = call
+        g = self.BUILT[built]()
+        with pytest.raises(GraphError, match="out of range for order 5"):
+            getattr(g, name)(*ids)
+
+
 class TestDistances:
     def test_c4(self):
         dm = all_pairs_distances(cycle_graph(4))
@@ -258,8 +315,10 @@ class TestDistances:
         masks = [sum(1 << w for w in g.adjacency[v]) for v in range(16)]
         for make in (
             lambda: build_graph(16, edges),
+            lambda: build_graph(16, edges).masks,
             lambda: all_pairs_distances(g),
             lambda: graph_from_masks(16, masks),
+            lambda: graph_from_masks(16, masks).adjacency,
             lambda: strong_resolving_graph(g),
         ):
             for _ in range(10):

@@ -26,6 +26,7 @@ from strongdim import (
     strong_resolving_graph,
     strongly_resolves,
 )
+from strongdim import graphs as graphs_module
 from strongdim import strong_metric
 from strongdim.graphs import UNREACHABLE, members
 from strongdim.strong_metric import _first_hitting_set, _minimal_resolver_masks
@@ -257,6 +258,25 @@ class TestIsStrongResolvingSet:
         assert outcomes[0] == (True, None)
         # a minimum basis less one vertex fails: the witness path runs
         assert not any(ok for ok, _ in outcomes[1:4])
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 8, 9, 16, 255, 256])
+    def test_witness_matches_oracle_around_pack_sides(self, order):
+        # the pairs are read off one bit matrix of side 8, 16 or 256 here:
+        # orders just inside, at and past a side put rows and columns at its edges
+        rng = random.Random(order)
+        cases = [build_graph(order, [])] if order < 2 else [random_connected_graph(rng, order, order)]
+        if order >= 3:
+            cases.append(cycle_graph(order))
+        for g in cases:
+            subsets = [[], list(range(order))]
+            if order:
+                subsets += [[0], [order - 1], rng.sample(range(order), order // 2), rng.sample(range(order), max(order - 2, 0))]
+            outcomes = [is_strong_resolving_set(g, None, subset) for subset in subsets]
+            assert outcomes == [bfs_is_strong_resolving_set(g, None, subset) for subset in subsets]
+            assert outcomes[1] == (True, None)
+            if order >= 2:
+                assert outcomes[0] == (False, (0, 1))
+                assert sum(not ok for ok, _ in outcomes) >= 2
 
     @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
     def test_rejects_disconnected_before_out_of_range(self, g):
@@ -587,6 +607,15 @@ class TestSdimViaCover:
         assert sdim_via_cover(cycle_graph(6)).size == 3
         with pytest.raises(DisconnectedGraphError, match="^strong metric dimension needs a connected graph$"):
             sdim_via_cover(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_never_decodes_the_strong_resolving_graph(self, monkeypatch):
+        # the SRG's bitset rows go from the MMD scan to the cover search as they are
+        def refuse(mask):
+            raise AssertionError("the strong resolving graph was decoded into neighbour tuples")
+
+        g, _ = build_jahangir(JahangirParams(5, 51))
+        monkeypatch.setattr(graphs_module, "members", refuse)
+        assert sdim_via_cover(g).size == sdim_formula(JahangirParams(5, 51))
 
     def test_grows_the_balls_once(self, monkeypatch):
         calls = []

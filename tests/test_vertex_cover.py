@@ -24,10 +24,12 @@ from strongdim import (
     strong_resolving_graph,
 )
 from strongdim.cli import main
+from strongdim.graphs import graph_from_masks
 from strongdim.vertex_cover import _clique_partition, _mis_search
 from helpers import (
     exhaustive_min_cover_size,
     large_random_graphs,
+    masks_of,
     pinned_250_vertex_graph,
     random_graph,
     scratch_mis_search,
@@ -141,6 +143,21 @@ class TestMatchingLowerBound:
     def test_three_disjoint_edges(self):
         g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
         assert matching_lower_bound(g) == 3
+
+    @given(sparse_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_tuple_scan_on_either_view(self, g):
+        # the scan over adjacency tuples the bitset scan replaced
+        matched = [False] * g.vertex_count
+        size = 0
+        for u in range(g.vertex_count):
+            v = next((v for v in g.adjacency[u] if not matched[u] and not matched[v]), None)
+            if v is not None:
+                matched[u] = matched[v] = True
+                size += 1
+        h = graph_from_masks(g.vertex_count, masks_of(g))
+        assert matching_lower_bound(g) == matching_lower_bound(h) == size
+        assert greedy_cover(g) == greedy_cover(h)
 
 
 class TestExactCover:
@@ -258,6 +275,14 @@ def cell_srg(cell):
     return srg_of(n, m)
 
 
+def assert_same_search_from_either_view(g):
+    """The search on ``g`` built from edges and from masks equals the oracle's on the tuples."""
+    n = g.vertex_count
+    expected = scratch_mis_search(build_graph(n, g.edges()))
+    assert _mis_search(build_graph(n, g.edges())) == expected
+    assert _mis_search(graph_from_masks(n, masks_of(g))) == expected
+
+
 class TestPartitionReuse:
     """A node's cliques are its parent's up to the first that lost a vertex, then a rebuild."""
 
@@ -283,17 +308,15 @@ class TestPartitionReuse:
     )
     @settings(max_examples=150, deadline=None)
     def test_same_search_as_the_fresh_partition_oracle(self, g):
-        assert _mis_search(g) == scratch_mis_search(g)
+        assert_same_search_from_either_view(g)
 
     @pytest.mark.parametrize("cell", SDIM_CELLS)
     def test_same_search_on_closed_form_cell_srgs(self, cell):
-        g = cell_srg(cell)
-        assert _mis_search(g) == scratch_mis_search(g)
+        assert_same_search_from_either_view(cell_srg(cell))
 
     @pytest.mark.parametrize("g", large_random_graphs())
     def test_same_search_on_large_random_srgs(self, g):
-        g = strong_resolving_graph(g)
-        assert _mis_search(g) == scratch_mis_search(g)
+        assert_same_search_from_either_view(strong_resolving_graph(g))
 
 
 class TestSearchTreeIsPinned:
