@@ -116,12 +116,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        return [
-            (u, v)
-            for u in range(self.vertex_count)
-            for v in self.adjacency[u]
-            if u < v
-        ]
+        return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
 
 
 def check_vertex(order: int, v: int) -> None:
@@ -195,13 +190,14 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
 
 
 def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
+    adj = g.adjacency  # a property: read once, not per vertex
     dist = [UNREACHABLE] * g.vertex_count
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for v in g.adjacency[u]:
+        for v in adj[u]:
             if dist[v] == UNREACHABLE:
                 dist[v] = du + 1
                 queue.append(v)
