@@ -312,7 +312,7 @@ class TestDistances:
         # call on the interpreter's free list (one allocated block each)
         edges = cycle_graph(16).edges()
         g = build_graph(16, edges)
-        masks = [sum(1 << w for w in g.adjacency[v]) for v in range(16)]
+        masks = masks_of(g)
         for make in (
             lambda: build_graph(16, edges),
             lambda: build_graph(16, edges).masks,

@@ -270,7 +270,8 @@ class TestIsStrongResolvingSet:
         for g in cases:
             subsets = [[], list(range(order))]
             if order:
-                subsets += [[0], [order - 1], rng.sample(range(order), order // 2), rng.sample(range(order), max(order - 2, 0))]
+                samples = [rng.sample(range(order), order // 2), rng.sample(range(order), max(order - 2, 0))]
+                subsets += [[0], [order - 1]] + samples
             outcomes = [is_strong_resolving_set(g, None, subset) for subset in subsets]
             assert outcomes == [bfs_is_strong_resolving_set(g, None, subset) for subset in subsets]
             assert outcomes[1] == (True, None)
