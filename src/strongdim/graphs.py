@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -65,14 +65,15 @@ class Graph:
     ``labels`` optionally maps vertex ids to display names; it never affects
     the structure, only serialization and diagnostics.  Both builders store
     it as a read-only view of their own copy, so a validated graph cannot be
-    relabelled afterwards.  The constructor checks nothing; build graphs
-    with :func:`build_graph` or :func:`graph_from_masks`.
+    relabelled afterwards.  The constructor takes the tuples only and
+    checks nothing; build graphs with :func:`build_graph` or
+    :func:`graph_from_masks`, which alone sets the ``masks`` view.
     """
 
     vertex_count: int
     _adjacency: tuple[tuple[int, ...], ...] | None
     labels: Mapping[int, str] | None = None
-    _masks: tuple[int, ...] | None = None
+    _masks: tuple[int, ...] | None = field(default=None, init=False)
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -109,10 +110,7 @@ class Graph:
         return bool(self.masks[u] >> v & 1)
 
     def edge_count(self) -> int:
-        # from the view the graph was built from: counting decodes nothing
-        if self._masks is None:
-            return sum(map(len, self._adjacency)) // 2
-        return sum(mask.bit_count() for mask in self._masks) // 2
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -183,7 +181,9 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     packed, side = pack_rows(masks)
     if packed != transpose(packed, side):
         raise GraphError("neighbour masks are not symmetric")
-    return Graph(vertex_count, None, _frozen_labels(vertex_count, labels), masks)
+    g = Graph(vertex_count, None, _frozen_labels(vertex_count, labels))
+    object.__setattr__(g, "_masks", masks)
+    return g
 
 
 # ---------- distances ----------

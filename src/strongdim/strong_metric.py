@@ -17,8 +17,7 @@ one bit-matrix transpose, and builds the graph straight from those rows by
 pairs.  The graph keeps the rows as its ``masks`` view, which the cover
 search reads, so on the ``sdim`` path the rows are never decoded into
 neighbour tuples.  :func:`is_strong_resolving_set` walks the radii downward
-once for all chosen vertices together and reads the unresolved pairs off
-one more transpose.  Each scan takes the radii
+once for all chosen vertices together.  Each scan takes the radii
 as the keyword ``radii`` (the list ``list(distance_balls(g))``) or grows its
 own; :func:`cover_pipeline` grows them once and hands the same list to
 both, and reads connectivity off it too.  Sharing the list loses the
@@ -53,6 +52,7 @@ from .graphs import (
     distance_balls,
     graph_from_masks,
     is_connected,
+    members,
     pack_rows,
     transpose,
     unpack_rows,
@@ -126,16 +126,13 @@ def is_strong_resolving_set(
     radius-k sphere, otherwise the sphere ANDed with the union of its
     neighbours' ``reach`` at radius k + 1, since the next vertex towards
     ``w`` is such a neighbour.  Only one radius of ``reach`` is live at a
-    time.  The pairs are then read off ``hit`` ORed with its
-    :func:`~strongdim.graphs.transpose`, one bit matrix.  Cost:
-    O(diam * (V + E)) big-integer operations plus one transpose and one
-    row scan, against O(V^2 * |subset|) comparisons for the scalar
-    definition.  ``radii`` is ``list(distance_balls(g))``, grown here when
-    None; it is read, never modified.  The walk shares no code
-    with :func:`strong_resolving_graph`, so the re-check judges the cover
-    independently of MMD detection even when both read the same radii;
-    the :func:`~strongdim.graphs.transpose` both use is judged on its own,
-    against a bit-by-bit transpose.
+    time.  Cost: O(diam * (V + E)) big-integer operations plus at most
+    V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
+    the scalar definition.  ``radii`` is ``list(distance_balls(g))``, grown
+    here when None; it is read, never modified.  The re-check shares no
+    code with :func:`strong_resolving_graph` or the bit-matrix helpers it
+    uses (``pack_rows``, ``transpose``), so it judges the cover
+    independently of MMD detection even when both read the same radii.
     The last radius is the fixed point, so it also tells whether ``g`` is
     connected; no separate BFS runs.
     """
@@ -166,14 +163,11 @@ def is_strong_resolving_set(
             nxt.append(sphere)
             hit[v] |= sphere
         reach = nxt
-    # row u of hit | hitᵀ holds every v that {u, v} is resolved through; the
-    # first row with a gap off the diagonal has no gap below it, since the
-    # matrix is symmetric, so its lowest gap v > u is the first unresolved pair
-    packed, side = pack_rows(hit)
-    for u, row in enumerate(unpack_rows(packed | transpose(packed, side), side, n)):
-        gaps = full & ~row & ~(1 << u)
-        if gaps:
-            return False, (u, (gaps & -gaps).bit_length() - 1)
+    for u in range(n):
+        # pairs (u, v), v > u, not resolved through hit[u]; ascending v
+        for v in members((full >> (u + 1) << (u + 1)) & ~hit[u]):
+            if not hit[v] >> u & 1:
+                return False, (u, v)
     return True, None
 
 

@@ -259,6 +259,15 @@ class TestViews:
             delattr(g, name)
         assert g == cycle_graph(5)
 
+    def test_constructor_takes_the_tuples_only(self):
+        # only graph_from_masks sets the masks view, from rows it has checked
+        with pytest.raises(TypeError):
+            graphs_module.Graph(2, ((1,), (0,)), None, (0, 0))
+        with pytest.raises(TypeError):
+            graphs_module.Graph(2, ((1,), (0,)), _masks=(0, 0))
+        g = graphs_module.Graph(2, ((1,), (0,)))
+        assert g.masks == (2, 1) and g == path_graph(2)
+
     def test_counts_degrees_and_edge_tests_decode_nothing(self, monkeypatch):
         def refuse(mask):
             raise AssertionError("a mask-built graph was decoded into neighbour tuples")

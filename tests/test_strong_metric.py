@@ -261,8 +261,7 @@ class TestIsStrongResolvingSet:
 
     @pytest.mark.parametrize("order", [0, 1, 7, 8, 9, 16, 255, 256])
     def test_witness_matches_oracle_around_pack_sides(self, order):
-        # the pairs are read off one bit matrix of side 8, 16 or 256 here:
-        # orders just inside, at and past a side put rows and columns at its edges
+        # orders just inside, at and past the sides of pack_rows (8, 16, 256)
         rng = random.Random(order)
         cases = [build_graph(order, [])] if order < 2 else [random_connected_graph(rng, order, order)]
         if order >= 3:
