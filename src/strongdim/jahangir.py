@@ -444,7 +444,9 @@ def verify_predictions(
     regimes it additionally compares the predicted edge families, the
     predicted cover, and the extremal-distance pair characterizations
     against the computed structures.  Graphs small enough for brute force
-    are cross-checked against exhaustive search as well.
+    are cross-checked against exhaustive search as well.  The families and
+    the predicted cover are checked against the SRG's bitset rows, so the
+    SRG is decoded into pairs only to name a difference in its edges.
     """
     n, m = params.n, params.m
     g, _ = build_jahangir(params)
@@ -464,9 +466,15 @@ def verify_predictions(
         families = srg_edge_families(params)
         cover = predicted_cover(params)
         predicted_edges = frozenset().union(*families.values())
-        actual_edges = frozenset(srg.edges())
-        srg_match = predicted_edges == actual_edges
+        predicted_rows = [0] * srg.vertex_count
+        for a, b in predicted_edges:
+            predicted_rows[a] |= 1 << b
+            predicted_rows[b] |= 1 << a
+        # row by row against the SRG's bitsets; its pairs are listed only to
+        # name the difference
+        srg_match = tuple(predicted_rows) == srg.masks
         if not srg_match:
+            actual_edges = frozenset(srg.edges())
             missing = predicted_edges - actual_edges
             extra = actual_edges - predicted_edges
             discrepancies.append(

@@ -1,22 +1,26 @@
 """Exact and heuristic vertex covers.
 
-Both covers and the matching bound read the graph's ``masks`` view,
-Python integers used as vertex bitsets, so none of them decodes a graph
-built from masks, such as the strong resolving graph, into neighbour
-tuples.  The exact core is a maximum independent set search in the style
-of Tomita and Kameda (2007) and San Segundo et al.'s bit-parallel BBMC
-(2011): degree-0 and degree-1 reductions at the root only, then a branch
-and bound whose nodes partition their candidates greedily into cliques.  The clique numbers both
-bound a node and choose the vertices it branches on; the recursion is at
-most α + 1 deep.  A node reuses its parent's cliques up to the first one
-that lost a vertex and partitions only the rest afresh, which gives the
-partition a fresh build would, so the search tree is the same.
-:func:`exact_min_vertex_cover` returns the complement of that set, with
-``nodes_explored`` counting the search nodes, the root as 1.  The
-relabelling and branching order are fixed, so the same input always gives
-the same optimal cover, which keeps downstream results reproducible.
-:func:`matching_lower_bound` is a cheap bound kept for callers that
-sanity-check a cover's size.
+The covers, the cover check and the matching bound all read the graph's
+``masks`` view, Python integers used as vertex bitsets, so none of them
+decodes a graph built from masks, such as the strong resolving graph,
+into neighbour tuples.  The exact core is a maximum independent set
+search in the style of Tomita and Kameda (2007) and San Segundo et al.'s
+bit-parallel BBMC (2011): degree-0 and degree-1 reductions at the root
+only, then a branch and bound whose nodes partition their candidates
+greedily into cliques.  The clique numbers both bound a node and choose
+the vertices it branches on; the recursion is at most α + 1 deep.  A node
+reuses its parent's cliques up to the first one that lost a vertex and
+appends the partition of the rest to them in place, which gives the
+partition a fresh build would, so the search tree is the same.  Inside
+the search, position p of the degree order is bit n - 1 - p, so the
+partition's lowest-position pick is one ``bit_length`` and the branch's
+highest-position pick one ``x & -x``; the set found is bit-reversed once
+at the end.  :func:`exact_min_vertex_cover` returns the complement of that
+set, with ``nodes_explored`` counting the search nodes, the root as 1.
+The relabelling and branching order are fixed, so the same input always
+gives the same optimal cover, which keeps downstream results
+reproducible.  :func:`matching_lower_bound` is a cheap bound kept for
+callers that sanity-check a cover's size.
 """
 
 from __future__ import annotations
@@ -44,15 +48,19 @@ def is_vertex_cover(g: Graph, subset: Iterable[int]) -> tuple[bool, tuple[int, i
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is
     the first uncovered edge in sorted order.  The first id, in the order
-    given, that is not a vertex raises :class:`GraphError`.
+    given, that is not a vertex raises :class:`GraphError`.  Reads the
+    ``masks`` view, one AND per row: the first unchosen ``u`` with an
+    unchosen neighbour opens the witness, and that neighbour's lowest is
+    above ``u``, since a lower one would have been found at its own row.
     """
     ids = list(subset)
-    for v in ids:  # in the order given, before hashing: the first bad id is named
+    for v in ids:  # in the order given, before any use: the first bad id is named
         check_vertex(g.vertex_count, v)
-    chosen = set(ids)
-    for u, v in g.edges():
-        if u not in chosen and v not in chosen:
-            return False, (u, v)
+    free = ~sum({1 << v for v in ids})
+    for u, mask in enumerate(g.masks):
+        hit = mask & free
+        if hit and free >> u & 1:
+            return False, (u, (hit & -hit).bit_length() - 1)
     return True, None
 
 
@@ -101,11 +109,12 @@ def greedy_cover(g: Graph) -> CoverResult:
     return CoverResult(tuple(sorted(cover)), size, size == matching_lower_bound(g), 0)
 
 
-def _clique_partition(nbr: list[int], cand: int) -> list[int]:
-    """Greedy partition of the vertices in ``cand`` into cliques, as masks.
+def _clique_partition(nbr: list[int], bit: list[int], rest: int, classes: list[int]) -> list[int]:
+    """Append a greedy partition of the vertices in ``rest`` into cliques, as masks, to ``classes``.
 
-    The lowest unassigned position opens a clique, which then takes, lowest
-    first, every unassigned vertex adjacent to all its members.  An
+    The highest unassigned bit opens a clique, which then takes, highest
+    first, every unassigned vertex adjacent to all its members; ``bit[v]``
+    is ``1 << v``.  ``classes`` is returned, extended in place.  An
     independent set meets each clique at most once, so the vertices of the
     k-th clique can extend an independent set by at most k: this is the
     greedy colouring of the complement graph that bounds a maximum-clique
@@ -115,23 +124,20 @@ def _clique_partition(nbr: list[int], cand: int) -> list[int]:
     before the first one that meets ``cand & ~child`` are also the first
     cliques of ``child``, so the partition of ``child`` is that prefix
     followed by the partition of the rest of ``child``.  Each such clique
-    opened at the lowest vertex of a ``rest`` that differs from the child's
-    only by removed vertices, and took the lowest of its shrinking
-    neighbourhood every time; no removed vertex was ever the lowest pick,
+    opened at the highest vertex of a ``rest`` that differs from the child's
+    only by removed vertices, and took the highest of its shrinking
+    neighbourhood every time; no removed vertex was ever the highest pick,
     so the child makes the same picks.
     """
-    classes = []
-    rest = cand
     while rest:
-        low = rest & -rest
-        rest ^= low
-        clique = low
-        near = nbr[low.bit_length() - 1] & rest
-        while near:
-            low = near & -near
-            rest ^= low
-            clique |= low
-            near &= nbr[low.bit_length() - 1]
+        v = rest.bit_length() - 1
+        clique = bit[v]
+        near = nbr[v] & rest
+        while near:  # no vertex is its own neighbour, so a pick leaves near
+            v = near.bit_length() - 1
+            clique |= bit[v]
+            near &= nbr[v]
+        rest ^= clique
         classes.append(clique)
     return classes
 
@@ -140,26 +146,31 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     """Maximum independent set as ``(order, mask, nodes)``, by colouring-bounded branch and bound.
 
     Bit ``i`` of ``mask`` stands for vertex ``order[i]``; ``nodes`` counts
-    search nodes, the root included.  Vertices are relabelled once by
-    ascending degree (lowest id on ties), and position ``i`` of that order
-    is bit ``i`` of every mask.  The relabelling works on the graph's
-    ``masks`` view as one bit matrix, so a mask-built graph is never
-    decoded into neighbour tuples.  At the root, isolated and degree-1
-    vertices join the set to a fixpoint (the neighbor of a degree-1 vertex
-    leaves play); no reduction runs below the root.  Each search node partitions
-    its candidates greedily into cliques (:func:`_clique_partition`): the
+    search nodes, the root included.  Vertices are ordered once by
+    ascending degree (lowest id on ties), and inside the search position
+    ``p`` of that order is bit ``n - 1 - p`` of every mask, so the lowest
+    position is a mask's highest bit, one ``bit_length`` away, and the
+    highest position its lowest bit, ``x & -x``.  The relabelling works on
+    the graph's ``masks`` view as one bit matrix, so a mask-built graph is
+    never decoded into neighbour tuples; the set found is bit-reversed once
+    at the end into the ``order`` layout.  At the root, isolated and
+    degree-1 vertices join the set to a fixpoint, lowest position first
+    (the neighbor of a degree-1 vertex leaves play); no reduction runs
+    below the root.  Each search node partitions its candidates greedily
+    into cliques, lowest position first (:func:`_clique_partition`): the
     root from scratch, every other node by keeping its parent's cliques up
     to the first one that lost a vertex (the branched vertex, one of its
-    neighbours or an earlier-branched sibling) and partitioning the rest.
-    By the prefix rule of :func:`_clique_partition` that is the partition a
-    fresh build gives, so branching order, node count and result do not
-    depend on the reuse.  Each clique holds at most one vertex of an
-    independent set, so a vertex in the k-th clique extends the current set
-    by at most k.  Only vertices with k above the best size minus the
-    current size are branched on, highest k first, and the node stops once
-    the current size plus k cannot beat the best set found.  Each level
-    adds one vertex to the set, so the recursion is at most α + 1 deep, α
-    being the independence number.
+    neighbours or an earlier-branched sibling) and appending the partition
+    of the rest to that prefix.  By the prefix rule of
+    :func:`_clique_partition` that is the partition a fresh build gives, so
+    branching order, node count and result do not depend on the reuse.
+    Each clique holds at most one vertex of an independent set, so a vertex
+    in the k-th clique extends the current set by at most k.  Only vertices
+    with k above the best size minus the current size are branched on,
+    highest k first and highest position first within a clique, and the
+    node stops once the current size plus k cannot beat the best set found.
+    Each level adds one vertex to the set, so the recursion is at most
+    α + 1 deep, α being the independence number.
 
     Deterministic by construction: the relabelling and the branching order
     are fixed, and the best set is replaced only by a strictly larger one,
@@ -171,14 +182,18 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
         raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {EXACT_COVER_CAP}")
     masks = g.masks
     order = sorted(range(n), key=lambda v: masks[v].bit_count())
-    # relabelled rows P·M·Pᵀ: rows in order, one transpose, rows in order again;
-    # the transpose stands in for Pᵀ on the columns because M is symmetric
-    packed, side = pack_rows([masks[v] for v in order])
+    # relabelled rows P·M·Pᵀ, position p at bit n - 1 - p: rows in reversed
+    # order, one transpose, rows in reversed order again; the transpose
+    # stands in for Pᵀ on the columns because M is symmetric
+    reverse = order[::-1]
+    packed, side = pack_rows([masks[v] for v in reverse])
     columns = unpack_rows(transpose(packed, side), side, n)
-    nbr = [columns[v] for v in order]
+    nbr = [columns[v] for v in reverse]
+    bit = [1 << v for v in range(n)]
 
-    # Root reductions to a fixpoint: an isolated vertex joins the set, and
-    # so does a degree-1 vertex, whose neighbor then leaves play.
+    # Root reductions to a fixpoint, lowest position (highest bit) first: an
+    # isolated vertex joins the set, and so does a degree-1 vertex, whose
+    # neighbor then leaves play.
     live = (1 << n) - 1
     forced = 0
     taken = True
@@ -186,17 +201,18 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
         taken = False
         rest = live
         while rest:
-            low = rest & -rest
-            rest ^= low
-            if not live & low:
+            v = rest.bit_length() - 1
+            high = bit[v]
+            rest ^= high
+            if not live & high:
                 continue  # removed earlier in this round
-            near = nbr[low.bit_length() - 1] & live
+            near = nbr[v] & live
             if not near:
-                forced |= low
-                live ^= low
+                forced |= high
+                live ^= high
             elif not near & (near - 1):
-                forced |= low
-                live &= ~(low | near)
+                forced |= high
+                live &= ~(high | near)
                 taken = True
 
     best_set = 0
@@ -212,30 +228,32 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
             return
         node_cand = cand
         # only a vertex in clique k > best - size can lead to a larger set;
-        # the highest cliques go first, highest position first within one
+        # the highest cliques go first, highest position (lowest bit) first
+        # within one
         for k in range(len(classes), best_size - size, -1):
             clique = classes[k - 1]
             while clique:
                 if size + k <= best_size:
                     return
-                v = clique.bit_length() - 1
-                vbit = 1 << v
+                vbit = clique & -clique
                 clique ^= vbit
                 cand ^= vbit
-                child = cand & ~nbr[v]
+                child = cand & ~nbr[vbit.bit_length() - 1]
                 # the child keeps this node's cliques before the first one that
-                # lost a vertex (v, a neighbour or an earlier sibling) and
-                # partitions the rest afresh; v itself is lost, so i stops
+                # lost a vertex (the branched one, a neighbour or an earlier
+                # sibling) and appends the rest's partition to them; the
+                # branched vertex itself is lost, so i stops
                 lost = node_cand & ~child
                 rest = child
                 i = 0
                 while not classes[i] & lost:
                     rest ^= classes[i]
                     i += 1
-                search(child, size + 1, chosen | vbit, classes[:i] + _clique_partition(nbr, rest))
+                search(child, size + 1, chosen | vbit, _clique_partition(nbr, bit, rest, classes[:i]))
 
-    search(live, 0, 0, _clique_partition(nbr, live))
-    return order, forced | best_set, nodes
+    search(live, 0, 0, _clique_partition(nbr, bit, live, []))
+    # back to bit p for position p: one reversal of the n-bit string
+    return order, int(f"{forced | best_set:0{n}b}"[::-1], 2), nodes
 
 
 def exact_min_vertex_cover(g: Graph) -> CoverResult:

@@ -28,7 +28,7 @@ from strongdim import (
 )
 from strongdim.graphs import check_vertex, members
 from strongdim.jahangir import _CASES, _nonconsecutive
-from strongdim.vertex_cover import EXACT_COVER_CAP, _clique_partition
+from strongdim.vertex_cover import EXACT_COVER_CAP
 
 
 def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Graph:
@@ -204,12 +204,38 @@ def bfs_is_strong_resolving_set(
     return True, None
 
 
+def lowest_first_clique_partition(nbr: list[int], cand: int) -> list[int]:
+    """Greedy partition of ``cand`` into cliques, lowest bit first, as masks.
+
+    The partition ``_mis_search`` used while position i was bit i, kept as
+    the oracle's own: the lowest unassigned vertex opens a clique, which
+    then takes, lowest first, every unassigned vertex adjacent to all its
+    members.
+    """
+    classes = []
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        clique = low
+        near = nbr[low.bit_length() - 1] & rest
+        while near:
+            low = near & -near
+            rest ^= low
+            clique |= low
+            near &= nbr[low.bit_length() - 1]
+        classes.append(clique)
+    return classes
+
+
 def scratch_mis_search(g: Graph) -> tuple[list[int], int, int]:
     """Every node partitions its candidates afresh: the oracle for ``_mis_search``.
 
     The body ``_mis_search`` ran before its nodes reused their parent's
     cliques, with the same relabelling, root reductions, branching order,
-    result ``(order, mask, nodes)`` and errors.
+    result ``(order, mask, nodes)`` and errors.  Position i is bit i of
+    every mask, and the partition is :func:`lowest_first_clique_partition`,
+    so the oracle shares no kernel with the search it judges.
     """
     n = g.vertex_count
     if n > EXACT_COVER_CAP:
@@ -249,7 +275,7 @@ def scratch_mis_search(g: Graph) -> tuple[list[int], int, int]:
             if size > best_size:
                 best_set, best_size = chosen, size
             return
-        classes = _clique_partition(nbr, cand)
+        classes = lowest_first_clique_partition(nbr, cand)
         for k in range(len(classes), best_size - size, -1):
             clique = classes[k - 1]
             while clique:

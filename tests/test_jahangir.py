@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from strongdim import jahangir, strong_metric
+from strongdim import graphs as graphs_module, jahangir, strong_metric
 
 from strongdim import (
     GraphError,
@@ -476,6 +476,16 @@ class TestVerifyPredictions:
             monkeypatch.setattr(module, "distance_balls", counted(module))
         assert verify_predictions(JahangirParams(n, m)).passed
         assert calls == ["strongdim.jahangir"]
+
+    @pytest.mark.parametrize("n,m", [(6, 5), (5, 5)])  # even, odd
+    def test_never_decodes_the_strong_resolving_graph(self, monkeypatch, n, m):
+        # the families and the predicted cover are checked against the SRG's bitset rows
+        def refuse(mask):
+            raise AssertionError("the strong resolving graph was decoded into neighbour tuples")
+
+        monkeypatch.setattr(graphs_module, "members", refuse)
+        report = verify_predictions(JahangirParams(n, m))
+        assert report.passed and report.srg_edges_match and report.predicted_cover_valid
 
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
         monkeypatch.setattr(

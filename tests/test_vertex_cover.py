@@ -24,11 +24,13 @@ from strongdim import (
     strong_resolving_graph,
 )
 from strongdim.cli import main
-from strongdim.graphs import graph_from_masks
+from strongdim import graphs as graphs_module
+from strongdim.graphs import graph_from_masks, members
 from strongdim.vertex_cover import _clique_partition, _mis_search
 from helpers import (
     exhaustive_min_cover_size,
     large_random_graphs,
+    lowest_first_clique_partition,
     masks_of,
     pinned_250_vertex_graph,
     random_graph,
@@ -37,9 +39,27 @@ from helpers import (
 from test_golden import SDIM_CELLS
 
 
+# the vertices outside the exact cover of the pinned 250-vertex graph's SRG,
+# captured before the search's bit layout was reversed
+PINNED_250_OUTSIDE_COVER = (
+    0, 1, 2, 4, 5, 7, 9, 12, 18, 27, 31, 34, 35, 38, 40, 46, 53, 67, 73, 74, 83, 84,
+    93, 97, 100, 105, 109, 113, 114, 116, 140, 142, 160, 165, 174, 191, 199, 201,
+    205, 215, 223, 229, 243,
+)
+
+
 def srg_of(n, m):
     g, _ = build_jahangir(JahangirParams(n, m))
     return strong_resolving_graph(g)
+
+
+def refuse_decoding(mask):
+    raise AssertionError("a mask-built graph was decoded into neighbour tuples")
+
+
+def bits(n):
+    """The bit table ``_clique_partition`` reads: ``1 << v`` for each vertex."""
+    return [1 << v for v in range(n)]
 
 
 @st.composite
@@ -104,6 +124,20 @@ class TestIsVertexCover:
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert outputs == {"GraphError vertex id out of range for order 5: None\n"}
+
+    @given(sparse_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_edge_scan_on_either_view(self, g, data):
+        # the scan over sorted edges the one-AND-per-row check replaced
+        subset = data.draw(st.lists(st.integers(0, g.vertex_count - 1), max_size=g.vertex_count))
+        chosen = set(subset)
+        witness = next(((u, v) for u, v in g.edges() if u not in chosen and v not in chosen), None)
+        expected = (witness is None, witness)
+        assert is_vertex_cover(g, subset) == expected
+        h = graph_from_masks(g.vertex_count, masks_of(g))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "members", refuse_decoding)
+            assert is_vertex_cover(h, subset) == expected
 
     def test_published_even_cover(self):
         g, lab = build_jahangir(JahangirParams(6, 5))
@@ -195,6 +229,9 @@ class TestExactCover:
         result = exact_min_vertex_cover(srg)
         assert result.size == len(result.cover) == 207
         assert is_vertex_cover(srg, result.cover) == (True, None)
+        # the densest search the suite runs: its tree and its cover are pinned
+        assert result.nodes_explored == 88802
+        assert result.cover == tuple(v for v in range(250) if v not in PINNED_250_OUTSIDE_COVER)
 
     def test_cap(self):
         with pytest.raises(SizeLimitError) as info:
@@ -230,7 +267,7 @@ class TestExactCover:
     def test_clique_partition_bounds_independence_number(self, g):
         nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
         live = (1 << g.vertex_count) - 1
-        classes = _clique_partition(nbr, live)
+        classes = _clique_partition(nbr, bits(g.vertex_count), live, [])
         for clique in classes:
             members = [v for v in range(g.vertex_count) if clique >> v & 1]
             for i, u in enumerate(members):
@@ -290,15 +327,34 @@ class TestPartitionReuse:
     @settings(max_examples=150, deadline=None)
     def test_kept_prefix_plus_rebuilt_tail_is_the_fresh_partition(self, g, data):
         nbr = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        bit = bits(g.vertex_count)
         full = (1 << g.vertex_count) - 1
         parent = data.draw(st.integers(0, full))
         child = parent & data.draw(st.integers(0, full))
-        classes = _clique_partition(nbr, parent)
+        classes = _clique_partition(nbr, bit, parent, [])
         lost = parent & ~child
         i = next((i for i, clique in enumerate(classes) if clique & lost), len(classes))
         kept = classes[:i]
-        tail = _clique_partition(nbr, child & ~sum(kept))
-        assert kept + tail == _clique_partition(nbr, child)
+        grown = _clique_partition(nbr, bit, child & ~sum(kept), kept)
+        assert grown is kept  # the tail is appended in place
+        assert grown == _clique_partition(nbr, bit, child, [])
+
+    @given(seeded_graphs(max_order=40, densities=(0.02, 0.95)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_highest_bit_first_is_the_lowest_first_partition_reversed(self, g, data):
+        # under p -> n - 1 - p the search's partition is the one position i = bit i gave
+        n = g.vertex_count
+        cand = data.draw(st.integers(0, (1 << n) - 1))
+
+        def flip(mask):
+            return sum(1 << (n - 1 - v) for v in members(mask))
+
+        nbr = masks_of(g)
+        flipped = [0] * n
+        for v in range(n):
+            flipped[n - 1 - v] = flip(nbr[v])
+        expected = [flip(clique) for clique in lowest_first_clique_partition(nbr, cand)]
+        assert _clique_partition(flipped, bits(n), flip(cand), []) == expected
 
     @given(
         st.one_of(
