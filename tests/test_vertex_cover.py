@@ -53,10 +53,6 @@ def srg_of(n, m):
     return strong_resolving_graph(g)
 
 
-def refuse_decoding(mask):
-    raise AssertionError("a mask-built graph was decoded into neighbour tuples")
-
-
 def bits(n):
     """The bit table ``_clique_partition`` reads: ``1 << v`` for each vertex."""
     return [1 << v for v in range(n)]
@@ -134,9 +130,13 @@ class TestIsVertexCover:
         witness = next(((u, v) for u, v in g.edges() if u not in chosen and v not in chosen), None)
         expected = (witness is None, witness)
         assert is_vertex_cover(g, subset) == expected
+
+        def refuse(mask):
+            raise AssertionError("a mask-built graph was decoded into neighbour tuples")
+
         h = graph_from_masks(g.vertex_count, masks_of(g))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs_module, "members", refuse_decoding)
+            patch.setattr(graphs_module, "members", refuse)
             assert is_vertex_cover(h, subset) == expected
 
     def test_published_even_cover(self):
@@ -350,9 +350,7 @@ class TestPartitionReuse:
             return sum(1 << (n - 1 - v) for v in members(mask))
 
         nbr = masks_of(g)
-        flipped = [0] * n
-        for v in range(n):
-            flipped[n - 1 - v] = flip(nbr[v])
+        flipped = [flip(row) for row in reversed(nbr)]  # row n - 1 - v is v's
         expected = [flip(clique) for clique in lowest_first_clique_partition(nbr, cand)]
         assert _clique_partition(flipped, bits(n), flip(cand), []) == expected
 
