@@ -8,6 +8,8 @@ A :class:`Graph` is read as sorted neighbour tuples (``adjacency``) or as
 neighbour bitsets (``masks``); it keeps the view it was built from and
 derives the other once, when first read, so the strong resolving graph goes
 from the MMD scan to the cover search as bitset rows and is never decoded.
+Bit matrices have one public operation, :func:`transpose_rows`; the packed
+layout it works in, one integer per matrix, stays private to this module.
 
 Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
@@ -60,8 +62,9 @@ class Graph:
     keeps the view it was built from (:func:`build_graph` the tuples,
     :func:`graph_from_masks` its checked rows) and derives the other once,
     on its first read, so bit-parallel code can read a mask-built graph
-    without ever decoding it.  Equality and hashing compare the vertex count,
-    the edge set and the labels, whichever view each side was built from.
+    without ever decoding it.  Equality compares the vertex count, the edge
+    set and the labels, whichever view each side was built from; the hash
+    leaves the labels out, so a labelled graph hashes too.
     ``labels`` optionally maps vertex ids to display names; it never affects
     the structure, only serialization and diagnostics.  Both builders store
     it as a read-only view of their own copy, so a validated graph cannot be
@@ -98,7 +101,7 @@ class Graph:
         return (self.vertex_count, self.masks, self.labels) == (other.vertex_count, other.masks, other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.masks, self.labels))
+        return hash((self.vertex_count, self.masks))
 
     def degree(self, v: int) -> int:
         check_vertex(self.vertex_count, v)
@@ -165,10 +168,10 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     """Construct a :class:`Graph` from each vertex's neighbour bitset ``masks[v]``.
 
     The invariants are checked on the whole bit matrix: no bit at or above
-    ``vertex_count``, an empty diagonal, and equality with the
-    :func:`transpose`.  Raises :class:`GraphError` when one fails.  The
-    graph keeps a copy of the checked rows as its ``masks`` view; its
-    ``adjacency`` tuples are decoded only if something reads them.
+    ``vertex_count``, an empty diagonal, and equality with its transpose,
+    compared as one packed integer.  Raises :class:`GraphError` when one
+    fails.  The graph keeps a copy of the checked rows as its ``masks``
+    view; its ``adjacency`` tuples are decoded only if something reads them.
     """
     _check_count(vertex_count)
     masks = tuple(masks)
@@ -178,8 +181,8 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
         raise GraphError(f"neighbour mask has a bit outside vertex ids 0..{vertex_count - 1}")
     if any(mask >> v & 1 for v, mask in enumerate(masks)):
         raise GraphError("neighbour mask has a self-loop")
-    packed, side = pack_rows(masks)
-    if packed != transpose(packed, side):
+    packed, side = _pack_rows(masks)
+    if packed != _transpose(packed, side):
         raise GraphError("neighbour masks are not symmetric")
     g = Graph(vertex_count, None, _frozen_labels(vertex_count, labels))
     object.__setattr__(g, "_masks", masks)
@@ -252,22 +255,28 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def pack_rows(rows: list[int]) -> tuple[int, int]:
+def transpose_rows(rows: list[int]) -> list[int]:
+    """Column bitsets of the square bit matrix whose row ``r`` is ``rows[r]``.
+
+    Every row must be below ``1 << len(rows)``.  The rows are transposed
+    as one packed integer (:func:`_pack_rows`, :func:`_transpose`).
+    """
+    count = len(rows)
+    packed, side = _pack_rows(rows)
+    width = side // 8
+    raw = _transpose(packed, side).to_bytes(count * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, count * width, width)]
+
+
+def _pack_rows(rows: list[int]) -> tuple[int, int]:
     """Row bitsets as one row-major square bit matrix (row r at bit r * side), and its side."""
     side = max(8, 1 << (len(rows) - 1).bit_length())  # a power of two; no row may reach it
     return int.from_bytes(b"".join([row.to_bytes(side // 8, "little") for row in rows]), "little"), side
 
 
-def unpack_rows(packed: int, side: int, count: int) -> list[int]:
-    """The first ``count`` rows of a matrix laid out by :func:`pack_rows`."""
-    width = side // 8
-    raw = packed.to_bytes(count * width, "little")
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, count * width, width)]
-
-
 @cache
 def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of each delta swap of :func:`transpose`, for j = side / 2 .. 1.
+    """(shift, mask) of each delta swap of :func:`_transpose`, for j = side / 2 .. 1.
 
     A mask holds one row, the columns with bit j set, in every row with bit
     j clear; it is joined from row bytes, linear in its size.
@@ -283,8 +292,8 @@ def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def transpose(packed: int, side: int) -> int:
-    """Transpose of a side x side bit matrix laid out by :func:`pack_rows`.
+def _transpose(packed: int, side: int) -> int:
+    """Transpose of a side x side bit matrix laid out by :func:`_pack_rows`.
 
     Delta swap j (``d = j * (side - 1)``: ``t = ((M >> d) ^ M) & mask; M ^=
     t ^ (t << d)``) trades entry (r, c), bit j clear in r and set in c, with

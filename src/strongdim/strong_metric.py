@@ -12,11 +12,11 @@ The two whole-graph scans work on Python integers used as vertex bitsets
 :func:`~strongdim.graphs.distance_balls`, not a distance matrix, and read
 connectivity off the last radius.  :func:`strong_resolving_graph` walks
 the radii upward, takes each vertex's MMD partners as one bitset row from
-one bit-matrix transpose, and builds the graph straight from those rows by
-:func:`~strongdim.graphs.graph_from_masks`, whose sorted edges are the MMD
-pairs.  The graph keeps the rows as its ``masks`` view, which the cover
-search reads, so on the ``sdim`` path the rows are never decoded into
-neighbour tuples.  :func:`is_strong_resolving_set` walks the radii downward
+one :func:`~strongdim.graphs.transpose_rows`, and builds the graph from
+those rows by :func:`~strongdim.graphs.graph_from_masks`, whose sorted
+edges are the MMD pairs.  The graph keeps the rows as its ``masks`` view,
+which the cover search reads, so on the ``sdim`` path the rows are never
+decoded into neighbour tuples.  :func:`is_strong_resolving_set` walks the radii downward
 once for all chosen vertices together.  Each scan takes the radii
 as the keyword ``radii`` (the list ``list(distance_balls(g))``) or grows its
 own; :func:`cover_pipeline` grows them once and hands the same list to
@@ -53,9 +53,7 @@ from .graphs import (
     graph_from_masks,
     is_connected,
     members,
-    pack_rows,
-    transpose,
-    unpack_rows,
+    transpose_rows,
 )
 from .vertex_cover import exact_min_vertex_cover
 
@@ -130,8 +128,8 @@ def is_strong_resolving_set(
     V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
     the scalar definition.  ``radii`` is ``list(distance_balls(g))``, grown
     here when None; it is read, never modified.  The re-check shares no
-    code with :func:`strong_resolving_graph` or the bit-matrix helpers it
-    uses (``pack_rows``, ``transpose``), so it judges the cover
+    code with :func:`strong_resolving_graph` or the bit-matrix transpose it
+    uses (:func:`~strongdim.graphs.transpose_rows`), so it judges the cover
     independently of MMD detection even when both read the same radii.
     The last radius is the fixed point, so it also tells whether ``g`` is
     connected; no separate BFS runs.
@@ -297,7 +295,7 @@ def strong_resolving_graph(
     At radius k of :func:`~strongdim.graphs.distance_balls`, ``far[u]`` gains
     the vertices of the sphere ``ball[u] ^ inner[u]`` that lie within distance
     k of every neighbour of ``u``: those ``u`` is maximally distant from.  The
-    MMD rows are ``far`` ANDed with its :func:`~strongdim.graphs.transpose`,
+    MMD rows are ``far`` ANDed with its columns, :func:`~strongdim.graphs.transpose_rows`,
     and :func:`~strongdim.graphs.graph_from_masks` builds the graph from them.
     O(diam * (V + E)) big-integer operations plus one transpose.  The last
     radius, the fixed point, tells whether ``g`` is connected.  ``radii`` is
@@ -325,8 +323,8 @@ def strong_resolving_graph(
         inner = ball
     if n > 1 and inner[0] != (1 << n) - 1:
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
-    packed, side = pack_rows(far)
-    return graph_from_masks(n, unpack_rows(packed & transpose(packed, side), side, n), g.labels)
+    mmd = [row & col for row, col in zip(far, transpose_rows(far))]
+    return graph_from_masks(n, mmd, g.labels)
 
 
 def cover_pipeline(

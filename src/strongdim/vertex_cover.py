@@ -12,7 +12,8 @@ the vertices it branches on; the recursion is at most α + 1 deep.  A node
 reuses its parent's cliques up to the first one that lost a vertex and
 appends the partition of the rest to them in place, which gives the
 partition a fresh build would, so the search tree is the same.  Inside
-the search, position p of the degree order is bit n - 1 - p, so the
+the search, position p of the degree order is bit n - 1 - p, a
+relabelling done by one :func:`~strongdim.graphs.transpose_rows`, so the
 partition's lowest-position pick is one ``bit_length`` and the branch's
 highest-position pick one ``x & -x``; the set found is bit-reversed once
 at the end.  :func:`exact_min_vertex_cover` returns the complement of that
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, SizeLimitError, check_vertex, pack_rows, transpose, unpack_rows
+from .graphs import Graph, SizeLimitError, check_vertex, members, transpose_rows
 
 EXACT_COVER_CAP = 256  # largest order the exact cover search accepts
 
@@ -89,19 +90,10 @@ def greedy_cover(g: Graph) -> CoverResult:
     nbr = g.masks
     live = (1 << g.vertex_count) - 1
     cover: list[int] = []
-    while True:
-        best, best_deg = -1, 0
-        rest = live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            deg = (nbr[v] & live).bit_count()
-            if deg > best_deg:
-                best, best_deg = v, deg
-            elif not deg:
-                live ^= low
-        if best < 0:
+    while live:
+        # max keeps the first maximum: the lowest id on ties
+        best = max(members(live), key=lambda v: (nbr[v] & live).bit_count())
+        if not nbr[best] & live:
             break
         cover.append(best)
         live ^= 1 << best
@@ -150,10 +142,11 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     ascending degree (lowest id on ties), and inside the search position
     ``p`` of that order is bit ``n - 1 - p`` of every mask, so the lowest
     position is a mask's highest bit, one ``bit_length`` away, and the
-    highest position its lowest bit, ``x & -x``.  The relabelling works on
-    the graph's ``masks`` view as one bit matrix, so a mask-built graph is
-    never decoded into neighbour tuples; the set found is bit-reversed once
-    at the end into the ``order`` layout.  At the root, isolated and
+    highest position its lowest bit, ``x & -x``.  The relabelling is one
+    :func:`~strongdim.graphs.transpose_rows` of the graph's ``masks``
+    view, so a mask-built graph is never decoded into neighbour tuples;
+    the set found is bit-reversed once at the end into the ``order``
+    layout.  At the root, isolated and
     degree-1 vertices join the set to a fixpoint, lowest position first
     (the neighbor of a degree-1 vertex leaves play); no reduction runs
     below the root.  Each search node partitions its candidates greedily
@@ -183,11 +176,10 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     masks = g.masks
     order = sorted(range(n), key=lambda v: masks[v].bit_count())
     # relabelled rows P·M·Pᵀ, position p at bit n - 1 - p: rows in reversed
-    # order, one transpose, rows in reversed order again; the transpose
-    # stands in for Pᵀ on the columns because M is symmetric
+    # order, their columns, rows in reversed order again; taking columns
+    # stands in for Pᵀ because M is symmetric
     reverse = order[::-1]
-    packed, side = pack_rows([masks[v] for v in reverse])
-    columns = unpack_rows(transpose(packed, side), side, n)
+    columns = transpose_rows([masks[v] for v in reverse])
     nbr = [columns[v] for v in reverse]
     bit = [1 << v for v in range(n)]
 

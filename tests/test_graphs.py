@@ -28,7 +28,7 @@ from strongdim import (
     serialize,
     strong_resolving_graph,
 )
-from strongdim.graphs import graph_from_masks, members, pack_rows, transpose, unpack_rows
+from strongdim.graphs import _pack_rows, _transpose, graph_from_masks, members, transpose_rows
 from helpers import balls_from_distances, long_diameter_graphs, masks_of, random_connected_graph
 
 
@@ -109,6 +109,11 @@ def naive_transpose(rows, side):
     return [sum(1 << r for r in range(side) if rows[r] >> c & 1) for c in range(side)]
 
 
+def naive_pack(rows, side):
+    """Rows laid out as one integer, row r at bit r * side, by shifts."""
+    return sum(row << r * side for r, row in enumerate(rows))
+
+
 def structured_matrices(side):
     full = (1 << side) - 1
     return {
@@ -144,11 +149,11 @@ class TestTranspose:
                 sum(1 << c for c in range(side) if rng.random() < density) for _ in range(side)
             ]
         for name, rows in cases.items():
-            packed, packed_side = pack_rows(rows)
+            packed, packed_side = _pack_rows(rows)
             assert packed_side == side
-            flipped = transpose(packed, side)
-            assert unpack_rows(flipped, side, side) == naive_transpose(rows, side), name
-            assert transpose(flipped, side) == packed, name
+            flipped = _transpose(packed, side)
+            assert flipped == naive_pack(naive_transpose(rows, side), side), name
+            assert _transpose(flipped, side) == packed, name
 
     @pytest.mark.parametrize("side", [8, 16, 32, 64, 128, 256, 512, 1024])
     def test_swap_masks_equal_the_summed_masks(self, side):
@@ -162,9 +167,9 @@ class TestTranspose:
         rows = [0] * side
         for r, c in points:
             rows[r] |= 1 << c
-        packed, packed_side = pack_rows(rows)
+        packed, packed_side = _pack_rows(rows)
         assert packed_side == side
-        flipped = transpose(packed, side)
+        flipped = _transpose(packed, side)
         assert {divmod(bit, side) for bit in members(flipped)} == {(c, r) for r, c in points}
         graphs_module._swap_masks.cache_clear()  # about 30 MB of masks at these two sides
 
@@ -172,12 +177,26 @@ class TestTranspose:
     def test_pack_side_and_round_trip(self, count, side):
         rng = random.Random(count)
         rows = [rng.getrandbits(count) if count else 0 for _ in range(count)]
-        packed, got = pack_rows(rows)
+        packed, got = _pack_rows(rows)
         assert got == side
-        assert unpack_rows(packed, side, count) == rows
+        assert packed == naive_pack(rows, side)
         # fewer rows than the side: the missing rows read as zero
-        flipped = unpack_rows(transpose(packed, side), side, side)
-        assert flipped == naive_transpose(rows + [0] * (side - count), side)
+        flipped = _transpose(packed, side)
+        assert flipped == naive_pack(naive_transpose(rows + [0] * (side - count), side), side)
+        assert transpose_rows(transpose_rows(rows)) == rows
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 9, 100, 129, 255, 256])
+    def test_transpose_rows_matches_naive_transpose(self, count):
+        rng = random.Random(count)
+        full = (1 << count) - 1
+        cases = {
+            "random": [rng.getrandbits(count) if count else 0 for _ in range(count)],
+            "full": [full] * count,
+            "last column": [1 << count - 1] * count if count else [],
+            "upper triangle": [full >> r << r for r in range(count)],
+        }
+        for name, rows in cases.items():
+            assert transpose_rows(rows) == naive_transpose(rows, count), name
 
 
 class TestGraphFromMasks:
@@ -209,6 +228,18 @@ class TestGraphFromMasks:
     @pytest.mark.parametrize("order", [0, 1])
     def test_trivial_orders(self, order):
         assert graph_from_masks(order, [0] * order) == build_graph(order, [])
+
+    def test_labelled_graphs_hash(self):
+        labels = {0: "a", 2: "c"}
+        g = build_graph(3, [(0, 1), (1, 2)], labels)
+        h = graph_from_masks(3, [0b10, 0b101, 0b10], labels)
+        assert h == g and hash(h) == hash(g)
+        # the unlabelled graph hashes alike but is not equal, so it is kept apart
+        assert len({g, h, build_graph(3, [(0, 1), (1, 2)])}) == 2
+        jahangir, _ = build_jahangir(JahangirParams(3, 3))
+        srg = strong_resolving_graph(jahangir)
+        assert jahangir.labels and srg.labels
+        assert len({jahangir, srg, jahangir}) == 2
 
     @pytest.mark.parametrize(
         "order,masks,message",

@@ -30,7 +30,8 @@ def test_every_exported_name_resolves():
      (jahangir, "EVEN_CASES"), (jahangir, "ODD_CASES"),
      (strongdim, "predicted_cover_even"), (jahangir, "predicted_cover_even"),
      (strongdim, "predicted_cover_odd"), (jahangir, "predicted_cover_odd"),
-     (cli, "_verify_cell")],
+     (cli, "_verify_cell"),
+     (graphs, "pack_rows"), (graphs, "unpack_rows"), (graphs, "transpose")],
 )
 def test_folded_types_are_gone(module, name):
     assert not hasattr(module, name)

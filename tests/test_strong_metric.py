@@ -106,6 +106,27 @@ def oracle_scale_graphs():
     return cases
 
 
+# orders just inside, at and past the sides of the packed bit matrix that
+# transpose_rows works in (8, 16, 256)
+PACK_SIDE_ORDERS = [0, 1, 7, 8, 9, 16, 255, 256]
+
+
+def pack_side_cases(order):
+    """Graphs of ``order`` with subsets that resolve all pairs or miss some, seeded by ``order``."""
+    rng = random.Random(order)
+    graphs = [build_graph(order, [])] if order < 2 else [random_connected_graph(rng, order, order)]
+    if order >= 3:
+        graphs.append(cycle_graph(order))
+    cases = []
+    for g in graphs:
+        subsets = [[], list(range(order))]
+        if order:
+            samples = [rng.sample(range(order), order // 2), rng.sample(range(order), max(order - 2, 0))]
+            subsets += [[0], [order - 1]] + samples
+        cases.append((g, subsets))
+    return cases
+
+
 def scalar_strong_resolving_check(g, dm, subset):
     """The definition pair by pair: first pair no chosen vertex strongly resolves."""
     chosen = sorted(set(subset))
@@ -259,24 +280,33 @@ class TestIsStrongResolvingSet:
         # a minimum basis less one vertex fails: the witness path runs
         assert not any(ok for ok, _ in outcomes[1:4])
 
-    @pytest.mark.parametrize("order", [0, 1, 7, 8, 9, 16, 255, 256])
+    @pytest.mark.parametrize("order", PACK_SIDE_ORDERS)
     def test_witness_matches_oracle_around_pack_sides(self, order):
-        # orders just inside, at and past the sides of pack_rows (8, 16, 256)
-        rng = random.Random(order)
-        cases = [build_graph(order, [])] if order < 2 else [random_connected_graph(rng, order, order)]
-        if order >= 3:
-            cases.append(cycle_graph(order))
-        for g in cases:
-            subsets = [[], list(range(order))]
-            if order:
-                samples = [rng.sample(range(order), order // 2), rng.sample(range(order), max(order - 2, 0))]
-                subsets += [[0], [order - 1]] + samples
+        for g, subsets in pack_side_cases(order):
             outcomes = [is_strong_resolving_set(g, None, subset) for subset in subsets]
             assert outcomes == [bfs_is_strong_resolving_set(g, None, subset) for subset in subsets]
             assert outcomes[1] == (True, None)
             if order >= 2:
                 assert outcomes[0] == (False, (0, 1))
                 assert sum(not ok for ok, _ in outcomes) >= 2
+
+    @pytest.mark.parametrize("order", PACK_SIDE_ORDERS)
+    def test_shares_no_code_with_the_bit_matrix_transpose(self, order, monkeypatch):
+        cases = [(g, subsets, list(distance_balls(g))) for g, subsets in pack_side_cases(order)]
+        expected = [[bfs_is_strong_resolving_set(g, None, s) for s in subsets] for g, subsets, _ in cases]
+
+        def refuse(*args):
+            raise AssertionError("the bit-matrix transpose ran")
+
+        for name in ("transpose_rows", "_pack_rows", "_transpose", "_swap_masks"):
+            monkeypatch.setattr(graphs_module, name, refuse)
+        monkeypatch.setattr(strong_metric, "transpose_rows", refuse)
+        for (g, subsets, radii), want in zip(cases, expected):
+            assert [is_strong_resolving_set(g, None, s, radii=radii) for s in subsets] == want
+        # the patches bite: the MMD scan does transpose
+        g, _, radii = cases[0]
+        with pytest.raises(AssertionError, match="bit-matrix transpose ran"):
+            strong_resolving_graph(g, radii=radii)
 
     @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
     def test_rejects_disconnected_before_out_of_range(self, g):

@@ -192,6 +192,19 @@ class TestMatchingLowerBound:
         h = graph_from_masks(g.vertex_count, masks_of(g))
         assert matching_lower_bound(g) == matching_lower_bound(h) == size
         assert greedy_cover(g) == greedy_cover(h)
+        # the greedy cover over adjacency tuples: max live degree, lowest id on ties
+        live = set(range(g.vertex_count))
+        cover = []
+        while True:
+            degree = {v: sum(u in live for u in g.adjacency[v]) for v in live}
+            best = min(live, key=lambda v: (-degree[v], v), default=None)
+            if best is None or not degree[best]:
+                break
+            cover.append(best)
+            live.remove(best)
+        result = greedy_cover(h)
+        assert result.cover == tuple(sorted(cover)) and result.size == len(cover)
+        assert result.optimal == (len(cover) == size)
 
 
 class TestExactCover:
