@@ -1,8 +1,8 @@
 """Undirected simple graphs with BFS distances and JSON/DOT serialization.
 
-Vertices are the integers ``0 .. vertex_count - 1``.  Graphs are immutable
-once built; :func:`build_graph` (from an edge list) and :func:`graph_from_masks`
-(from neighbour bitsets, checked as one bit matrix) enforce the representation
+Vertices are the integers ``0 .. vertex_count - 1``.  Graphs are immutable,
+and only :func:`build_graph` (from an edge list) and :func:`graph_from_masks`
+(from neighbour bitsets, checked as one bit matrix) make them, enforcing the
 invariants (sorted neighbor lists, symmetry, no self-loops, no parallel edges).
 A :class:`Graph` is read as sorted neighbour tuples (``adjacency``) or as
 neighbour bitsets (``masks``); it keeps the view it was built from and
@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -53,47 +53,35 @@ class SizeLimitError(GraphError):
     """Input exceeds the configured size cap of an exact algorithm."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Immutable undirected simple graph, read through two views of one edge set.
 
     ``adjacency[v]`` is the sorted tuple of neighbours of ``v``; ``masks[v]``
     is the same set as a bitset (bit ``u`` for neighbour ``u``).  A graph
-    keeps the view it was built from (:func:`build_graph` the tuples,
-    :func:`graph_from_masks` its checked rows) and derives the other once,
-    on its first read, so bit-parallel code can read a mask-built graph
-    without ever decoding it.  Equality compares the vertex count, the edge
-    set and the labels, whichever view each side was built from; the hash
-    leaves the labels out, so a labelled graph hashes too.
-    ``labels`` optionally maps vertex ids to display names; it never affects
-    the structure, only serialization and diagnostics.  Both builders store
-    it as a read-only view of their own copy, so a validated graph cannot be
-    relabelled afterwards.  The constructor takes the tuples only and
-    checks nothing; build graphs with :func:`build_graph` or
-    :func:`graph_from_masks`, which alone sets the ``masks`` view.
+    keeps the view its builder checked and derives the other on first read,
+    so a mask-built graph is never decoded unless asked; ``Graph(...)``
+    raises.  Equality compares the vertex count, the edge set and the
+    labels; the hash leaves the labels out.  ``labels`` optionally maps
+    vertex ids to display names, for serialization and diagnostics only; it
+    is a read-only view of the builder's own copy.
     """
 
     vertex_count: int
-    _adjacency: tuple[tuple[int, ...], ...] | None
-    labels: Mapping[int, str] | None = None
-    _masks: tuple[int, ...] | None = field(default=None, init=False)
+    labels: Mapping[int, str] | None
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adjacency = self._adjacency
-        if adjacency is None:  # lists, not generators: see all_pairs_distances
-            adjacency = tuple([tuple([*members(mask)]) for mask in self._masks])
-            object.__setattr__(self, "_adjacency", adjacency)
-        return adjacency
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        given = f"{len(args) + len(kwargs)} arguments given"
+        raise TypeError(f"{type(self).__name__}() builds no graph ({given}): use build_graph or graph_from_masks")
 
-    @property
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:  # lists, not generators: see all_pairs_distances
+        return tuple([tuple([*members(mask)]) for mask in self.masks])
+
+    @cached_property
     def masks(self) -> tuple[int, ...]:
-        masks = self._masks
-        if masks is None:
-            bit = [1 << v for v in range(self.vertex_count)]
-            masks = tuple([sum(map(bit.__getitem__, nbrs)) for nbrs in self._adjacency])
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        bit = [1 << v for v in range(self.vertex_count)]
+        return tuple([sum(map(bit.__getitem__, nbrs)) for nbrs in self.adjacency])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -102,6 +90,11 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, self.masks))
+
+    def __reduce__(self) -> tuple:
+        # through a builder, as the read-only labels view cannot be pickled
+        labels = None if self.labels is None else dict(self.labels)
+        return graph_from_masks, (self.vertex_count, self.masks, labels)
 
     def degree(self, v: int) -> int:
         check_vertex(self.vertex_count, v)
@@ -147,21 +140,12 @@ def build_graph(
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
-    return Graph(vertex_count, adjacency, _frozen_labels(vertex_count, labels))
+    return _graph(vertex_count, labels, "adjacency", adjacency)
 
 
 def _check_count(vertex_count: int) -> None:
     if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
         raise GraphError(f"vertex count must be a nonnegative integer, got {vertex_count!r}")
-
-
-def _frozen_labels(vertex_count: int, labels: Mapping[int, str] | None) -> Mapping[int, str] | None:
-    """A read-only copy of ``labels``, every key checked as a vertex id."""
-    if labels is None:
-        return None
-    for v in labels:
-        check_vertex(vertex_count, v)
-    return MappingProxyType(dict(labels))
 
 
 def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, str] | None = None) -> Graph:
@@ -184,8 +168,20 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     packed, side = _pack_rows(masks)
     if packed != _transpose(packed, side):
         raise GraphError("neighbour masks are not symmetric")
-    g = Graph(vertex_count, None, _frozen_labels(vertex_count, labels))
-    object.__setattr__(g, "_masks", masks)
+    return _graph(vertex_count, labels, "masks", masks)
+
+
+def _graph(vertex_count: int, labels: Mapping[int, str] | None, view: str, rows: tuple) -> Graph:
+    """The graph whose ``view`` is the checked ``rows``, with a read-only copy of ``labels``."""
+    if labels is not None:
+        for v in labels:
+            check_vertex(vertex_count, v)
+        labels = MappingProxyType(dict(labels))
+    g = object.__new__(Graph)
+    # set one by one, as a frozen dataclass's __init__ does: filling __dict__
+    # at once would give each graph its own key table, not the shared one
+    for name, value in (("vertex_count", vertex_count), ("labels", labels), (view, rows)):
+        object.__setattr__(g, name, value)
     return g
 
 

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import json
+import pickle
 import random
 import re
 import sys
@@ -272,6 +274,10 @@ class TestViews:
         "edges": lambda: cycle_graph(5),
         "masks": lambda: graph_from_masks(5, masks_of(cycle_graph(5))),
     }
+    LABELLED = {
+        "edges": lambda: build_graph(5, cycle_graph(5).edges(), {0: "a", 4: "e"}),
+        "masks": lambda: graph_from_masks(5, masks_of(cycle_graph(5)), {0: "a", 4: "e"}),
+    }
 
     @pytest.mark.parametrize("built", BUILT)
     def test_second_read_is_the_same_object(self, built):
@@ -290,14 +296,31 @@ class TestViews:
             delattr(g, name)
         assert g == cycle_graph(5)
 
-    def test_constructor_takes_the_tuples_only(self):
-        # only graph_from_masks sets the masks view, from rows it has checked
+    @pytest.mark.parametrize("args", [(2, ((1,), ())), (3, None), ()], ids=["one-sided", "no-view", "none"])
+    def test_constructor_raises(self, args):
+        # Graph(2, ((1,), ())) listed the edge (0, 1) but counted no edges,
+        # and Graph(3, None) failed only when first read
+        with pytest.raises(TypeError, match="use build_graph or graph_from_masks"):
+            graphs_module.Graph(*args)
+
+    @pytest.mark.parametrize("built", LABELLED)
+    @pytest.mark.parametrize(
+        "copier", [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+    )
+    def test_copies_round_trip(self, built, copier):
+        # the read-only labels view could not be pickled or deep-copied
+        g = self.LABELLED[built]()
+        h = copier(g)
+        assert h == g and hash(h) == hash(g)
+        assert h.adjacency == g.adjacency and h.masks == g.masks
+        assert h.labels == g.labels == {0: "a", 4: "e"}
         with pytest.raises(TypeError):
-            graphs_module.Graph(2, ((1,), (0,)), None, (0, 0))
-        with pytest.raises(TypeError):
-            graphs_module.Graph(2, ((1,), (0,)), _masks=(0, 0))
-        g = graphs_module.Graph(2, ((1,), (0,)))
-        assert g.masks == (2, 1) and g == path_graph(2)
+            h.labels[0] = "z"
+
+    @pytest.mark.parametrize("built", LABELLED)
+    def test_replace_builds_no_unchecked_graph(self, built):
+        with pytest.raises(TypeError, match="use build_graph or graph_from_masks"):
+            dataclasses.replace(self.LABELLED[built](), vertex_count=3)
 
     def test_counts_degrees_and_edge_tests_decode_nothing(self, monkeypatch):
         def refuse(mask):

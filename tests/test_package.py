@@ -40,6 +40,8 @@ def test_folded_types_are_gone(module, name):
 
 def test_duplicate_members_are_gone():
     assert not hasattr(strongdim.Graph, "name_of")
+    # both views are derived properties; no private field can hold an unchecked one
+    assert [f.name for f in dataclasses.fields(strongdim.Graph)] == ["vertex_count", "labels"]
     assert list(inspect.signature(strongdim.diameter).parameters) == ["g"]
     report_fields = {f.name for f in dataclasses.fields(strongdim.VerificationReport)}
     assert "alpha_computed" in report_fields and "pipeline_sdim" not in report_fields
