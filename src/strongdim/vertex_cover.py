@@ -8,7 +8,8 @@ search in the style of Tomita and Kameda (2007) and San Segundo et al.'s
 bit-parallel BBMC (2011): degree-0 and degree-1 reductions at the root
 only, then a branch and bound whose nodes partition their candidates
 greedily into cliques.  The clique numbers both bound a node and choose
-the vertices it branches on; the recursion is at most α + 1 deep.  A node
+the vertices it branches on.  The open path is an explicit stack of at
+most α + 1 nodes, so Python's recursion limit does not bound it.  A node
 reuses its parent's cliques up to the first one that lost a vertex and
 appends the partition of the rest to them in place, which gives the
 partition a fresh build would, so the search tree is the same.  Inside
@@ -162,8 +163,12 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     with k above the best size minus the current size are branched on,
     highest k first and highest position first within a clique, and the
     node stops once the current size plus k cannot beat the best set found.
-    Each level adds one vertex to the set, so the recursion is at most
-    α + 1 deep, α being the independence number.
+    The search is one loop: branching a vertex pushes the node onto an
+    explicit stack and enters the child in place, a child without
+    candidates is counted and scored without being entered, and an
+    exhausted node pops its parent.  Each level adds one vertex to the set,
+    so the stack holds at most α + 1 nodes, α being the independence
+    number, and Python's recursion limit does not bound it.
 
     Deterministic by construction: the relabelling and the branching order
     are fixed, and the best set is replaced only by a strictly larger one,
@@ -207,30 +212,33 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
                 live &= ~(high | near)
                 taken = True
 
-    best_set = 0
-    best_size = 0
-    nodes = 0
-
-    def search(cand: int, size: int, chosen: int, classes: list[int]) -> None:
-        nonlocal best_set, best_size, nodes
-        nodes += 1
-        if not cand:
-            if size > best_size:
-                best_set, best_size = chosen, size
-            return
-        node_cand = cand
+    best_set = best_size = 0
+    nodes = 1
+    # the open node lives in locals and its ancestors on the stack, root
+    # first, as (cand, node_cand, size, chosen, classes, k, clique): node_cand
+    # is the node's candidates, cand what is left of them, and clique the
+    # unbranched rest of its k-th clique; the root enters through the stack
+    classes = _clique_partition(nbr, bit, live, [])
+    stack = [(live, live, 0, 0, classes, len(classes), classes[-1] if classes else 0)]
+    while stack:
+        cand, node_cand, size, chosen, classes, k, clique = stack.pop()
         # only a vertex in clique k > best - size can lead to a larger set;
         # the highest cliques go first, highest position (lowest bit) first
         # within one
-        for k in range(len(classes), best_size - size, -1):
-            clique = classes[k - 1]
-            while clique:
-                if size + k <= best_size:
-                    return
-                vbit = clique & -clique
-                clique ^= vbit
-                cand ^= vbit
-                child = cand & ~nbr[vbit.bit_length() - 1]
+        while size + k > best_size:
+            vbit = clique & -clique
+            clique ^= vbit
+            cand ^= vbit
+            child = cand & ~nbr[vbit.bit_length() - 1]
+            if not clique:
+                # at k = 0 this reads the last clique, never branched: the
+                # subtree of vbit lifts best_size to size + 1 or more, so the
+                # loop test fails
+                k -= 1
+                clique = classes[k - 1]
+            nodes += 1
+            if child:
+                stack.append((cand, node_cand, size, chosen, classes, k, clique))
                 # the child keeps this node's cliques before the first one that
                 # lost a vertex (the branched one, a neighbour or an earlier
                 # sibling) and appends the rest's partition to them; the
@@ -241,9 +249,15 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
                 while not classes[i] & lost:
                     rest ^= classes[i]
                     i += 1
-                search(child, size + 1, chosen | vbit, _clique_partition(nbr, bit, rest, classes[:i]))
+                cand = node_cand = child
+                size += 1
+                chosen |= vbit
+                classes = _clique_partition(nbr, bit, rest, classes[:i])
+                k = len(classes)
+                clique = classes[-1]
+            elif size >= best_size:  # a leaf, scored without being entered
+                best_set, best_size = chosen | vbit, size + 1
 
-    search(live, 0, 0, _clique_partition(nbr, bit, live, []))
     # back to bit p for position p: one reversal of the n-bit string
     return order, int(f"{forced | best_set:0{n}b}"[::-1], 2), nodes
 

@@ -235,7 +235,9 @@ def scratch_mis_search(g: Graph) -> tuple[list[int], int, int]:
     cliques, with the same relabelling, root reductions, branching order,
     result ``(order, mask, nodes)`` and errors.  Position i is bit i of
     every mask, and the partition is :func:`lowest_first_clique_partition`,
-    so the oracle shares no kernel with the search it judges.
+    so the oracle shares no kernel with the search it judges.  It stays
+    recursive, so it shares no control flow with the search's explicit
+    stack either.
     """
     n = g.vertex_count
     if n > EXACT_COVER_CAP:

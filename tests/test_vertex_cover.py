@@ -246,6 +246,23 @@ class TestExactCover:
         assert result.nodes_explored == 88802
         assert result.cover == tuple(v for v in range(250) if v not in PINNED_250_OUTSIDE_COVER)
 
+    def test_deeper_than_the_recursion_limit(self):
+        # 64 disjoint 4-cycles: α = 128 and no root reduction applies, so the
+        # open path reaches 129 nodes, more than the frames left below the limit
+        g = build_graph(256, [(4 * c + i, 4 * c + (i + 1) % 4) for c in range(64) for i in range(4)])
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            result = exact_min_vertex_cover(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (result.size, result.nodes_explored) == (128, 129)
+
     def test_cap(self):
         with pytest.raises(SizeLimitError) as info:
             exact_min_vertex_cover(build_graph(257, []))
@@ -380,6 +397,11 @@ class TestPartitionReuse:
     @pytest.mark.parametrize("cell", SDIM_CELLS)
     def test_same_search_on_closed_form_cell_srgs(self, cell):
         assert_same_search_from_either_view(cell_srg(cell))
+
+    # sparse trees of 39, 38, 158, 178 and 592 nodes that pop and resume many nodes
+    @pytest.mark.parametrize("n,m", [(7, 4), (5, 5), (7, 8), (5, 9), (7, 12)])
+    def test_same_search_on_sparse_jahangir_graphs(self, n, m):
+        assert_same_search_from_either_view(build_jahangir(JahangirParams(n, m))[0])
 
     @pytest.mark.parametrize("g", large_random_graphs())
     def test_same_search_on_large_random_srgs(self, g):
