@@ -151,7 +151,8 @@ def _check_count(vertex_count: int) -> None:
 def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, str] | None = None) -> Graph:
     """Construct a :class:`Graph` from each vertex's neighbour bitset ``masks[v]``.
 
-    The invariants are checked on the whole bit matrix: no bit at or above
+    Every mask must be an ``int`` and not a ``bool``, as vertex ids must
+    be.  The invariants are checked on the whole bit matrix: no bit at or above
     ``vertex_count``, an empty diagonal, and equality with its transpose,
     compared as one packed integer.  Raises :class:`GraphError` when one
     fails.  The graph keeps a copy of the checked rows as its ``masks``
@@ -161,6 +162,8 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     masks = tuple(masks)
     if len(masks) != vertex_count:
         raise GraphError(f"expected {vertex_count!r} neighbour masks, got {len(masks)}")
+    if bad := [mask for mask in masks if not isinstance(mask, int) or isinstance(mask, bool)]:
+        raise GraphError(f"neighbour mask is not an integer: {bad[0]!r}")
     if any(mask < 0 or mask >> vertex_count for mask in masks):
         raise GraphError(f"neighbour mask has a bit outside vertex ids 0..{vertex_count - 1}")
     if any(mask >> v & 1 for v, mask in enumerate(masks)):

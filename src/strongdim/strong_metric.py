@@ -210,35 +210,33 @@ def _first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None
     packing of pairwise disjoint pending masks, cut to ids at or above ``i``,
     needs more vertices than the ``budget`` left: each packed mask needs a
     vertex of its own.  Returns ``(None, nodes)`` when no k-set exists.
-    Recursion is at most one level per vertex id.
+    The search is one loop over an explicit stack of
+    ``(i, pending, budget, chosen)`` nodes: a node that survives its prunes
+    pushes its skip child, then its take child, so the take subtree is
+    searched first.  Python's recursion limit does not bound the ids.
     """
-    chosen: list[int] = []
     nodes = 0
-
-    def search(i: int, pending: list[int], budget: int) -> bool:
-        nonlocal nodes
+    stack = [(0, masks, k, ())]
+    while stack:
+        i, pending, budget, chosen = stack.pop()
         nodes += 1
         packed = 0
         need = 0
         for mask in pending:
             reach = mask >> i
             if not reach:
-                return False
+                break
             if not reach & packed:
                 packed |= reach
                 need += 1
                 if need > budget:
-                    return False
-        if not pending:
-            return True
-        chosen.append(i)
-        if search(i + 1, [mask for mask in pending if not mask >> i & 1], budget - 1):
-            return True
-        chosen.pop()
-        return search(i + 1, pending, budget)
-
-    found = search(0, masks, k)
-    return (tuple(chosen) if found else None), nodes
+                    break
+        else:
+            if not pending:
+                return chosen, nodes
+            stack.append((i + 1, pending, budget, chosen))
+            stack.append((i + 1, [mask for mask in pending if not mask >> i & 1], budget - 1, chosen + (i,)))
+    return None, nodes
 
 
 def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasisResult:

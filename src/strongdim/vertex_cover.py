@@ -215,13 +215,14 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     best_set = best_size = 0
     nodes = 1
     # the open node lives in locals and its ancestors on the stack, root
-    # first, as (cand, node_cand, size, chosen, classes, k, clique): node_cand
-    # is the node's candidates, cand what is left of them, and clique the
-    # unbranched rest of its k-th clique; the root enters through the stack
+    # first, as (cand, size, chosen, classes, k, clique): cand is what is
+    # left of the node's candidates after the vertices it has branched, and
+    # clique the unbranched rest of its k-th clique; the root enters through
+    # the stack
     classes = _clique_partition(nbr, bit, live, [])
-    stack = [(live, live, 0, 0, classes, len(classes), classes[-1] if classes else 0)]
+    stack = [(live, 0, 0, classes, len(classes), classes[-1] if classes else 0)]
     while stack:
-        cand, node_cand, size, chosen, classes, k, clique = stack.pop()
+        cand, size, chosen, classes, k, clique = stack.pop()
         # only a vertex in clique k > best - size can lead to a larger set;
         # the highest cliques go first, highest position (lowest bit) first
         # within one
@@ -238,18 +239,19 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
                 clique = classes[k - 1]
             nodes += 1
             if child:
-                stack.append((cand, node_cand, size, chosen, classes, k, clique))
+                stack.append((cand, size, chosen, classes, k, clique))
                 # the child keeps this node's cliques before the first one that
-                # lost a vertex (the branched one, a neighbour or an earlier
-                # sibling) and appends the rest's partition to them; the
-                # branched vertex itself is lost, so i stops
-                lost = node_cand & ~child
+                # lost a vertex and appends the rest's partition to them; the
+                # earlier-branched siblings sit in the branched vertex's clique
+                # or later ones, so only it and its neighbours are looked for,
+                # and it is lost itself, so i stops
+                lost = (cand | vbit) & ~child
                 rest = child
                 i = 0
                 while not classes[i] & lost:
                     rest ^= classes[i]
                     i += 1
-                cand = node_cand = child
+                cand = child
                 size += 1
                 chosen |= vbit
                 classes = _clique_partition(nbr, bit, rest, classes[:i])

@@ -148,6 +148,43 @@ def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResul
     raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
 
 
+def scratch_first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None, int]:
+    """Recursive take-then-skip search: the oracle for ``_first_hitting_set``.
+
+    The body ``_first_hitting_set`` ran before its search became one loop
+    over an explicit stack, with the same prunes, node count and result
+    ``(basis | None, nodes)``.  It stays recursive, so it shares no control
+    flow with the stack it judges.
+    """
+    chosen: list[int] = []
+    nodes = 0
+
+    def search(i: int, pending: list[int], budget: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        packed = 0
+        need = 0
+        for mask in pending:
+            reach = mask >> i
+            if not reach:
+                return False
+            if not reach & packed:
+                packed |= reach
+                need += 1
+                if need > budget:
+                    return False
+        if not pending:
+            return True
+        chosen.append(i)
+        if search(i + 1, [mask for mask in pending if not mask >> i & 1], budget - 1):
+            return True
+        chosen.pop()
+        return search(i + 1, pending, budget)
+
+    found = search(0, masks, k)
+    return (tuple(chosen) if found else None), nodes
+
+
 def bfs_is_strong_resolving_set(
     g: Graph, dm: object, subset
 ) -> tuple[bool, tuple[int, int] | None]:

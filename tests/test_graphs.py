@@ -255,6 +255,10 @@ class TestGraphFromMasks:
             (3, [1 << 9, 0b000, 0b000], "outside vertex ids"),
             (3, [-1, 0b000, 0b000], "outside vertex ids"),
             (3, [0b010, 0b001], "expected 3 neighbour masks"),
+            (2, [2.0, 1], "not an integer: 2.0"),
+            (2, ["a", 0], "not an integer: 'a'"),
+            (2, [None, 0], "not an integer: None"),
+            (3, [False] * 3, "not an integer: False"),
             (True, [0], "vertex count must be a nonnegative integer, got True"),
         ],
     )

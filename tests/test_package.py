@@ -128,6 +128,22 @@ def test_no_handler_only_reraises():
     assert found == []
 
 
+def test_no_function_recurses_or_rebinds_enclosing_names():
+    # the searches are loops over explicit stacks: Python's recursion limit
+    # bounds none of them, and no closure shares state through ``nonlocal``
+    package = Path(strongdim.__file__).parent
+    found = sorted({
+        f"{source.stem}.{node.name}"
+        for source in package.glob("*.py")
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Nonlocal)
+        or isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == node.name
+    })
+    assert found == []
+
+
 def test_runtime_is_stdlib_only():
     # relative imports (level > 0) stay inside the package; every absolute
     # one must name a standard-library module

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -40,6 +41,7 @@ from helpers import (
     large_random_graphs,
     long_diameter_graphs,
     random_connected_graph,
+    scratch_first_hitting_set,
 )
 
 
@@ -424,6 +426,30 @@ class TestBruteForceSearch:
         masks = [0b0110, 0b1100, 0b1010]
         # the 2-sets meeting all three are {1,2}, {1,3}, {2,3}; {1,2} is first
         assert _first_hitting_set(masks, 2)[0] == (1, 2)
+
+    def test_matches_the_recursive_oracle(self):
+        graphs = [random_connected_graph(random.Random(seed), max_order=16) for seed in range(200)]
+        graphs += [build_jahangir(JahangirParams(n, 3))[0] for n in (2, 3, 4)]
+        for g in graphs:
+            masks = _minimal_resolver_masks(g)
+            for k in range(brute_force_sdim(g).size + 1):
+                assert _first_hitting_set(masks, k) == scratch_first_hitting_set(masks, k), (g, k)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # one mask whose only resolver is id 199: each id below it costs a
+        # node and a pruned take child, so the open path is 200 ids deep
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            result = _first_hitting_set([1 << 199], 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result == ((199,), 400)
 
 
 class TestMaximallyDistant:
