@@ -43,12 +43,16 @@ def _parse_jahangir_shorthand(text: str) -> JahangirParams:
     return JahangirParams(n, m)
 
 
-def _load_graph(source: str) -> tuple[Graph, JahangirParams | None]:
-    """Load a graph from a file path, '-' for stdin, or 'jahangir:n,m'."""
+def _load_graph(source: str) -> tuple[Graph, dict[int, str], JahangirParams | None]:
+    """Load a graph from a file path, '-' for stdin, or 'jahangir:n,m'.
+
+    Returns the graph, the document's labels and, for 'jahangir:n,m', the
+    parameters.  A 'jahangir:n,m' source comes with no labels: its names
+    are built from the parameters, and only where they are printed.
+    """
     if source.startswith("jahangir:"):
         params = _parse_jahangir_shorthand(source)
-        g, _ = build_jahangir(params)
-        return g, params
+        return build_jahangir(params)[0], {}, params
     try:
         if source == "-":
             # decoded as UTF-8 like a file, whatever the locale makes of stdin
@@ -59,7 +63,7 @@ def _load_graph(source: str) -> tuple[Graph, JahangirParams | None]:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {source!r}: {exc}") from exc
-    return parse(text), None
+    return *parse(text), None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -114,19 +118,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "jahangir":
         if args.m is None:
             raise GraphError("gen jahangir needs -n and -m")
-        g, _ = build_jahangir(JahangirParams(args.n, args.m))
+        params = JahangirParams(args.n, args.m)
+        g, _ = build_jahangir(params)
+        labels = params.labels()
     else:
         if args.m is not None:
             raise GraphError(f"gen {args.kind} takes only -n")
         builder = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph}[args.kind]
-        g = builder(args.n)
-    _emit(serialize(g, args.format), args.output)
+        g, labels = builder(args.n), None
+    _emit(serialize(g, args.format, labels), args.output)
     return 0
 
 
 def _cmd_sdim(args: argparse.Namespace) -> int:
     brute_cap = _brute_cap(args.brute_cap)
-    g, params = _load_graph(args.graph)
+    g, _, params = _load_graph(args.graph)
     method = args.method
     if method == "formula":
         if params is None:
@@ -157,20 +163,21 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_srg(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph)
-    _emit(serialize(strong_resolving_graph(g), args.format), args.output)
+    g, labels, params = _load_graph(args.graph)
+    labels = labels if params is None else params.labels()
+    _emit(serialize(strong_resolving_graph(g), args.format, labels), args.output)
     return 0
 
 
 def _cmd_mmd(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _, _ = _load_graph(args.graph)
     for u, v in strong_resolving_graph(g).edges():  # sorted, u < v
         print(f"{u} {v}")
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _, _ = _load_graph(args.graph)
     result = greedy_cover(g) if args.mode == "greedy" else exact_min_vertex_cover(g)
     print(f"size = {result.size}")
     print(f"optimal = {'true' if result.optimal else 'false'}")

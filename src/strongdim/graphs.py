@@ -10,6 +10,10 @@ derives the other once, when first read, so the strong resolving graph goes
 from the MMD scan to the cover search as bitset rows and is never decoded.
 Bit matrices have one public operation, :func:`transpose_rows`; the packed
 layout it works in, one integer per matrix, stays private to this module.
+A graph is its vertex count and edge set, nothing more.  Vertex names are
+part of the document: :func:`parse` returns them beside the graph and
+:func:`serialize` takes them as an argument, and one private check holds
+the rule both apply to them.
 
 Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
@@ -29,7 +33,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from types import MappingProxyType
 from typing import Iterator, Mapping
 
 # Sentinel for "no path".  Compares above any true distance; code must never
@@ -61,14 +64,12 @@ class Graph:
     is the same set as a bitset (bit ``u`` for neighbour ``u``).  A graph
     keeps the view its builder checked and derives the other on first read,
     so a mask-built graph is never decoded unless asked; ``Graph(...)``
-    raises.  Equality compares the vertex count, the edge set and the
-    labels; the hash leaves the labels out.  ``labels`` optionally maps
-    vertex ids to display names, for serialization and diagnostics only; it
-    is a read-only view of the builder's own copy.
+    raises.  Equality and the hash both compare the vertex count and the
+    edge set.  A graph has no vertex names: those belong to the document
+    (:func:`parse`, :func:`serialize`).
     """
 
     vertex_count: int
-    labels: Mapping[int, str] | None
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         given = f"{len(args) + len(kwargs)} arguments given"
@@ -86,15 +87,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.vertex_count, self.masks, self.labels) == (other.vertex_count, other.masks, other.labels)
+        return (self.vertex_count, self.masks) == (other.vertex_count, other.masks)
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, self.masks))
 
     def __reduce__(self) -> tuple:
-        # through a builder, as the read-only labels view cannot be pickled
-        labels = None if self.labels is None else dict(self.labels)
-        return graph_from_masks, (self.vertex_count, self.masks, labels)
+        return graph_from_masks, (self.vertex_count, self.masks)  # through a builder, as Graph(...) raises
 
     def degree(self, v: int) -> int:
         check_vertex(self.vertex_count, v)
@@ -118,11 +117,7 @@ def check_vertex(order: int, v: int) -> None:
         raise GraphError(f"vertex id out of range for order {order}: {v!r}")
 
 
-def build_graph(
-    vertex_count: int,
-    edge_list: list[tuple[int, int]],
-    labels: Mapping[int, str] | None = None,
-) -> Graph:
+def build_graph(vertex_count: int, edge_list: list[tuple[int, int]]) -> Graph:
     """Construct a :class:`Graph`, validating every edge.
 
     Raises :class:`GraphError` for an out-of-range endpoint, a self-loop,
@@ -140,7 +135,7 @@ def build_graph(
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     adjacency = tuple([tuple(sorted(s)) for s in neighbor_sets])  # a list: see all_pairs_distances
-    return _graph(vertex_count, labels, "adjacency", adjacency)
+    return _graph(vertex_count, "adjacency", adjacency)
 
 
 def _check_count(vertex_count: int) -> None:
@@ -148,7 +143,7 @@ def _check_count(vertex_count: int) -> None:
         raise GraphError(f"vertex count must be a nonnegative integer, got {vertex_count!r}")
 
 
-def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, str] | None = None) -> Graph:
+def graph_from_masks(vertex_count: int, masks: list[int]) -> Graph:
     """Construct a :class:`Graph` from each vertex's neighbour bitset ``masks[v]``.
 
     Every mask must be an ``int`` and not a ``bool``, as vertex ids must
@@ -171,20 +166,16 @@ def graph_from_masks(vertex_count: int, masks: list[int], labels: Mapping[int, s
     packed, side = _pack_rows(masks)
     if packed != _transpose(packed, side):
         raise GraphError("neighbour masks are not symmetric")
-    return _graph(vertex_count, labels, "masks", masks)
+    return _graph(vertex_count, "masks", masks)
 
 
-def _graph(vertex_count: int, labels: Mapping[int, str] | None, view: str, rows: tuple) -> Graph:
-    """The graph whose ``view`` is the checked ``rows``, with a read-only copy of ``labels``."""
-    if labels is not None:
-        for v in labels:
-            check_vertex(vertex_count, v)
-        labels = MappingProxyType(dict(labels))
+def _graph(vertex_count: int, view: str, rows: tuple) -> Graph:
+    """The graph whose ``view`` is the checked ``rows``."""
     g = object.__new__(Graph)
     # set one by one, as a frozen dataclass's __init__ does: filling __dict__
     # at once would give each graph its own key table, not the shared one
-    for name, value in (("vertex_count", vertex_count), ("labels", labels), (view, rows)):
-        object.__setattr__(g, name, value)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, view, rows)
     return g
 
 
@@ -359,16 +350,39 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def serialize(g: Graph, fmt: str = "edge-json") -> str:
-    """Render ``g`` as an edge-JSON document or a Graphviz DOT description."""
+def _check_labels(order: int, labels: Mapping[int, str]) -> None:
+    """The label rule of :func:`parse` and :func:`serialize`, raising :class:`GraphError`.
+
+    Each name is a ``str`` that UTF-8 can encode (JSON escapes can spell
+    lone surrogates, which no UTF-8 output, DOT or a file, can hold) and
+    each key a vertex id below ``order``, checked label by label in that
+    order.
+    """
+    for v, name in labels.items():
+        if not isinstance(name, str):
+            raise GraphError(f"labels[{str(v)!r}]: name must be a string, got {name!r}")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise GraphError(f"labels[{str(v)!r}]: name is not valid Unicode text") from None
+        check_vertex(order, v)
+
+
+def serialize(g: Graph, fmt: str = "edge-json", labels: Mapping[int, str] | None = None) -> str:
+    """Render ``g`` as an edge-JSON document or a Graphviz DOT description.
+
+    ``labels`` optionally maps vertex ids to display names; a label that
+    breaks the rule :func:`parse` applies raises :class:`GraphError`.
+    """
+    labels = labels or {}
+    _check_labels(g.vertex_count, labels)
     if fmt == "edge-json":
         doc: dict = {"n": g.vertex_count, "edges": [[u, v] for u, v in g.edges()]}
-        if g.labels:
-            doc["labels"] = {str(v): g.labels[v] for v in sorted(g.labels)}
+        if labels:
+            doc["labels"] = {str(v): labels[v] for v in sorted(labels)}
         return json.dumps(doc) + "\n"
     if fmt == "dot":
         lines = ["graph {"]
-        labels = g.labels or {}
         for v in range(g.vertex_count):
             if v in labels:
                 lines.append(f'  "{v}" [label="{_dot_escape(labels[v])}"];')
@@ -381,11 +395,11 @@ def serialize(g: Graph, fmt: str = "edge-json") -> str:
     raise GraphError(f"unsupported format {fmt!r}, expected one of {FORMATS}")
 
 
-def parse(text: str) -> Graph:
-    """Parse an edge-JSON document produced by :func:`serialize`.
+def parse(text: str) -> tuple[Graph, dict[int, str]]:
+    """Parse an edge-JSON document produced by :func:`serialize` into the graph and its labels.
 
-    Structural problems are reported with the location of the offending
-    field or edge.
+    The labels are empty when the document has none.  Structural problems
+    are reported with the location of the offending field or edge.
     """
     try:
         doc = json.loads(text)
@@ -410,12 +424,11 @@ def parse(text: str) -> Graph:
         ):
             raise ParseError(f"edges[{idx}]: expected a pair of integers, got {item!r}")
         edge_list.append((item[0], item[1]))
-    labels: dict[int, str] | None = None
+    labels: dict[int, str] = {}
     if "labels" in doc:
         raw_labels = doc["labels"]
         if not isinstance(raw_labels, dict):
             raise ParseError("'labels' must be an object mapping ids to names")
-        labels = {}
         for key, value in raw_labels.items():
             # only the canonical spelling serialize writes: int() would also
             # take "01", " +1 " or "1_0", so two keys could name one vertex
@@ -425,15 +438,10 @@ def parse(text: str) -> Graph:
                 vid = None
             if vid is None or key != str(vid):
                 raise ParseError(f"labels: key {key!r} is not a vertex id")
-            if not isinstance(value, str):
-                raise ParseError(f"labels[{key!r}]: name must be a string, got {value!r}")
-            # JSON escapes can spell lone surrogates, which no UTF-8 output can hold
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(f"labels[{key!r}]: name is not valid Unicode text") from None
             labels[vid] = value
     try:
-        return build_graph(n, edge_list, labels)
+        g = build_graph(n, edge_list)
+        _check_labels(n, labels)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+    return g, labels

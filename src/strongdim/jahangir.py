@@ -110,15 +110,17 @@ class JahangirParams:
 
 
 def build_jahangir(params: JahangirParams) -> tuple[Graph, JahangirParams]:
-    """Construct J(n, m); the graph carries the u/c labels.
+    """Construct J(n, m).
 
     Returns ``params`` alongside the graph: it is the labeling, the map
-    between rim positions, vertex ids and names.
+    between rim positions, vertex ids and names (:meth:`JahangirParams.labels`
+    gives the u/c names for :func:`~strongdim.graphs.serialize`); the graph
+    itself carries no names.
     """
     rim = params.rim_size
     edge_list = [(i, (i + 1) % rim) for i in range(rim)]
     edge_list += [(params.hub, s) for s in params.spoke_ids()]
-    return build_graph(params.order, edge_list, params.labels()), params
+    return build_graph(params.order, edge_list), params
 
 
 def regime(params: JahangirParams) -> str | None:

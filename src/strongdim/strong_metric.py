@@ -55,7 +55,7 @@ from .graphs import (
     members,
     transpose_rows,
 )
-from .vertex_cover import exact_min_vertex_cover
+from .vertex_cover import check_cover_cap, exact_min_vertex_cover
 
 DEFAULT_BRUTE_CAP = 16  # default of brute force's order cap: size_cap, brute_cap, --brute-cap
 
@@ -298,9 +298,8 @@ def strong_resolving_graph(
     O(diam * (V + E)) big-integer operations plus one transpose.  The last
     radius, the fixed point, tells whether ``g`` is connected.  ``radii`` is
     ``list(distance_balls(g))``, read and never modified; when None the
-    balls are grown here, two radii live at a time.  Labels carry over so
-    derived output stays readable.  ``dm`` is not read; ``perfbench`` still
-    passes it positionally.
+    balls are grown here, two radii live at a time.  ``dm`` is not read;
+    ``perfbench`` still passes it positionally.
     """
     n = g.vertex_count
     adj = g.adjacency
@@ -322,7 +321,7 @@ def strong_resolving_graph(
     if n > 1 and inner[0] != (1 << n) - 1:
         raise DisconnectedGraphError("MMD pairs are defined for connected graphs")
     mmd = [row & col for row, col in zip(far, transpose_rows(far))]
-    return graph_from_masks(n, mmd, g.labels)
+    return graph_from_masks(n, mmd)
 
 
 def cover_pipeline(
@@ -338,8 +337,11 @@ def cover_pipeline(
     the MMD detection and the re-check both read it; no all-pairs distance
     matrix is built and no separate connectivity BFS runs, since the last
     radius tells whether ``g`` is connected.  The list is not modified.
+    A graph above the exact cover's order cap raises
+    :class:`~strongdim.graphs.SizeLimitError` before any radius is grown.
     """
     n = g.vertex_count
+    check_cover_cap(n)
     radii = _radii(g, radii)
     if n > 1 and radii[-1][0] != (1 << n) - 1:
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")

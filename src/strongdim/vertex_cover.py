@@ -45,6 +45,12 @@ class CoverResult:
     nodes_explored: int
 
 
+def check_cover_cap(order: int) -> None:
+    """Raise :class:`SizeLimitError` for an order above :data:`EXACT_COVER_CAP`."""
+    if order > EXACT_COVER_CAP:
+        raise SizeLimitError(f"graph has {order} vertices, exact cover cap is {EXACT_COVER_CAP}")
+
+
 def is_vertex_cover(g: Graph, subset: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
     """Check whether ``subset`` touches every edge.
 
@@ -176,8 +182,7 @@ def _mis_search(g: Graph) -> tuple[list[int], int, int]:
     above :data:`EXACT_COVER_CAP` vertices raise :class:`SizeLimitError`.
     """
     n = g.vertex_count
-    if n > EXACT_COVER_CAP:
-        raise SizeLimitError(f"graph has {n} vertices, exact cover cap is {EXACT_COVER_CAP}")
+    check_cover_cap(n)
     masks = g.masks
     order = sorted(range(n), key=lambda v: masks[v].bit_count())
     # relabelled rows P·M·Pᵀ, position p at bit n - 1 - p: rows in reversed

@@ -15,6 +15,13 @@ C4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
 C6_DOC = json.dumps({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]})
 DISCONNECTED_DOC = '{"n": 4, "edges": [[0, 1], [2, 3]]}'
 PATH_257_DOC = json.dumps({"n": 257, "edges": [[i, i + 1] for i in range(256)]})
+# P4 with three of its four vertices named, keys out of order; its SRG is the
+# one edge (0, 3), so vertex 2 is isolated and unnamed
+LABELLED_P4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "labels": {"3": "\\u00e9", "0": "a", "1": "b\\"q"}}'
+LABELLED_P4_SRG = {
+    "edge-json": '{"n": 4, "edges": [[0, 3]], "labels": {"0": "a", "1": "b\\"q", "3": "\\u00e9"}}\n',
+    "dot": 'graph {\n  "0" [label="a"];\n  "1" [label="b\\"q"];\n  "2";\n  "3" [label="\u00e9"];\n  "0" -- "3";\n}\n',
+}
 
 
 def run_cli(capsys, argv):
@@ -201,6 +208,16 @@ class TestSdim:
         assert code == 1
         assert "99" in err and "10" in err
 
+    def test_sdim_builds_no_vertex_names(self, capsys, monkeypatch):
+        # names are built only where they are printed: gen and srg
+        def refuse(self):
+            raise AssertionError("sdim built the vertex names")
+
+        monkeypatch.setattr(cli.JahangirParams, "labels", refuse)
+        code, out, err = run_cli(capsys, ["sdim", "jahangir:20,12"])
+        assert (code, err) == (0, "")
+        assert out.startswith("sdim = 108\nmethod = vertex-cover-reduction\nbasis = 10 12 13 ")
+
 
 class TestParserReuse:
     def test_usage_error_between_runs_changes_nothing(self, capsys):
@@ -228,6 +245,19 @@ class TestSrgAndMmd:
         assert doc["n"] == 31
         assert len(doc["edges"]) == 20
         assert doc["labels"]["30"] == "c"
+
+    @pytest.mark.parametrize("fmt", ["edge-json", "dot"])
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_srg_prints_the_labels_of_the_document(self, capsys, monkeypatch, tmp_path, fmt, source):
+        if source == "path":
+            path = tmp_path / "p4.json"
+            path.write_text(LABELLED_P4_DOC, encoding="utf-8")
+            graph = str(path)
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(LABELLED_P4_DOC.encode("utf-8")), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            graph = "-"
+        assert run_cli(capsys, ["srg", graph, "--format", fmt]) == (0, LABELLED_P4_SRG[fmt], "")
 
     def test_srg_dot(self, capsys):
         code, out, _ = run_cli(capsys, ["srg", "jahangir:2,3", "--format", "dot"])
@@ -298,6 +328,17 @@ class TestCover:
         path = tmp_path / "p257.json"
         path.write_text(PATH_257_DOC)
         assert run_cli(capsys, [command, str(path)]) == (
+            2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
+        )
+
+    def test_sdim_refuses_the_cap_before_growing_the_radii(self, capsys, monkeypatch, tmp_path):
+        def refuse(g):
+            raise AssertionError("sdim grew the radii of a graph above the cover cap")
+
+        monkeypatch.setattr(strong_metric, "distance_balls", refuse)
+        path = tmp_path / "p257.json"
+        path.write_text(PATH_257_DOC)
+        assert run_cli(capsys, ["sdim", str(path)]) == (
             2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
         )
 

@@ -84,17 +84,6 @@ class TestBuildGraph:
             build_graph(True, [])
         assert str(excinfo.value) == "vertex count must be a nonnegative integer, got True"
 
-    def test_labels_are_read_only(self):
-        source = {0: "a", 1: "b"}
-        g = build_graph(2, [(0, 1)], labels=source)
-        with pytest.raises(TypeError):
-            g.labels[0] = "z"
-        source[0] = "z"
-        assert g.labels == {0: "a", 1: "b"}
-        back = parse(serialize(g))
-        assert back == g and back.labels == {0: "a", 1: "b"}
-        assert '"1" [label="b"];' in serialize(g, "dot")
-
     @given(graphs(connected=False))
     @settings(max_examples=50, deadline=None)
     def test_adjacency_sorted_and_symmetric(self, g):
@@ -216,31 +205,18 @@ class TestGraphFromMasks:
         assert [h.has_edge(u, v) for u, v in pairs] == [g.has_edge(u, v) for u, v in pairs]
         assert [g.has_edge(u, v) for u, v in pairs] == [v in g.adjacency[u] for u, v in pairs]
 
-    def test_labels_are_checked_and_read_only(self):
-        source = {0: "a", 2: "c"}
-        g = graph_from_masks(3, [0b10, 0b101, 0b10], source)
-        assert g == build_graph(3, [(0, 1), (1, 2)], source)
-        source[0] = "z"
-        with pytest.raises(TypeError):
-            g.labels[0] = "z"
-        assert g.labels == {0: "a", 2: "c"}
-        with pytest.raises(GraphError, match="out of range"):
-            graph_from_masks(2, [0b10, 0b01], {2: "x"})
-
     @pytest.mark.parametrize("order", [0, 1])
     def test_trivial_orders(self, order):
         assert graph_from_masks(order, [0] * order) == build_graph(order, [])
 
-    def test_labelled_graphs_hash(self):
-        labels = {0: "a", 2: "c"}
-        g = build_graph(3, [(0, 1), (1, 2)], labels)
-        h = graph_from_masks(3, [0b10, 0b101, 0b10], labels)
+    def test_equality_and_hash_read_one_key(self):
+        # the vertex count and the edge set, whichever builder made the graph
+        g = build_graph(3, [(0, 1), (1, 2)])
+        h = graph_from_masks(3, [0b10, 0b101, 0b10])
         assert h == g and hash(h) == hash(g)
-        # the unlabelled graph hashes alike but is not equal, so it is kept apart
-        assert len({g, h, build_graph(3, [(0, 1), (1, 2)])}) == 2
+        assert len({g, h, build_graph(3, [(0, 1)]), build_graph(4, [(0, 1), (1, 2)])}) == 3
         jahangir, _ = build_jahangir(JahangirParams(3, 3))
         srg = strong_resolving_graph(jahangir)
-        assert jahangir.labels and srg.labels
         assert len({jahangir, srg, jahangir}) == 2
 
     @pytest.mark.parametrize(
@@ -278,11 +254,6 @@ class TestViews:
         "edges": lambda: cycle_graph(5),
         "masks": lambda: graph_from_masks(5, masks_of(cycle_graph(5))),
     }
-    LABELLED = {
-        "edges": lambda: build_graph(5, cycle_graph(5).edges(), {0: "a", 4: "e"}),
-        "masks": lambda: graph_from_masks(5, masks_of(cycle_graph(5)), {0: "a", 4: "e"}),
-    }
-
     @pytest.mark.parametrize("built", BUILT)
     def test_second_read_is_the_same_object(self, built):
         g = self.BUILT[built]()
@@ -307,24 +278,20 @@ class TestViews:
         with pytest.raises(TypeError, match="use build_graph or graph_from_masks"):
             graphs_module.Graph(*args)
 
-    @pytest.mark.parametrize("built", LABELLED)
+    @pytest.mark.parametrize("built", BUILT)
     @pytest.mark.parametrize(
         "copier", [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
     )
     def test_copies_round_trip(self, built, copier):
-        # the read-only labels view could not be pickled or deep-copied
-        g = self.LABELLED[built]()
+        g = self.BUILT[built]()
         h = copier(g)
         assert h == g and hash(h) == hash(g)
         assert h.adjacency == g.adjacency and h.masks == g.masks
-        assert h.labels == g.labels == {0: "a", 4: "e"}
-        with pytest.raises(TypeError):
-            h.labels[0] = "z"
 
-    @pytest.mark.parametrize("built", LABELLED)
+    @pytest.mark.parametrize("built", BUILT)
     def test_replace_builds_no_unchecked_graph(self, built):
         with pytest.raises(TypeError, match="use build_graph or graph_from_masks"):
-            dataclasses.replace(self.LABELLED[built](), vertex_count=3)
+            dataclasses.replace(self.BUILT[built](), vertex_count=3)
 
     def test_counts_degrees_and_edge_tests_decode_nothing(self, monkeypatch):
         def refuse(mask):
@@ -538,22 +505,21 @@ class TestSerialization:
         assert serialize(path_graph(2), "dot") == 'graph {\n  "0" -- "1";\n}\n'
 
     def test_dot_carries_labels_and_isolated_vertices(self):
-        g = build_graph(3, [(0, 1)], labels={0: "a", 1: "b", 2: "lonely"})
-        out = serialize(g, "dot")
+        out = serialize(build_graph(3, [(0, 1)]), "dot", {0: "a", 1: "b", 2: "lonely"})
         assert '"2" [label="lonely"];' in out
         assert '"0" -- "1";' in out
 
     def test_dot_escapes_quotes_and_backslashes(self):
-        g = parse('{"n": 2, "edges": [[0, 1]], "labels": {"0": "a\\"b", "1": "c\\\\d"}}')
-        assert g.labels == {0: 'a"b', 1: "c\\d"}
-        out = serialize(g, "dot")
+        g, labels = parse('{"n": 2, "edges": [[0, 1]], "labels": {"0": "a\\"b", "1": "c\\\\d"}}')
+        assert labels == {0: 'a"b', 1: "c\\d"}
+        out = serialize(g, "dot", labels)
         assert '"0" [label="a\\"b"];' in out
         assert '"1" [label="c\\\\d"];' in out
 
     @given(st.text(max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_dot_label_reads_back(self, label):
-        out = serialize(build_graph(1, [], labels={0: label}), "dot")
+        out = serialize(build_graph(1, []), "dot", {0: label})
         prefix, suffix = 'graph {\n  "0" [label="', '"];\n}\n'
         assert out.startswith(prefix) and out.endswith(suffix)
         body = out[len(prefix) : -len(suffix)]
@@ -567,27 +533,78 @@ class TestSerialization:
 
     def test_round_trip_jahangir(self):
         g, _ = build_jahangir(JahangirParams(3, 4))
-        assert parse(serialize(g)) == g
+        assert parse(serialize(g)) == (g, {})
 
     @given(graphs(max_order=16, connected=False))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_random(self, g):
-        assert parse(serialize(g)) == g
+        assert parse(serialize(g)) == (g, {})
 
     def test_round_trip_seeded_corpus(self):
         for seed in range(20):
             g = random_connected_graph(random.Random(seed), max_order=20)
-            assert parse(serialize(g)) == g
+            assert parse(serialize(g)) == (g, {})
+
+
+class TestLabelRule:
+    """One rule for labels, which serialize applies as parse does."""
+
+    @pytest.mark.parametrize("fmt", graphs_module.FORMATS)
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ({2: "x"}, "vertex id out of range for order 2: 2"),
+            ({-1: "x"}, "vertex id out of range for order 2: -1"),
+            ({"0": "x"}, "vertex id out of range for order 2: '0'"),
+            ({True: "x"}, "vertex id out of range for order 2: True"),
+            ({0: 5}, "labels['0']: name must be a string, got 5"),
+            ({1: None}, "labels['1']: name must be a string, got None"),
+            ({0: "a\ud800"}, "labels['0']: name is not valid Unicode text"),
+        ],
+        ids=["key-above", "key-below", "key-str", "key-bool", "name-int", "name-none", "name-surrogate"],
+    )
+    def test_serialize_refuses_a_broken_label(self, fmt, labels, message):
+        # edge-JSON carried a non-str or lone-surrogate name that parse refuses,
+        # and DOT raised AttributeError on a non-str one
+        with pytest.raises(GraphError) as excinfo:
+            serialize(path_graph(2), fmt, labels)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ('{"2": "x"}', "vertex id out of range for order 2: 2"),
+            ('{"0": 5}', "labels['0']: name must be a string, got 5"),
+            ('{"0": "a\\ud800"}', "labels['0']: name is not valid Unicode text"),
+        ],
+    )
+    def test_parse_and_serialize_give_one_message(self, raw, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse(f'{{"n": 2, "edges": [[0, 1]], "labels": {raw}}}')
+        assert str(excinfo.value) == message
+        with pytest.raises(GraphError) as excinfo:
+            serialize(path_graph(2), "edge-json", {int(k): v for k, v in json.loads(raw).items()})
+        assert str(excinfo.value) == message
+
+    def test_seeded_labelled_round_trip(self):
+        names = ["", "a", "u1", "c", 'q"t', "b\\s", "\u00e9", "\U0001f600", "two words"]
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_connected_graph(rng, max_order=20)
+            labels = {v: rng.choice(names) for v in range(g.vertex_count) if rng.random() < 0.6}
+            assert parse(serialize(g, "edge-json", labels)) == (g, labels)
+            out = serialize(g, "dot", labels)
+            assert all(f'  "{v}" [label="' in out for v in labels)
 
 
 class TestParse:
     def test_minimal(self):
-        g = parse('{"n":2,"edges":[[0,1]]}')
-        assert g.vertex_count == 2 and g.edges() == [(0, 1)]
+        g, labels = parse('{"n":2,"edges":[[0,1]]}')
+        assert g.vertex_count == 2 and g.edges() == [(0, 1)] and labels == {}
 
     def test_labels(self):
-        g = parse('{"n":2,"edges":[[0,1]],"labels":{"0":"x"}}')
-        assert g.labels == {0: "x"}
+        g, labels = parse('{"n":2,"edges":[[0,1]],"labels":{"0":"x"}}')
+        assert g == path_graph(2) and labels == {0: "x"}
 
     @pytest.mark.parametrize("key", ["01", " +1 ", "1_0", "+1", "-0", "1.0", ""])
     def test_non_canonical_label_key(self, key):
@@ -599,7 +616,7 @@ class TestParse:
         # a JSON escape can spell it, but no UTF-8 output (DOT, a file) can hold it
         with pytest.raises(ParseError, match=r"labels\['0'\]: name is not valid Unicode text"):
             parse('{"n":2,"edges":[[0,1]],"labels":{"0":"\\ud800"}}')
-        assert parse('{"n":1,"labels":{"0":"\\u00e9\\ud83d\\ude00"}}').labels == {0: "\u00e9\U0001f600"}
+        assert parse('{"n":1,"labels":{"0":"\\u00e9\\ud83d\\ude00"}}')[1] == {0: "\u00e9\U0001f600"}
 
     def test_label_keys_naming_one_vertex_twice(self):
         # int() reads both keys as vertex 1, and "a" would be dropped silently
@@ -608,9 +625,8 @@ class TestParse:
 
     def test_labelled_round_trip(self):
         # ids of one and two digits, every vertex named
-        g = build_graph(12, [(v, v + 1) for v in range(11)], {v: f"v{v}" for v in range(12)})
-        back = parse(serialize(g))
-        assert back == g and back.labels == g.labels
+        g, labels = path_graph(12), {v: f"v{v}" for v in range(12)}
+        assert parse(serialize(g, "edge-json", labels)) == (g, labels)
 
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):

@@ -62,7 +62,7 @@ class TestConstruction:
         params = JahangirParams(3, 4)
         g, lab = build_jahangir(params)
         assert lab is params
-        assert dict(g.labels) == params.labels()
+        assert vars(g).keys() <= {"vertex_count", "adjacency", "masks"}  # no names on the graph
 
     @pytest.mark.parametrize("n,m", [(4.5, 3), (6, 5.0), (True, 4), (6, False), ("6", 5)])
     def test_non_integer_parameters(self, n, m):
@@ -93,9 +93,8 @@ class TestConstruction:
         assert set(g.adjacency[lab.hub]) == set(lab.spoke_ids())
         for s in lab.spoke_ids():
             assert g.degree(s) == 3
-        assert g.labels is not None
-        assert g.labels[lab.hub] == "c"
-        assert g.labels[0] == "u1"
+        assert lab.name(lab.hub) == "c"
+        assert lab.name(0) == "u1"
         # rim positions wrap modulo the rim length
         assert lab.rim_id(lab.rim_size + 1) == lab.rim_id(1)
         assert lab.rim_id(0) == lab.rim_id(lab.rim_size)
@@ -487,6 +486,15 @@ class TestVerifyPredictions:
         report = verify_predictions(JahangirParams(n, m))
         assert report.passed and report.srg_edges_match and report.predicted_cover_valid
 
+    @pytest.mark.parametrize("n,m", [(6, 5), (5, 5)])  # even, odd
+    def test_builds_no_vertex_names(self, monkeypatch, n, m):
+        # a report names vertices through params.name, and only in a discrepancy
+        def refuse(self):
+            raise AssertionError("verify built the vertex names")
+
+        monkeypatch.setattr(JahangirParams, "labels", refuse)
+        assert verify_predictions(JahangirParams(n, m)).passed
+
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
         monkeypatch.setattr(
             strong_metric, "is_strong_resolving_set", lambda g, dm, s, *, radii=None: (False, (0, 1))
@@ -595,7 +603,7 @@ class TestDiscrepancyReports:
             srg, result = real(g, radii=radii)
             edges = (set(srg.edges()) - {(1, 5)}) | {(0, 5)}
             bigger = StrongBasisResult(result.size + 1, result.basis, result.method)
-            return build_graph(srg.vertex_count, sorted(edges), srg.labels), bigger
+            return build_graph(srg.vertex_count, sorted(edges)), bigger
 
         monkeypatch.setattr(jahangir, "cover_pipeline", skewed)
         report = verify_predictions(JahangirParams(6, 5))

@@ -40,8 +40,9 @@ def test_folded_types_are_gone(module, name):
 
 def test_duplicate_members_are_gone():
     assert not hasattr(strongdim.Graph, "name_of")
-    # both views are derived properties; no private field can hold an unchecked one
-    assert [f.name for f in dataclasses.fields(strongdim.Graph)] == ["vertex_count", "labels"]
+    # both views are derived properties; no private field can hold an unchecked
+    # one, and vertex names belong to the document, not the graph
+    assert [f.name for f in dataclasses.fields(strongdim.Graph)] == ["vertex_count"]
     assert list(inspect.signature(strongdim.diameter).parameters) == ["g"]
     report_fields = {f.name for f in dataclasses.fields(strongdim.VerificationReport)}
     assert "alpha_computed" in report_fields and "pipeline_sdim" not in report_fields
@@ -52,6 +53,9 @@ def test_duplicate_members_are_gone():
 def test_dead_knobs_are_gone():
     assert list(inspect.signature(strongdim.exact_min_vertex_cover).parameters) == ["g"]
     assert list(inspect.signature(strongdim.parse).parameters) == ["text"]
+    assert list(inspect.signature(strongdim.serialize).parameters) == ["g", "fmt", "labels"]
+    assert list(inspect.signature(strongdim.build_graph).parameters) == ["vertex_count", "edge_list"]
+    assert list(inspect.signature(graphs.graph_from_masks).parameters) == ["vertex_count", "masks"]
     assert list(inspect.signature(strongdim.measured_distance_pairs).parameters) == ["params", "case"]
     assert not hasattr(strongdim, "EXACT_COVER_CAP")
 

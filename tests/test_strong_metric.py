@@ -567,16 +567,6 @@ class TestMmdPairs:
         assert srg_edge_set(g) == scalar_mmd_pairs(g, dm)
 
 
-@st.composite
-def labelled_connected_graphs(draw, max_order=20):
-    """A connected graph of order 1 .. max_order, with labels on some vertices or none."""
-    g = draw(connected_graphs(max_order))
-    if draw(st.booleans()):
-        return g
-    named = draw(st.sets(st.integers(0, g.vertex_count - 1)))
-    return build_graph(g.vertex_count, g.edges(), {v: f"v{v}" for v in named})
-
-
 class TestStrongResolvingGraph:
     def test_c4_two_disjoint_edges(self):
         srg = strong_resolving_graph(cycle_graph(4))
@@ -590,17 +580,11 @@ class TestStrongResolvingGraph:
         isolated = {v for v in range(srg.vertex_count) if srg.degree(v) == 0}
         assert isolated == {lab.rim_id(1), lab.rim_id(4), lab.rim_id(7), lab.hub}
 
-    def test_labels_carried_over(self):
-        g, lab, _ = jahangir_with_distances(3, 3)
-        srg = strong_resolving_graph(g)
-        assert srg.labels == g.labels
-        assert srg.labels is not None and srg.labels[lab.hub] == "c"
-
-    @given(labelled_connected_graphs())
+    @given(connected_graphs(max_order=20))
     @settings(max_examples=200, deadline=None)
     def test_equals_scalar_definition(self, g):
         pairs = sorted(scalar_mmd_pairs(g, all_pairs_distances(g)))
-        assert strong_resolving_graph(g) == build_graph(g.vertex_count, pairs, g.labels)
+        assert strong_resolving_graph(g) == build_graph(g.vertex_count, pairs)
 
     def test_hub_isolated_across_parameters(self):
         for n, m in ((2, 3), (4, 3), (5, 4), (6, 5), (7, 6), (12, 8)):
@@ -673,6 +657,18 @@ class TestSdimViaCover:
         monkeypatch.setattr(graphs_module, "members", refuse)
         assert sdim_via_cover(g).size == sdim_formula(JahangirParams(5, 51))
 
+    @pytest.mark.parametrize("g", [path_graph(257), build_graph(257, [])], ids=["path", "edgeless"])
+    def test_refuses_oversize_graphs_before_growing_the_radii(self, monkeypatch, g):
+        # the radii cost V^2 * D bits, which on a long path can exhaust memory
+        # before the cover refuses the order; the edgeless graph gets the cap
+        # error, not the disconnection one
+        def refuse(g):
+            raise AssertionError("the pipeline grew the radii of a graph above the cover cap")
+
+        monkeypatch.setattr(strong_metric, "distance_balls", refuse)
+        with pytest.raises(SizeLimitError, match="^graph has 257 vertices, exact cover cap is 256$"):
+            cover_pipeline(g)
+
     def test_grows_the_balls_once(self, monkeypatch):
         calls = []
         real = strong_metric.distance_balls
@@ -694,7 +690,7 @@ class TestSdimViaCover:
         def dropped(g, dm=None, *, radii=None):
             edges = real(g, dm, radii=radii).edges()
             edges.remove((2, 5))
-            return build_graph(g.vertex_count, edges, g.labels)
+            return build_graph(g.vertex_count, edges)
 
         monkeypatch.setattr(strong_metric, "strong_resolving_graph", dropped)
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(2, 5\) unresolved"):
