@@ -19,9 +19,10 @@ Distances come in two shapes.  :func:`distance_balls` grows every vertex's
 ball of radius r = 0, 1, ... together, as Python integers used as vertex
 bitsets (bit ``v`` stands for vertex ``v``): O(diam * (V + E)) big-integer
 ORs for all of them.  It is the one ball-growing loop of the program, and
-a pipeline run or ``verify`` cell calls it once: MMD detection, the
-strong-resolution re-check and ``verify``'s extremal-distance scans read
-that one list of radii, and :func:`diameter` grows its own.
+a pipeline run or ``verify`` cell calls it once, inside the pipeline: MMD
+detection, the strong-resolution re-check and ``verify``'s extremal-distance
+scans read that one list of radii.  The public MMD scan and re-check, when
+called on their own, and :func:`diameter` each grow their own.
 :func:`all_pairs_distances`, one BFS row per vertex, is kept for brute
 force and scalar checks.
 """

@@ -16,18 +16,18 @@ The even and odd edge families differ only in a segment's midpoint
 positions, so :func:`srg_edge_families` builds both, and
 :func:`predicted_cover` lists the rim positions of both regimes' covers
 segment by segment.  :func:`verify_predictions` recomputes all of that
-through :func:`~strongdim.strong_metric.cover_pipeline` (MMD pairs, exact
-cover, re-check) and reports any disagreement with the closed forms.
+through the cover pipeline of :mod:`~strongdim.strong_metric` (MMD pairs,
+exact cover, re-check) and reports any disagreement with the closed forms.
 
 The extremal-distance scans read every radius of
 :func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds a
-dense all-pairs distance matrix.  :func:`verify_predictions` grows that
-list once per cell and hands the same list to the pipeline's MMD scan and
-re-check.  The pairs at distance t are read off the
-spheres ``ball[t][x] ^ ball[t-1][x]``, each ANDed with one vertex mask per
-cycle or segment, the diameter D is the number of radii minus one, and the
-diametrical-path condition of odd-a is tested on spheres as well (see
-:func:`_on_diametrical_path`).
+dense all-pairs distance matrix.  :func:`verify_predictions` takes that
+list from the pipeline, which grows it once per cell for its MMD scan and
+re-check, and only after refusing an order above the exact cover cap.  The
+pairs at distance t are read off the spheres ``ball[t][x] ^ ball[t-1][x]``,
+each ANDed with one vertex mask per cycle or segment, the diameter D is the
+number of radii minus one, and the diametrical-path condition of odd-a is
+tested on spheres as well (see :func:`_on_diametrical_path`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .graphs import (
     distance_balls,
     members,
 )
-from .strong_metric import DEFAULT_BRUTE_CAP, brute_force_sdim, cover_pipeline
+from .strong_metric import DEFAULT_BRUTE_CAP, _cover_pipeline, brute_force_sdim
 from .vertex_cover import is_vertex_cover
 
 _Pairs = frozenset[tuple[int, int]]  # vertex-id pairs, each as (low, high)
@@ -452,8 +452,7 @@ def verify_predictions(
     """
     n, m = params.n, params.m
     g, _ = build_jahangir(params)
-    radii = list(distance_balls(g))  # the one growth: the pipeline and the scans read it
-    srg, result = cover_pipeline(g, radii=radii)
+    radii, srg, result = _cover_pipeline(g)  # the one growth: the scans below read it too
     alpha = result.size
     kind = regime(params)
 

@@ -17,12 +17,12 @@ those rows by :func:`~strongdim.graphs.graph_from_masks`, whose sorted
 edges are the MMD pairs.  The graph keeps the rows as its ``masks`` view,
 which the cover search reads, so on the ``sdim`` path the rows are never
 decoded into neighbour tuples.  :func:`is_strong_resolving_set` walks the radii downward
-once for all chosen vertices together.  Each scan takes the radii
-as the keyword ``radii`` (the list ``list(distance_balls(g))``) or grows its
-own; :func:`cover_pipeline` grows them once and hands the same list to
-both, and reads connectivity off it too.  Sharing the list loses the
-re-check no independence: the radii are a deterministic function of the
-graph that both scans would otherwise recompute identically, and
+once for all chosen vertices together.  Each public scan grows its own
+radii from the graph; no caller hands radii in.  The pipeline grows them
+once, reads connectivity off them, and hands the same list to the private
+bodies of both scans (``_mmd_graph`` and ``_recheck``).  Sharing the list
+loses the re-check no independence: the radii are a deterministic function
+of the graph that both scans would otherwise recompute identically, and
 :func:`~strongdim.graphs.distance_balls` is judged on its own, against BFS
 rows and by brute force on small graphs.  The re-check shares no code with
 the MMD scan, so it still judges the cover independently of MMD detection.
@@ -91,18 +91,8 @@ def strongly_resolves(dist: tuple[tuple[int, ...], ...], w: int, u: int, v: int)
     return duw == duv + dvw or dvw == duv + duw
 
 
-def _radii(g: Graph, radii: list[list[int]] | None) -> list[list[int]]:
-    """``list(distance_balls(g))`` when ``radii`` is None, else ``radii`` once its radius 0 fits ``g``."""
-    if radii is None:
-        return list(distance_balls(g))
-    rows = len(radii[0]) if radii else 0
-    if not radii or rows != g.vertex_count:
-        raise GraphError(f"radius 0 of the radii has {rows} rows, the graph has {g.vertex_count} vertices")
-    return radii
-
-
 def is_strong_resolving_set(
-    g: Graph, dm: object, subset: Iterable[int], *, radii: list[list[int]] | None = None
+    g: Graph, dm: object, subset: Iterable[int]
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check whether ``subset`` strongly resolves every vertex pair.
 
@@ -126,16 +116,24 @@ def is_strong_resolving_set(
     ``w`` is such a neighbour.  Only one radius of ``reach`` is live at a
     time.  Cost: O(diam * (V + E)) big-integer operations plus at most
     V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
-    the scalar definition.  ``radii`` is ``list(distance_balls(g))``, grown
-    here when None; it is read, never modified.  The re-check shares no
-    code with :func:`strong_resolving_graph` or the bit-matrix transpose it
-    uses (:func:`~strongdim.graphs.transpose_rows`), so it judges the cover
-    independently of MMD detection even when both read the same radii.
-    The last radius is the fixed point, so it also tells whether ``g`` is
-    connected; no separate BFS runs.
+    the scalar definition.  The radii are grown here.  The re-check shares
+    no code with :func:`strong_resolving_graph` or the bit-matrix transpose
+    it uses (:func:`~strongdim.graphs.transpose_rows`), so it judges the
+    cover independently of MMD detection even when both read the same
+    radii, as they do in the pipeline.  The last radius is the fixed point,
+    so it also tells whether ``g`` is connected; no separate BFS runs.
+    """
+    return _recheck(g, list(distance_balls(g)), subset)
+
+
+def _recheck(
+    g: Graph, radii: list[list[int]], subset: Iterable[int]
+) -> tuple[bool, tuple[int, int] | None]:
+    """:func:`is_strong_resolving_set` on ``radii``, the list ``list(distance_balls(g))``.
+
+    The list is read, never modified.
     """
     n = g.vertex_count
-    radii = _radii(g, radii)
     full = (1 << n) - 1
     if n > 1 and radii[-1][0] != full:
         raise DisconnectedGraphError("strong resolution is defined for connected graphs")
@@ -285,9 +283,7 @@ def is_maximally_distant(g: Graph, dist: tuple[tuple[int, ...], ...], u: int, v:
     return all(dist[w][v] <= duv for w in g.adjacency[u])
 
 
-def strong_resolving_graph(
-    g: Graph, dm: object = None, *, radii: list[list[int]] | None = None
-) -> Graph:
+def strong_resolving_graph(g: Graph, dm: object = None) -> Graph:
     """Graph on the same vertices whose edges are the mutually maximally distant pairs of ``g``.
 
     At radius k of :func:`~strongdim.graphs.distance_balls`, ``far[u]`` gains
@@ -296,15 +292,22 @@ def strong_resolving_graph(
     MMD rows are ``far`` ANDed with its columns, :func:`~strongdim.graphs.transpose_rows`,
     and :func:`~strongdim.graphs.graph_from_masks` builds the graph from them.
     O(diam * (V + E)) big-integer operations plus one transpose.  The last
-    radius, the fixed point, tells whether ``g`` is connected.  ``radii`` is
-    ``list(distance_balls(g))``, read and never modified; when None the
-    balls are grown here, two radii live at a time.  ``dm`` is not read;
+    radius, the fixed point, tells whether ``g`` is connected.  The balls
+    are grown here, two radii live at a time.  ``dm`` is not read;
     ``perfbench`` still passes it positionally.
+    """
+    return _mmd_graph(g, distance_balls(g))
+
+
+def _mmd_graph(g: Graph, balls: Iterable[list[int]]) -> Graph:
+    """:func:`strong_resolving_graph` on ``balls``, the radii of ``distance_balls(g)`` in order.
+
+    The radii are read, never modified.
     """
     n = g.vertex_count
     adj = g.adjacency
     far = [0] * n
-    balls = distance_balls(g) if radii is None else iter(_radii(g, radii))
+    balls = iter(balls)
     inner = next(balls)
     for ball in balls:
         for u in range(n):
@@ -324,35 +327,42 @@ def strong_resolving_graph(
     return graph_from_masks(n, mmd)
 
 
-def cover_pipeline(
-    g: Graph, *, radii: list[list[int]] | None = None
-) -> tuple[Graph, StrongBasisResult]:
+def _cover_pipeline(g: Graph) -> tuple[list[list[int]], Graph, StrongBasisResult]:
+    """:func:`cover_pipeline`, with the radii it grew, ``list(distance_balls(g))``, returned first.
+
+    :func:`~strongdim.jahangir.verify_predictions` scans the same radii for
+    its extremal distances, so a cell grows them once.
+    """
+    n = g.vertex_count
+    check_cover_cap(n)
+    radii = list(distance_balls(g))
+    if n > 1 and radii[-1][0] != (1 << n) - 1:
+        raise DisconnectedGraphError("strong metric dimension needs a connected graph")
+    srg = _mmd_graph(g, radii)
+    cover = exact_min_vertex_cover(srg)
+    ok, witness = _recheck(g, radii, cover.cover)
+    if not ok:
+        raise InternalInconsistencyError(
+            f"optimal cover of the strong resolving graph left pair {witness} unresolved"
+        )
+    return radii, srg, StrongBasisResult(cover.size, cover.cover, "vertex-cover-reduction")
+
+
+def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:
     """The strong resolving graph and a minimum strong resolving set read off its optimal cover.
 
     The basis is re-checked against the definition; a failure would mean
     the reduction itself is broken, so it raises
     :class:`InternalInconsistencyError` rather than returning quietly.
-    The distance balls of ``g`` are grown once, as ``radii``
-    (``list(distance_balls(g))``) unless the caller passes that list, and
-    the MMD detection and the re-check both read it; no all-pairs distance
-    matrix is built and no separate connectivity BFS runs, since the last
-    radius tells whether ``g`` is connected.  The list is not modified.
-    A graph above the exact cover's order cap raises
-    :class:`~strongdim.graphs.SizeLimitError` before any radius is grown.
+    The distance balls of ``g`` are grown once, as one list that the MMD
+    detection and the re-check both read; no all-pairs distance matrix is
+    built and no separate connectivity BFS runs, since the last radius
+    tells whether ``g`` is connected.  A graph above the exact cover's
+    order cap raises :class:`~strongdim.graphs.SizeLimitError` before any
+    radius is grown.
     """
-    n = g.vertex_count
-    check_cover_cap(n)
-    radii = _radii(g, radii)
-    if n > 1 and radii[-1][0] != (1 << n) - 1:
-        raise DisconnectedGraphError("strong metric dimension needs a connected graph")
-    srg = strong_resolving_graph(g, radii=radii)
-    cover = exact_min_vertex_cover(srg)
-    ok, witness = is_strong_resolving_set(g, None, cover.cover, radii=radii)
-    if not ok:
-        raise InternalInconsistencyError(
-            f"optimal cover of the strong resolving graph left pair {witness} unresolved"
-        )
-    return srg, StrongBasisResult(cover.size, cover.cover, "vertex-cover-reduction")
+    _, srg, result = _cover_pipeline(g)
+    return srg, result
 
 
 def sdim_via_cover(g: Graph) -> StrongBasisResult:

@@ -344,6 +344,16 @@ class TestCover:
 
 
 class TestVerify:
+    def test_verify_refuses_the_cap_before_growing_the_radii(self, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("verify grew the radii of a graph above the cover cap")
+
+        for module in (strong_metric, jahangir):
+            monkeypatch.setattr(module, "distance_balls", refuse)
+        assert run_cli(capsys, ["verify", "--n", "64", "--m", "4"]) == (  # J(64,4) has 257 vertices
+            2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
+        )
+
     def test_single_cell_table(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--n", "6..6", "--m", "5..5"])
         assert code == 0

@@ -474,7 +474,7 @@ class TestVerifyPredictions:
         for module in (jahangir, strong_metric):
             monkeypatch.setattr(module, "distance_balls", counted(module))
         assert verify_predictions(JahangirParams(n, m)).passed
-        assert calls == ["strongdim.jahangir"]
+        assert calls == ["strongdim.strong_metric"]  # in the pipeline, which hands the radii back
 
     @pytest.mark.parametrize("n,m", [(6, 5), (5, 5)])  # even, odd
     def test_never_decodes_the_strong_resolving_graph(self, monkeypatch, n, m):
@@ -496,9 +496,7 @@ class TestVerifyPredictions:
         assert verify_predictions(JahangirParams(n, m)).passed
 
     def test_failed_recheck_is_internal_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(
-            strong_metric, "is_strong_resolving_set", lambda g, dm, s, *, radii=None: (False, (0, 1))
-        )
+        monkeypatch.setattr(strong_metric, "_recheck", lambda g, radii, s: (False, (0, 1)))
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(0, 1\) unresolved"):
             verify_predictions(JahangirParams(6, 5))
 
@@ -543,7 +541,7 @@ class TestDiscrepancyReports:
     """Every Discrepancy branch, reached by feeding verify_predictions wrong data.
 
     The fakes go in through module attributes (``jahangir._measure``,
-    ``jahangir.cover_pipeline``), the names verify_predictions looks up per call.
+    ``jahangir._cover_pipeline``), the names verify_predictions looks up per call.
     """
 
     ODD_NOTE = (
@@ -597,15 +595,15 @@ class TestDiscrepancyReports:
     def test_skewed_pipeline(self, monkeypatch):
         # the pipeline "finds" one SRG edge too few (u2-u6) and one too many
         # (u1-u6, which the predicted cover misses) and a cover one too large
-        real = jahangir.cover_pipeline
+        real = jahangir._cover_pipeline
 
-        def skewed(g, *, radii=None):
-            srg, result = real(g, radii=radii)
+        def skewed(g):
+            radii, srg, result = real(g)
             edges = (set(srg.edges()) - {(1, 5)}) | {(0, 5)}
             bigger = StrongBasisResult(result.size + 1, result.basis, result.method)
-            return build_graph(srg.vertex_count, sorted(edges)), bigger
+            return radii, build_graph(srg.vertex_count, sorted(edges)), bigger
 
-        monkeypatch.setattr(jahangir, "cover_pipeline", skewed)
+        monkeypatch.setattr(jahangir, "_cover_pipeline", skewed)
         report = verify_predictions(JahangirParams(6, 5))
         assert [(d.kind, d.detail) for d in report.discrepancies] == [
             ("srg-edges", "predicted but absent: [u2-u6]; computed but unpredicted: [u1-u6]"),
@@ -619,13 +617,13 @@ class TestDiscrepancyReports:
         assert report.notes == ()
 
     def test_skewed_pipeline_base_case(self, monkeypatch):
-        real = jahangir.cover_pipeline
+        real = jahangir._cover_pipeline
 
-        def skewed(g, *, radii=None):
-            srg, result = real(g, radii=radii)
-            return srg, StrongBasisResult(result.size - 1, result.basis[1:], result.method)
+        def skewed(g):
+            radii, srg, result = real(g)
+            return radii, srg, StrongBasisResult(result.size - 1, result.basis[1:], result.method)
 
-        monkeypatch.setattr(jahangir, "cover_pipeline", skewed)
+        monkeypatch.setattr(jahangir, "_cover_pipeline", skewed)
         report = verify_predictions(JahangirParams(2, 3))
         assert [(d.kind, d.detail) for d in report.discrepancies] == [
             ("sdim-formula", "closed form gives 3 but the cover pipeline gives 2"),

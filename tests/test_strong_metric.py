@@ -294,8 +294,8 @@ class TestIsStrongResolvingSet:
 
     @pytest.mark.parametrize("order", PACK_SIDE_ORDERS)
     def test_shares_no_code_with_the_bit_matrix_transpose(self, order, monkeypatch):
-        cases = [(g, subsets, list(distance_balls(g))) for g, subsets in pack_side_cases(order)]
-        expected = [[bfs_is_strong_resolving_set(g, None, s) for s in subsets] for g, subsets, _ in cases]
+        cases = list(pack_side_cases(order))
+        expected = [[bfs_is_strong_resolving_set(g, None, s) for s in subsets] for g, subsets in cases]
 
         def refuse(*args):
             raise AssertionError("the bit-matrix transpose ran")
@@ -303,12 +303,12 @@ class TestIsStrongResolvingSet:
         for name in ("transpose_rows", "_pack_rows", "_transpose", "_swap_masks"):
             monkeypatch.setattr(graphs_module, name, refuse)
         monkeypatch.setattr(strong_metric, "transpose_rows", refuse)
-        for (g, subsets, radii), want in zip(cases, expected):
-            assert [is_strong_resolving_set(g, None, s, radii=radii) for s in subsets] == want
+        for (g, subsets), want in zip(cases, expected):
+            assert [is_strong_resolving_set(g, None, s) for s in subsets] == want
         # the patches bite: the MMD scan does transpose
-        g, _, radii = cases[0]
+        g, _ = cases[0]
         with pytest.raises(AssertionError, match="bit-matrix transpose ran"):
-            strong_resolving_graph(g, radii=radii)
+            strong_resolving_graph(g)
 
     @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
     def test_rejects_disconnected_before_out_of_range(self, g):
@@ -685,14 +685,14 @@ class TestSdimViaCover:
     def test_recheck_catches_a_dropped_mmd_pair(self, monkeypatch):
         # without the pair (2, 5) of C_6 the SRG loses an edge, the optimal
         # cover misses it, and the real re-check must notice on its own
-        real = strong_metric.strong_resolving_graph
+        real = strong_metric._mmd_graph
 
-        def dropped(g, dm=None, *, radii=None):
-            edges = real(g, dm, radii=radii).edges()
+        def dropped(g, balls):
+            edges = real(g, balls).edges()
             edges.remove((2, 5))
             return build_graph(g.vertex_count, edges)
 
-        monkeypatch.setattr(strong_metric, "strong_resolving_graph", dropped)
+        monkeypatch.setattr(strong_metric, "_mmd_graph", dropped)
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(2, 5\) unresolved"):
             cover_pipeline(cycle_graph(6))
 
@@ -720,30 +720,37 @@ class TestSdimViaCover:
 
 
 def assert_shared_radii_change_nothing(g):
-    """Each radii-taking function gives on one shared list what it gives growing its own.
+    """The pipeline's one radii list gives what the public scans give growing their own.
 
-    The re-check runs on the pipeline basis and on the basis less its first
-    vertex; the shared list must be unchanged after every call.
+    Its strong resolving graph is the public one, its basis passes the
+    public re-check, the basis less its first vertex gets the same verdict
+    and witness from the private re-check on the pipeline's radii as from
+    the public function, and the radii are left as they were grown.
     """
-    radii = list(distance_balls(g))
-    basis = sdim_via_cover(g).basis
-    subsets = (basis, basis[1:])
-    shared = [
-        strong_resolving_graph(g, radii=radii),
-        *(is_strong_resolving_set(g, None, s, radii=radii) for s in subsets),
-        cover_pipeline(g, radii=radii),
-    ]
-    grown = [
-        strong_resolving_graph(g),
-        *(is_strong_resolving_set(g, None, s) for s in subsets),
-        cover_pipeline(g),
-    ]
-    assert shared == grown
+    radii, srg, result = strong_metric._cover_pipeline(g)
+    assert srg == strong_resolving_graph(g)
+    assert is_strong_resolving_set(g, None, result.basis) == (True, None)
+    rest = result.basis[1:]
+    assert strong_metric._recheck(g, radii, rest) == is_strong_resolving_set(g, None, rest)
     assert radii == list(distance_balls(g))
 
 
+RADII_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, radii: strong_resolving_graph(g, radii=radii),
+        lambda g, radii: is_strong_resolving_set(g, None, [0], radii=radii),
+        lambda g, radii: cover_pipeline(g, radii=radii),
+    ],
+    ids=["strong_resolving_graph", "is_strong_resolving_set", "cover_pipeline"],
+)
+
+
 class TestSharedRadii:
-    """Handing the radii in changes no result and leaves the list as it was."""
+    """The private pipeline entry, on its one shared radii list, agrees with the public scans.
+
+    No caller can hand the public functions radii of its own.
+    """
 
     @given(connected_graphs(max_order=12))
     @settings(max_examples=100, deadline=None)
@@ -754,25 +761,27 @@ class TestSharedRadii:
     def test_large_random_graphs(self, seed):
         assert_shared_radii_change_nothing(LARGE_RANDOM_GRAPHS[seed])
 
+    @RADII_CALLS
     @pytest.mark.parametrize(
-        "call",
+        "radii",
         [
-            lambda g, radii: strong_resolving_graph(g, radii=radii),
-            lambda g, radii: is_strong_resolving_set(g, None, [0], radii=radii),
-            lambda g, radii: cover_pipeline(g, radii=radii),
-        ],
-        ids=["strong_resolving_graph", "is_strong_resolving_set", "cover_pipeline"],
-    )
-    @pytest.mark.parametrize(
-        "radii,rows",
-        [
-            ([], 0),
-            (list(distance_balls(build_graph(0, []))), 0),
-            (list(distance_balls(cycle_graph(5))), 5),
-            (list(distance_balls(cycle_graph(7))), 7),
+            [],
+            list(distance_balls(build_graph(0, []))),
+            list(distance_balls(cycle_graph(5))),
+            list(distance_balls(cycle_graph(7))),
         ],
         ids=["no-radius", "order-0", "order-5", "order-7"],
     )
-    def test_rejects_radii_of_another_order(self, call, radii, rows):
-        with pytest.raises(GraphError, match=f"^radius 0 of the radii has {rows} rows, the graph has 6 vertices$"):
+    def test_rejects_radii_of_another_order(self, call, radii):
+        # the keyword is gone, so the refusal comes before any radius is read
+        with pytest.raises(TypeError, match="radii"):
             call(cycle_graph(6), radii)
+
+
+@RADII_CALLS
+def test_takes_no_radii_from_the_caller(call):
+    # the radii of C5 have the order of P5, so nothing could tell them apart:
+    # handed in, they made the pipeline report sdim(P5) = 3
+    assert sdim_via_cover(path_graph(5)).size == 1
+    with pytest.raises(TypeError, match="radii"):
+        call(path_graph(5), list(distance_balls(cycle_graph(5))))
