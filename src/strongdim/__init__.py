@@ -40,7 +40,6 @@ from .strong_metric import (
     InternalInconsistencyError,
     StrongBasisResult,
     brute_force_sdim,
-    cover_pipeline,
     is_maximally_distant,
     is_strong_resolving_set,
     sdim_via_cover,
@@ -75,7 +74,6 @@ __all__ = [
     "build_jahangir",
     "brute_force_sdim",
     "complete_graph",
-    "cover_pipeline",
     "cycle_graph",
     "diameter",
     "distance_balls",

@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .jahangir import JahangirParams, VerificationReport, build_jahangir, sdim_formula, verify_predictions
 from .strong_metric import DEFAULT_BRUTE_CAP, brute_force_sdim, sdim_via_cover, strong_resolving_graph
-from .vertex_cover import exact_min_vertex_cover, greedy_cover
+from .vertex_cover import check_cover_cap, exact_min_vertex_cover, greedy_cover
 
 # brute force prunes its subset search but stays exponential in the worst
 # case and has no node budget yet, so --brute-cap has a hard ceiling
@@ -169,13 +169,6 @@ def _cmd_srg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mmd(args: argparse.Namespace) -> int:
-    g, _, _ = _load_graph(args.graph)
-    for u, v in strong_resolving_graph(g).edges():  # sorted, u < v
-        print(f"{u} {v}")
-    return 0
-
-
 def _cmd_cover(args: argparse.Namespace) -> int:
     g, _, _ = _load_graph(args.graph)
     result = greedy_cover(g) if args.mode == "greedy" else exact_min_vertex_cover(g)
@@ -222,7 +215,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     m_lo, m_hi = _parse_range(args.m)
     verify_cell = functools.partial(verify_predictions, brute_cap=_brute_cap(args.brute_cap))
     jobs = _worker_count(args.jobs, os.cpu_count())
-    cells = [JahangirParams(n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1)]
+    cells = []
+    for n in range(n_lo, n_hi + 1):
+        for m in range(m_lo, m_hi + 1):
+            cell = JahangirParams(n, m)
+            check_cover_cap(cell.order)  # the first oversize cell stops the grid before any cell runs
+            cells.append(cell)
     if jobs > 1:
         # imported here: loading multiprocessing costs about 2 MB of memory,
         # which every other command and every library user of cli would pay
@@ -269,10 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srg.add_argument("--format", choices=FORMATS, default="edge-json")
     srg.add_argument("-o", "--output", help="output file, defaults to stdout")
     srg.set_defaults(func=_cmd_srg)
-
-    mmd = sub.add_parser("mmd", help="list mutually maximally distant pairs")
-    mmd.add_argument("graph", help=graph_help)
-    mmd.set_defaults(func=_cmd_mmd)
 
     cover = sub.add_parser("cover", help="compute a vertex cover")
     cover.add_argument("graph", help=graph_help)

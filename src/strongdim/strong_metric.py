@@ -4,8 +4,9 @@ A vertex ``w`` strongly resolves ``u`` and ``v`` when one of them lies on a
 shortest path between the other and ``w``.  The strong metric dimension of a
 connected graph is the size of a smallest set that strongly resolves every
 vertex pair.  It equals the minimum vertex cover of the strong resolving
-graph, whose edges are exactly the mutually maximally distant (MMD) pairs,
-which is what :func:`cover_pipeline` and :func:`sdim_via_cover` exploit.
+graph, whose edges are exactly the mutually maximally distant (MMD) pairs.
+The one pipeline function, ``_cover_pipeline``, and its public face
+:func:`sdim_via_cover` exploit that.
 
 The two whole-graph scans work on Python integers used as vertex bitsets
 (bit ``v`` stands for vertex ``v``).  Both read the radii of
@@ -328,10 +329,19 @@ def _mmd_graph(g: Graph, balls: Iterable[list[int]]) -> Graph:
 
 
 def _cover_pipeline(g: Graph) -> tuple[list[list[int]], Graph, StrongBasisResult]:
-    """:func:`cover_pipeline`, with the radii it grew, ``list(distance_balls(g))``, returned first.
+    """The radii grown, the strong resolving graph and a minimum strong resolving set off its cover.
 
-    :func:`~strongdim.jahangir.verify_predictions` scans the same radii for
-    its extremal distances, so a cell grows them once.
+    The one pipeline function.  :func:`sdim_via_cover` is its public face;
+    :func:`~strongdim.jahangir.verify_predictions` also reads the radii it
+    returns first, ``list(distance_balls(g))``, for its extremal-distance
+    scans, so a cell grows them once.  The basis is re-checked
+    against the definition; a failure would mean the reduction itself is
+    broken, so it raises :class:`InternalInconsistencyError` rather than
+    returning quietly.  The MMD detection and the re-check both read the
+    one radii list; no all-pairs distance matrix is built and no separate
+    connectivity BFS runs, since the last radius tells whether ``g`` is
+    connected.  A graph above the exact cover's order cap raises
+    :class:`~strongdim.graphs.SizeLimitError` before any radius is grown.
     """
     n = g.vertex_count
     check_cover_cap(n)
@@ -348,23 +358,12 @@ def _cover_pipeline(g: Graph) -> tuple[list[list[int]], Graph, StrongBasisResult
     return radii, srg, StrongBasisResult(cover.size, cover.cover, "vertex-cover-reduction")
 
 
-def cover_pipeline(g: Graph) -> tuple[Graph, StrongBasisResult]:
-    """The strong resolving graph and a minimum strong resolving set read off its optimal cover.
-
-    The basis is re-checked against the definition; a failure would mean
-    the reduction itself is broken, so it raises
-    :class:`InternalInconsistencyError` rather than returning quietly.
-    The distance balls of ``g`` are grown once, as one list that the MMD
-    detection and the re-check both read; no all-pairs distance matrix is
-    built and no separate connectivity BFS runs, since the last radius
-    tells whether ``g`` is connected.  A graph above the exact cover's
-    order cap raises :class:`~strongdim.graphs.SizeLimitError` before any
-    radius is grown.
-    """
-    _, srg, result = _cover_pipeline(g)
-    return srg, result
-
-
 def sdim_via_cover(g: Graph) -> StrongBasisResult:
-    """Strong metric dimension as a minimum vertex cover of the strong resolving graph."""
-    return cover_pipeline(g)[1]
+    """Strong metric dimension as a minimum vertex cover of the strong resolving graph.
+
+    The basis of ``_cover_pipeline``, with its errors: ``SizeLimitError``
+    above the exact cover's order cap, before any radius is grown,
+    :class:`DisconnectedGraphError` on a disconnected graph, and
+    :class:`InternalInconsistencyError` should the re-check reject the basis.
+    """
+    return _cover_pipeline(g)[2]

@@ -5,6 +5,7 @@ The golden edge and cover listings below are frozen in rim-position space
 JahangirParams, so a listing like (4, 11) means the pair u4-u11.
 """
 
+import functools
 import random
 from collections.abc import Sequence
 from itertools import combinations
@@ -26,7 +27,7 @@ from strongdim import (
     is_connected,
     path_graph,
 )
-from strongdim.graphs import check_vertex, members
+from strongdim.graphs import check_vertex, graph_from_masks, members
 from strongdim.jahangir import _CASES, _nonconsecutive
 from strongdim.vertex_cover import EXACT_COVER_CAP
 
@@ -98,6 +99,77 @@ def random_graph(rng: random.Random, min_order=1, max_order=10) -> Graph:
         if rng.random() < density
     ]
     return build_graph(order, edges)
+
+
+def _canonical_code(rows: list[int]) -> tuple[int, ...]:
+    """An isomorphism invariant that determines the graph whose neighbour bitsets are ``rows``.
+
+    Colour refinement splits the vertices by degree, then by the sorted
+    colours of their neighbours, until no class splits; the colours are
+    ranks of sorted signatures, so isomorphic graphs get the same colour
+    sequence.  Over every vertex order that lists the classes in colour
+    order, position j gets the bitset of the earlier positions adjacent to
+    it, and the code is the least such tuple, found depth first with each
+    prefix above the best one so far cut.  The code spells out the edges of
+    the ordered graph, so equal codes mean isomorphic graphs.
+    """
+    n = len(rows)
+    nbrs = [list(members(row)) for row in rows]
+    colour = [len(near) for near in nbrs]
+    classes = len(set(colour))
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+        colour = [rank[sig] for sig in signature]
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    slot = sorted(colour)
+    best = None
+    stack = [((), ())]
+    while stack:
+        order, code = stack.pop()
+        j = len(order)
+        if j == n:
+            if best is None or code < best:
+                best = code
+            continue
+        for v in range(n):
+            if colour[v] == slot[j] and v not in order:
+                row = rows[v]
+                longer = code + (sum(1 << i for i, u in enumerate(order) if row >> u & 1),)
+                if best is None or longer <= best[: j + 1]:
+                    stack.append((order + (v,), longer))
+    return best
+
+
+@functools.cache
+def connected_graphs_to_isomorphism(max_order: int) -> tuple[Graph, ...]:
+    """One connected graph per isomorphism class, of order 1 .. ``max_order``, by ascending order.
+
+    Every connected graph of order n >= 2 has a vertex whose removal leaves
+    it connected (a leaf of a spanning tree), so joining a new vertex to
+    each nonempty subset of each connected graph of order n - 1 reaches
+    every class; :func:`_canonical_code` keeps one graph of each, labelled
+    by its code.  The class counts are OEIS A001349: 1, 1, 2, 6, 21, 112
+    and 853 for orders 1 .. 7.
+    """
+    graphs = [graph_from_masks(1, [0])]
+    for n in range(2, max_order + 1):
+        codes = {
+            _canonical_code([row | (sub >> v & 1) << (n - 1) for v, row in enumerate(g.masks)] + [sub])
+            for g in graphs
+            if g.vertex_count == n - 1
+            for sub in range(1, 1 << (n - 1))
+        }
+        for code in sorted(codes):
+            rows = [0] * n
+            for j, earlier in enumerate(code):
+                rows[j] |= earlier
+                for i in members(earlier):
+                    rows[i] |= 1 << j
+            graphs.append(graph_from_masks(n, rows))
+    return tuple(graphs)
 
 
 def exhaustive_min_cover_size(g: Graph) -> int:

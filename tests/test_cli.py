@@ -12,7 +12,6 @@ from strongdim import GraphError, cli, jahangir, strong_metric
 from strongdim.cli import main
 
 C4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
-C6_DOC = json.dumps({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]})
 DISCONNECTED_DOC = '{"n": 4, "edges": [[0, 1], [2, 3]]}'
 PATH_257_DOC = json.dumps({"n": 257, "edges": [[i, i + 1] for i in range(256)]})
 # P4 with three of its four vertices named, keys out of order; its SRG is the
@@ -168,7 +167,7 @@ class TestSdim:
 
     def test_stdin_not_utf8(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="latin-1"))
-        code, out, err = run_cli(capsys, ["mmd", "-"])
+        code, out, err = run_cli(capsys, ["srg", "-"])
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read '-': 'utf-8' codec can't decode")
 
@@ -231,13 +230,13 @@ class TestParserReuse:
         assert again == first
 
     def test_parser_is_built_once(self, capsys):
-        run_cli(capsys, ["mmd", "jahangir:2,3"])
+        run_cli(capsys, ["srg", "jahangir:2,3"])
         parser = cli._build_parser()
         run_cli(capsys, ["cover", "jahangir:2,3"])
         assert cli._build_parser() is parser
 
 
-class TestSrgAndMmd:
+class TestSrg:
     def test_srg_edge_count(self, capsys):
         code, out, _ = run_cli(capsys, ["srg", "jahangir:6,5"])
         assert code == 0
@@ -264,34 +263,19 @@ class TestSrgAndMmd:
         assert code == 0
         assert out.startswith("graph {")
 
-    def test_mmd_jahangir(self, capsys):
-        code, out, _ = run_cli(capsys, ["mmd", "jahangir:3,3"])
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 3
-        for line in lines:
-            u, v = line.split()
-            assert int(u) < int(v)
-
-    def test_mmd_cycle_file(self, capsys, tmp_path):
-        path = tmp_path / "c4.json"
-        path.write_text(C4_DOC)
-        code, out, _ = run_cli(capsys, ["mmd", str(path)])
-        assert code == 0
-        assert out.splitlines() == ["0 2", "1 3"]
-
-    def test_mmd_c6_file_exact_output(self, capsys, tmp_path):
-        path = tmp_path / "c6.json"
-        path.write_text(C6_DOC)
-        assert run_cli(capsys, ["mmd", str(path)]) == (0, "0 3\n1 4\n2 5\n", "")
-
-    @pytest.mark.parametrize("command", ["mmd", "srg"])
-    def test_mmd_disconnected_file(self, capsys, tmp_path, command):
+    def test_srg_disconnected_file(self, capsys, tmp_path):
         path = tmp_path / "two.json"
         path.write_text(DISCONNECTED_DOC)
-        assert run_cli(capsys, [command, str(path)]) == (
+        assert run_cli(capsys, ["srg", str(path)]) == (
             2, "", "error: MMD pairs are defined for connected graphs\n"
         )
+
+    def test_mmd_command_is_gone(self, capsys):
+        # srg prints the same sorted MMD pairs, as edges
+        with pytest.raises(SystemExit) as exc:
+            main(["mmd", "jahangir:3,3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mmd'" in capsys.readouterr().err
 
 
 class TestCover:
@@ -353,6 +337,31 @@ class TestVerify:
         assert run_cli(capsys, ["verify", "--n", "64", "--m", "4"]) == (  # J(64,4) has 257 vertices
             2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
         )
+
+    def test_oversize_grid_is_refused_before_any_cell_runs(self, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("verify ran a cell of a grid it refuses")
+
+        monkeypatch.setattr(jahangir, "_cover_pipeline", refuse)
+        assert run_cli(capsys, ["verify", "--n", "2..20", "--m", "3..20"]) == (  # J(13,20) first
+            2, "", "error: graph has 261 vertices, exact cover cap is 256\n"
+        )
+
+    def test_oversize_grid_stops_the_cell_list_at_its_first_oversize_cell(self, capsys, monkeypatch):
+        # J(2,128) has 257 vertices: the 126th cell of n = 2 ends the list
+        built = []
+        real = cli.JahangirParams
+
+        def counted(n, m):
+            built.append((n, m))
+            return real(n, m)
+
+        monkeypatch.setattr(cli, "JahangirParams", counted)
+        assert run_cli(capsys, ["verify", "--n", "2..1000", "--m", "3..1000"]) == (
+            2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
+        )
+        assert len(built) <= 126
+        assert built[-1] == (2, 128)
 
     def test_single_cell_table(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--n", "6..6", "--m", "5..5"])

@@ -25,11 +25,11 @@ oracle; it was captured before the exact cover search was rewritten, with
 ``PYTHONPATH=src:tests python -c "import json, test_golden;
 print(json.dumps(test_golden.random_sdim_rows(), indent=1))"``.
 
-``srg_mmd_digests.json`` maps each command of :func:`srg_mmd_commands` (``srg``,
-``srg --format dot`` and ``mmd`` on ``SDIM_CELLS`` plus J(5,5) and J(6,5)) to
-the SHA-256 of its stdout.  It was captured before the strong resolving graph
+``srg_mmd_digests.json`` maps each command of :func:`srg_commands` (``srg``
+and ``srg --format dot`` on ``SDIM_CELLS`` plus J(5,5) and J(6,5)) to the
+SHA-256 of its stdout.  It was captured before the strong resolving graph
 was built from bit-matrix MMD masks, with ``PYTHONPATH=src:tests python -c
-"import json, test_golden; print(json.dumps(test_golden.srg_mmd_digests(),
+"import json, test_golden; print(json.dumps(test_golden.srg_digests(),
 indent=1))"``.
 """
 
@@ -103,13 +103,9 @@ def test_sdim_above_brute_force_size():
     assert random_sdim_rows() == golden
 
 
-def srg_mmd_commands() -> list[list[str]]:
+def srg_commands() -> list[list[str]]:
     cells = SDIM_CELLS + ("jahangir:5,5", "jahangir:6,5")
-    return [
-        argv
-        for cell in cells
-        for argv in (["srg", cell], ["srg", "--format", "dot", cell], ["mmd", cell])
-    ]
+    return [argv for cell in cells for argv in (["srg", cell], ["srg", "--format", "dot", cell])]
 
 
 def _stdout_digest(argv: list[str]) -> str:
@@ -119,11 +115,11 @@ def _stdout_digest(argv: list[str]) -> str:
     return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
 
 
-def srg_mmd_digests() -> dict[str, str]:
-    return {" ".join(argv): _stdout_digest(argv) for argv in srg_mmd_commands()}
+def srg_digests() -> dict[str, str]:
+    return {" ".join(argv): _stdout_digest(argv) for argv in srg_commands()}
 
 
-@pytest.mark.parametrize("argv", srg_mmd_commands(), ids=" ".join)
-def test_srg_and_mmd_cli_output_is_byte_identical(argv):
+@pytest.mark.parametrize("argv", srg_commands(), ids=" ".join)
+def test_srg_cli_output_is_byte_identical(argv):
     golden = json.loads((GOLDEN_DIR / "srg_mmd_digests.json").read_text(encoding="utf-8"))
     assert _stdout_digest(argv) == golden[" ".join(argv)]

@@ -16,8 +16,8 @@ from strongdim import (
     build_jahangir,
     brute_force_sdim,
     complete_graph,
-    cover_pipeline,
     cycle_graph,
+    diameter,
     distance_balls,
     is_maximally_distant,
     is_strong_resolving_set,
@@ -36,6 +36,7 @@ from helpers import (
     MMD_33,
     MMD_43,
     bfs_is_strong_resolving_set,
+    connected_graphs_to_isomorphism,
     enumerate_brute_force_sdim,
     id_pairs,
     large_random_graphs,
@@ -667,7 +668,7 @@ class TestSdimViaCover:
 
         monkeypatch.setattr(strong_metric, "distance_balls", refuse)
         with pytest.raises(SizeLimitError, match="^graph has 257 vertices, exact cover cap is 256$"):
-            cover_pipeline(g)
+            sdim_via_cover(g)
 
     def test_grows_the_balls_once(self, monkeypatch):
         calls = []
@@ -694,7 +695,7 @@ class TestSdimViaCover:
 
         monkeypatch.setattr(strong_metric, "_mmd_graph", dropped)
         with pytest.raises(InternalInconsistencyError, match=r"left pair \(2, 5\) unresolved"):
-            cover_pipeline(cycle_graph(6))
+            sdim_via_cover(cycle_graph(6))
 
     def test_builds_no_distance_matrix(self, monkeypatch):
         jahangir, _ = build_jahangir(JahangirParams(9, 6))
@@ -740,9 +741,8 @@ RADII_CALLS = pytest.mark.parametrize(
     [
         lambda g, radii: strong_resolving_graph(g, radii=radii),
         lambda g, radii: is_strong_resolving_set(g, None, [0], radii=radii),
-        lambda g, radii: cover_pipeline(g, radii=radii),
     ],
-    ids=["strong_resolving_graph", "is_strong_resolving_set", "cover_pipeline"],
+    ids=["strong_resolving_graph", "is_strong_resolving_set"],
 )
 
 
@@ -785,3 +785,64 @@ def test_takes_no_radii_from_the_caller(call):
     assert sdim_via_cover(path_graph(5)).size == 1
     with pytest.raises(TypeError, match="radii"):
         call(path_graph(5), list(distance_balls(cycle_graph(5))))
+
+
+# every connected graph of order 1 .. 7, one per isomorphism class, by order
+SMALL_GRAPHS = {
+    n: [g for g in connected_graphs_to_isomorphism(7) if g.vertex_count == n] for n in range(1, 8)
+}
+SMALL_ORDERS = pytest.mark.parametrize("order", sorted(SMALL_GRAPHS))
+
+
+class TestEverySmallGraph:
+    """The pipeline and its judges on all 996 connected graphs of order at most 7."""
+
+    @pytest.mark.parametrize("order,count", enumerate([1, 1, 2, 6, 21, 112, 853], 1))
+    def test_one_graph_per_class(self, order, count):
+        # OEIS A001349
+        assert len(SMALL_GRAPHS[order]) == len(set(SMALL_GRAPHS[order])) == count
+
+    @SMALL_ORDERS
+    def test_pipeline_matches_brute_force(self, order):
+        for g in SMALL_GRAPHS[order]:
+            assert sdim_via_cover(g).size == brute_force_sdim(g).size, g.edges()
+
+    @SMALL_ORDERS
+    def test_srg_is_the_resolver_two_sets(self, order):
+        for g in SMALL_GRAPHS[order]:
+            two_sets = {mask for mask in _minimal_resolver_masks(g) if mask.bit_count() == 2}
+            assert {1 << u | 1 << v for u, v in strong_resolving_graph(g).edges()} == two_sets, g.edges()
+
+    @SMALL_ORDERS
+    def test_recheck_accepts_the_basis_and_no_basis_less_one(self, order):
+        for g in SMALL_GRAPHS[order]:
+            basis = sdim_via_cover(g).basis
+            assert is_strong_resolving_set(g, None, basis) == (True, None), g.edges()
+            for v in basis:
+                rest = [w for w in basis if w != v]
+                assert not is_strong_resolving_set(g, None, rest)[0], (g.edges(), rest)
+
+    @SMALL_ORDERS
+    def test_bound_and_extremal_graphs(self, order):
+        # sdim <= n - diam; sdim = 1 only on paths and n - 1 only on complete graphs
+        n = order
+        for g in SMALL_GRAPHS[order]:
+            size = sdim_via_cover(g).size
+            assert size <= n - diameter(g), g.edges()
+            is_path = g.edge_count() == n - 1 and all(g.degree(v) <= 2 for v in range(n))
+            if n >= 2:
+                assert (size == 1) == is_path, g.edges()
+            if n >= 3:
+                assert (size == n - 1) == (g.edge_count() == n * (n - 1) // 2), g.edges()
+
+    @SMALL_ORDERS
+    def test_relabelling_keeps_the_size_and_the_mapped_basis(self, order):
+        rng = random.Random(order)
+        for g in SMALL_GRAPHS[order]:
+            perm = list(range(order))
+            rng.shuffle(perm)
+            moved = build_graph(order, [(perm[u], perm[v]) for u, v in g.edges()])
+            result = sdim_via_cover(g)
+            assert sdim_via_cover(moved).size == result.size, (g.edges(), perm)
+            mapped = [perm[v] for v in result.basis]
+            assert is_strong_resolving_set(moved, None, mapped) == (True, None), (g.edges(), perm)
