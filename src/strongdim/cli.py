@@ -18,6 +18,7 @@ from .graphs import (
     FORMATS,
     Graph,
     GraphError,
+    SizeLimitError,
     complete_graph,
     cycle_graph,
     parse,
@@ -43,16 +44,15 @@ def _parse_jahangir_shorthand(text: str) -> JahangirParams:
     return JahangirParams(n, m)
 
 
-def _load_graph(source: str) -> tuple[Graph, dict[int, str], JahangirParams | None]:
-    """Load a graph from a file path, '-' for stdin, or 'jahangir:n,m'.
+def _load_graph(source: str) -> tuple[Graph | None, dict[int, str], JahangirParams | None]:
+    """Load a graph from a file path or '-' for stdin, or parse 'jahangir:n,m'.
 
-    Returns the graph, the document's labels and, for 'jahangir:n,m', the
-    parameters.  A 'jahangir:n,m' source comes with no labels: its names
-    are built from the parameters, and only where they are printed.
+    Returns the graph, the document's labels and None; for 'jahangir:n,m',
+    None, no labels and the parameters: a command builds J(n, m) only if it
+    needs it, after its order cap, and the names only where they are printed.
     """
     if source.startswith("jahangir:"):
-        params = _parse_jahangir_shorthand(source)
-        return build_jahangir(params)[0], {}, params
+        return None, {}, _parse_jahangir_shorthand(source)
     try:
         if source == "-":
             # decoded as UTF-8 like a file, whatever the locale makes of stdin
@@ -133,8 +133,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_sdim(args: argparse.Namespace) -> int:
     brute_cap = _brute_cap(args.brute_cap)
     g, _, params = _load_graph(args.graph)
-    method = args.method
-    if method == "formula":
+    if args.method == "formula":  # reads (n, m) only: J(n, m) is never built
         if params is None:
             raise GraphError("the formula method needs a jahangir:n,m input")
         value = sdim_formula(params)
@@ -143,11 +142,15 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
         print(f"sdim = {value}")
         print("method = formula")
         return 0
-    if method == "brute":
+    if params is not None:  # an oversize J(n, m) is refused before it is built
+        if args.method == "auto":
+            check_cover_cap(params.order)
+        elif params.order > brute_cap:  # the refusal brute_force_sdim would make
+            raise SizeLimitError(f"graph has {params.order} vertices, brute force cap is {brute_cap}")
+        g = build_jahangir(params)[0]
+    if args.method == "brute":
         result = brute_force_sdim(g, brute_cap)
-    elif method == "pipeline":
-        result = sdim_via_cover(g)
-    else:  # auto
+    else:  # auto: the cover pipeline, cross-checked against any closed form
         formula_value = sdim_formula(params) if params is not None else None
         result = sdim_via_cover(g)
         if formula_value is not None and formula_value != result.size:
@@ -164,13 +167,18 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
 
 def _cmd_srg(args: argparse.Namespace) -> int:
     g, labels, params = _load_graph(args.graph)
-    labels = labels if params is None else params.labels()
+    if params is not None:
+        g, labels = build_jahangir(params)[0], params.labels()
     _emit(serialize(strong_resolving_graph(g), args.format, labels), args.output)
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    g, _, _ = _load_graph(args.graph)
+    g, _, params = _load_graph(args.graph)
+    if params is not None:
+        if args.mode == "exact":
+            check_cover_cap(params.order)  # refused before J(n, m) is built
+        g = build_jahangir(params)[0]
     result = greedy_cover(g) if args.mode == "greedy" else exact_min_vertex_cover(g)
     print(f"size = {result.size}")
     print(f"optimal = {'true' if result.optimal else 'false'}")
@@ -258,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sdim = sub.add_parser("sdim", help="compute strong metric dimension")
     sdim.add_argument("graph", help=graph_help)
-    sdim.add_argument("--method", choices=("auto", "formula", "pipeline", "brute"), default="auto")
+    sdim.add_argument("--method", choices=("auto", "formula", "brute"), default="auto")
     sdim.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     sdim.set_defaults(func=_cmd_sdim)
 

@@ -45,6 +45,29 @@ def random_connected_graph(rng: random.Random, min_order=2, max_order=12) -> Gra
     return build_graph(order, sorted(edges))
 
 
+def random_tree(rng: random.Random, order: int) -> Graph:
+    """Random recursive tree: vertex v > 0 hangs off a uniform earlier vertex."""
+    return build_graph(order, [(rng.randrange(v), v) for v in range(1, order)])
+
+
+def complete_bipartite_graph(r: int, s: int) -> Graph:
+    """K_{r,s}: ids 0 .. r-1 on one side, r .. r+s-1 on the other."""
+    return build_graph(r + s, [(u, v) for u in range(r) for v in range(r, r + s)])
+
+
+def hypercube_graph(d: int) -> Graph:
+    """Q_d: ids 0 .. 2^d - 1, adjacent when their bits differ in one place."""
+    order = 1 << d
+    return build_graph(order, [(u, u | 1 << i) for u in range(order) for i in range(d) if not u >> i & 1])
+
+
+def grid_graph(r: int, s: int) -> Graph:
+    """The grid P_r □ P_s: the vertex in row i, column j has id i*s + j."""
+    edges = [(i * s + j, i * s + j + 1) for i in range(r) for j in range(s - 1)]
+    edges += [(i * s + j, (i + 1) * s + j) for i in range(r - 1) for j in range(s)]
+    return build_graph(r * s, edges)
+
+
 def masks_of(g: Graph) -> list[int]:
     """Each vertex's neighbour bitset, summed from its ``adjacency`` tuple."""
     return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]

@@ -23,6 +23,10 @@ LABELLED_P4_SRG = {
 }
 
 
+def _refuse_build(params):
+    raise AssertionError(f"built J({params.n},{params.m})")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -109,6 +113,20 @@ class TestSdim:
         assert code == 0
         assert out == "sdim = 12\nmethod = formula\n"
 
+    def test_formula_never_builds_the_graph(self, capsys, monkeypatch):
+        # the closed form needs only (n, m): J(300, 300) has 90,001 vertices
+        monkeypatch.setattr(cli, "build_jahangir", _refuse_build)
+        assert run_cli(capsys, ["sdim", "jahangir:300,300", "--method", "formula"]) == (
+            0, "sdim = 44700\nmethod = formula\n", ""
+        )
+
+    def test_pipeline_method_is_gone(self, capsys):
+        # auto runs the same cover pipeline, plus the closed-form cross-check
+        with pytest.raises(SystemExit) as exc:
+            main(["sdim", "jahangir:6,5", "--method", "pipeline"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'pipeline'" in capsys.readouterr().err
+
     def test_formula_needs_jahangir_input(self, capsys, tmp_path):
         path = tmp_path / "c4.json"
         path.write_text(C4_DOC)
@@ -135,7 +153,7 @@ class TestSdim:
     def test_stdin_pipeline(self, capsys, monkeypatch):
         _, doc, _ = run_cli(capsys, ["gen", "path", "-n", "4"])
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-        code, out, _ = run_cli(capsys, ["sdim", "-", "--method", "pipeline"])
+        code, out, _ = run_cli(capsys, ["sdim", "-"])
         assert code == 0
         assert "sdim = 1" in out
 
@@ -314,6 +332,19 @@ class TestCover:
         assert run_cli(capsys, [command, str(path)]) == (
             2, "", "error: graph has 257 vertices, exact cover cap is 256\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (["sdim", "jahangir:300,300"], "exact cover cap is 256"),
+            (["sdim", "jahangir:300,300", "--method", "brute"], "brute force cap is 16"),
+            (["cover", "jahangir:300,300"], "exact cover cap is 256"),
+        ],
+        ids=["sdim", "sdim-brute", "cover"],
+    )
+    def test_oversize_jahangir_is_refused_before_it_is_built(self, capsys, monkeypatch, argv, cap):
+        monkeypatch.setattr(cli, "build_jahangir", _refuse_build)
+        assert run_cli(capsys, argv) == (2, "", f"error: graph has 90001 vertices, {cap}\n")
 
     def test_sdim_refuses_the_cap_before_growing_the_radii(self, capsys, monkeypatch, tmp_path):
         def refuse(g):

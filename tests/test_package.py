@@ -61,6 +61,13 @@ def test_dead_knobs_are_gone():
     assert not hasattr(strongdim, "EXACT_COVER_CAP")
 
 
+def test_sdim_has_one_pipeline_method():
+    # "pipeline" was auto without its closed-form cross-check
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    method = next(a for a in sub.choices["sdim"]._actions if a.dest == "method")
+    assert method.choices == ("auto", "formula", "brute")
+
+
 # Unread parameters kept on purpose: the benchmark harness in perfbench/
 # passes a distance matrix to these two positionally.
 UNREAD_PARAMETERS = {"is_strong_resolving_set.dm", "strong_resolving_graph.dm"}

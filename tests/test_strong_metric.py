@@ -36,12 +36,16 @@ from helpers import (
     MMD_33,
     MMD_43,
     bfs_is_strong_resolving_set,
+    complete_bipartite_graph,
     connected_graphs_to_isomorphism,
     enumerate_brute_force_sdim,
+    grid_graph,
+    hypercube_graph,
     id_pairs,
     large_random_graphs,
     long_diameter_graphs,
     random_connected_graph,
+    random_tree,
     scratch_first_hitting_set,
 )
 
@@ -846,3 +850,33 @@ class TestEverySmallGraph:
             assert sdim_via_cover(moved).size == result.size, (g.edges(), perm)
             mapped = [perm[v] for v in result.basis]
             assert is_strong_resolving_set(moved, None, mapped) == (True, None), (g.edges(), perm)
+
+
+def known_family_cases():
+    """Graphs of order <= 256 whose sdim follows from the definition, as pytest params.
+
+    Trees: leaves - 1, the SRG being the clique on the leaves.  K_{r,s}
+    (r, s >= 2): r + s - 2, the SRG being K_r and K_s.  Q_d: 2^(d-1), the
+    antipodal pairs forming a perfect matching of the SRG.  P_r □ P_s
+    (r, s >= 2): 2, from the two pairs of opposite corners.
+    """
+    cases = []
+    for order in (3, 4, 5, 8, 17, 40, 99, 128, 200, 256):
+        g = random_tree(random.Random(order), order)
+        leaves = sum(1 for v in range(order) if g.degree(v) == 1)
+        cases.append(pytest.param(g, leaves - 1, id=f"tree{order}"))
+    for r, s in ((2, 2), (2, 3), (3, 3), (2, 60), (7, 11), (40, 40), (100, 150)):
+        cases.append(pytest.param(complete_bipartite_graph(r, s), r + s - 2, id=f"K{r},{s}"))
+    for d in range(1, 9):
+        cases.append(pytest.param(hypercube_graph(d), 1 << (d - 1), id=f"Q{d}"))
+    for r, s in ((2, 2), (2, 3), (3, 3), (2, 16), (5, 9), (10, 10), (16, 16)):
+        cases.append(pytest.param(grid_graph(r, s), 2, id=f"grid{r}x{s}"))
+    return cases
+
+
+@pytest.mark.parametrize("g,expected", known_family_cases())
+def test_known_family_values(g, expected):
+    basis = sdim_via_cover(g).basis
+    assert len(basis) == expected
+    assert is_strong_resolving_set(g, None, basis) == (True, None)
+    assert not is_strong_resolving_set(g, None, basis[1:])[0]
