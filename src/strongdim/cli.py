@@ -13,12 +13,12 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from .graphs import (
     FORMATS,
     Graph,
     GraphError,
-    SizeLimitError,
     complete_graph,
     cycle_graph,
     parse,
@@ -26,7 +26,9 @@ from .graphs import (
     serialize,
 )
 from .jahangir import JahangirParams, VerificationReport, build_jahangir, sdim_formula, verify_predictions
-from .strong_metric import DEFAULT_BRUTE_CAP, brute_force_sdim, sdim_via_cover, strong_resolving_graph
+from .strong_metric import (
+    DEFAULT_BRUTE_CAP, brute_force_sdim, check_brute_cap, sdim_via_cover, strong_resolving_graph
+)
 from .vertex_cover import check_cover_cap, exact_min_vertex_cover, greedy_cover
 
 # brute force prunes its subset search but stays exponential in the worst
@@ -34,25 +36,30 @@ from .vertex_cover import check_cover_cap, exact_min_vertex_cover, greedy_cover
 MAX_BRUTE_CAP = 20
 
 
-def _parse_jahangir_shorthand(text: str) -> JahangirParams:
-    body = text.split(":", 1)[1]
+def _parse_jahangir_shorthand(text: str) -> JahangirParams | None:
+    if not text.startswith("jahangir:"):  # a file path or '-'
+        return None
     try:
-        n_str, m_str = body.split(",")
+        n_str, m_str = text[len("jahangir:"):].split(",")
         n, m = int(n_str), int(m_str)
     except ValueError as exc:
         raise GraphError(f"bad jahangir shorthand {text!r}, expected jahangir:n,m") from exc
     return JahangirParams(n, m)
 
 
-def _load_graph(source: str) -> tuple[Graph | None, dict[int, str], JahangirParams | None]:
-    """Load a graph from a file path or '-' for stdin, or parse 'jahangir:n,m'.
+def _load_graph(
+    source: str, check_order: Callable[[int], None] | None
+) -> tuple[Graph, dict[int, str], JahangirParams | None]:
+    """The graph of a file path or '-' for stdin, its document's labels and None.
 
-    Returns the graph, the document's labels and None; for 'jahangir:n,m',
-    None, no labels and the parameters: a command builds J(n, m) only if it
-    needs it, after its order cap, and the names only where they are printed.
+    For 'jahangir:n,m': J(n, m), built once ``check_order`` (the cap of the command's
+    search, if any) accepts its order, no labels (names are built only where printed) and (n, m).
     """
-    if source.startswith("jahangir:"):
-        return None, {}, _parse_jahangir_shorthand(source)
+    params = _parse_jahangir_shorthand(source)
+    if params is not None:
+        if check_order is not None:
+            check_order(params.order)
+        return build_jahangir(params)[0], {}, params
     try:
         if source == "-":
             # decoded as UTF-8 like a file, whatever the locale makes of stdin
@@ -132,9 +139,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_sdim(args: argparse.Namespace) -> int:
     brute_cap = _brute_cap(args.brute_cap)
-    g, _, params = _load_graph(args.graph)
     if args.method == "formula":  # reads (n, m) only: J(n, m) is never built
+        params = _parse_jahangir_shorthand(args.graph)
         if params is None:
+            _load_graph(args.graph, None)  # a file or stdin still reports its read and parse errors
             raise GraphError("the formula method needs a jahangir:n,m input")
         value = sdim_formula(params)
         if value is None:
@@ -142,12 +150,8 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
         print(f"sdim = {value}")
         print("method = formula")
         return 0
-    if params is not None:  # an oversize J(n, m) is refused before it is built
-        if args.method == "auto":
-            check_cover_cap(params.order)
-        elif params.order > brute_cap:  # the refusal brute_force_sdim would make
-            raise SizeLimitError(f"graph has {params.order} vertices, brute force cap is {brute_cap}")
-        g = build_jahangir(params)[0]
+    check = check_cover_cap if args.method == "auto" else lambda order: check_brute_cap(order, brute_cap)
+    g, _, params = _load_graph(args.graph, check)
     if args.method == "brute":
         result = brute_force_sdim(g, brute_cap)
     else:  # auto: the cover pipeline, cross-checked against any closed form
@@ -166,19 +170,14 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_srg(args: argparse.Namespace) -> int:
-    g, labels, params = _load_graph(args.graph)
-    if params is not None:
-        g, labels = build_jahangir(params)[0], params.labels()
+    g, labels, params = _load_graph(args.graph, None)
+    labels = labels if params is None else params.labels()
     _emit(serialize(strong_resolving_graph(g), args.format, labels), args.output)
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    g, _, params = _load_graph(args.graph)
-    if params is not None:
-        if args.mode == "exact":
-            check_cover_cap(params.order)  # refused before J(n, m) is built
-        g = build_jahangir(params)[0]
+    g, _, _ = _load_graph(args.graph, check_cover_cap if args.mode == "exact" else None)
     result = greedy_cover(g) if args.mode == "greedy" else exact_min_vertex_cover(g)
     print(f"size = {result.size}")
     print(f"optimal = {'true' if result.optimal else 'false'}")

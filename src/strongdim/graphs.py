@@ -387,7 +387,7 @@ def serialize(g: Graph, fmt: str = "edge-json", labels: Mapping[int, str] | None
         for v in range(g.vertex_count):
             if v in labels:
                 lines.append(f'  "{v}" [label="{_dot_escape(labels[v])}"];')
-            elif g.degree(v) == 0:
+            elif not g.adjacency[v]:  # the view edges() reads; masks would cost V^2 bits
                 lines.append(f'  "{v}";')
         for u, v in g.edges():
             lines.append(f'  "{u}" -- "{v}";')

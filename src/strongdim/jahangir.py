@@ -514,15 +514,12 @@ def verify_predictions(
                     "(endpoint-scan criterion) and are excluded from the MMD prediction"
                 )
             if expected != observed:
-                parts = []
-                for tag in sorted(set(expected) | set(observed)):
-                    want = expected.get(tag, frozenset())
-                    got = observed.get(tag, frozenset())
-                    if want != got:
-                        parts.append(
-                            f"{tag}: predicted-only [{_named_pairs(params, want - got)}], "
-                            f"observed-only [{_named_pairs(params, got - want)}]"
-                        )
+                parts = [  # both sides carry the case's tags
+                    f"{tag}: predicted-only [{_named_pairs(params, want - observed[tag])}], "
+                    f"observed-only [{_named_pairs(params, observed[tag] - want)}]"
+                    for tag, want in sorted(expected.items())
+                    if want != observed[tag]
+                ]
                 discrepancies.append(Discrepancy(f"distance-pairs-{case}", "; ".join(parts)))
 
     formula = sdim_formula(params)

@@ -238,6 +238,12 @@ def _first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None
     return None, nodes
 
 
+def check_brute_cap(order: int, cap: int) -> None:
+    """Raise :class:`SizeLimitError` for an order above ``cap``: brute force's one refusal, also the CLI's."""
+    if order > cap:
+        raise SizeLimitError(f"graph has {order} vertices, brute force cap is {cap}")
+
+
 def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasisResult:
     """Smallest strong resolving set by exhaustive search from the definition.
 
@@ -251,13 +257,10 @@ def brute_force_sdim(g: Graph, size_cap: int = DEFAULT_BRUTE_CAP) -> StrongBasis
     that size, the set that trying every k-subset in order would return.
     Worst-case time is still exponential in the order.  Shares no code with
     :func:`is_strong_resolving_set`, :func:`strong_resolving_graph` or the
-    cover search, so it can judge them.  Refuses graphs larger than
-    ``size_cap``.
+    cover search, so it can judge them.  :func:`check_brute_cap` refuses
+    graphs larger than ``size_cap``.
     """
-    if g.vertex_count > size_cap:
-        raise SizeLimitError(
-            f"graph has {g.vertex_count} vertices, brute force cap is {size_cap}"
-        )
+    check_brute_cap(g.vertex_count, size_cap)
     if not is_connected(g):
         raise DisconnectedGraphError("strong metric dimension needs a connected graph")
     masks = _minimal_resolver_masks(g)

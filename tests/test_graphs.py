@@ -509,6 +509,13 @@ class TestSerialization:
         assert '"2" [label="lonely"];' in out
         assert '"0" -- "1";' in out
 
+    def test_dot_reads_only_the_adjacency_view(self):
+        # an edge-list graph's masks view costs V^2 bits; finding the isolated
+        # vertices must not build it
+        g = build_graph(4, [(0, 1), (1, 2)])
+        assert serialize(g, "dot") == 'graph {\n  "3";\n  "0" -- "1";\n  "1" -- "2";\n}\n'
+        assert "masks" not in vars(g)
+
     def test_dot_escapes_quotes_and_backslashes(self):
         g, labels = parse('{"n": 2, "edges": [[0, 1]], "labels": {"0": "a\\"b", "1": "c\\\\d"}}')
         assert labels == {0: 'a"b', 1: "c\\d"}

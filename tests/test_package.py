@@ -153,6 +153,37 @@ def test_every_export_has_a_caller_or_a_reason():
     assert uncalled == set(EXPORTS_WITHOUT_A_CALLER)
 
 
+@pytest.mark.parametrize(
+    "literal,owner",
+    [("brute force cap is", "strong_metric.check_brute_cap"), ("exact cover cap is", "vertex_cover.check_cover_cap")],
+)
+def test_each_cap_refusal_is_stated_once(literal, owner):
+    # the CLI refuses an oversize jahangir:n,m input through the same function
+    # the search calls, so the two messages cannot drift apart
+    found = [
+        f"{stem}.{node.name}"
+        for stem, tree in sorted(_package_trees().items())
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and literal in sub.value
+    ]
+    assert found == [owner]
+
+
+def test_the_cli_builds_jahangir_graphs_in_two_places():
+    # _load_graph, after the command's cap check, is the one build site of a
+    # graph source; gen builds its own
+    callers = {
+        node.name
+        for node in ast.walk(_package_trees()["cli"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "build_jahangir"
+    }
+    assert callers == {"_load_graph", "_cmd_gen"}
+
+
 def test_no_handler_only_reraises():
     # ``except X: raise`` changes nothing unless a later clause would catch X;
     # there it is a second statement of which errors pass, so it is refused

@@ -880,3 +880,5 @@ def test_known_family_values(g, expected):
     assert len(basis) == expected
     assert is_strong_resolving_set(g, None, basis) == (True, None)
     assert not is_strong_resolving_set(g, None, basis[1:])[0]
+    if g.vertex_count <= 64:  # the judge's all-pairs scan is cubic in the order
+        assert_srg_is_minimal_resolver_pairs(g)
