@@ -19,9 +19,9 @@ from .graphs import (
     FORMATS,
     Graph,
     GraphError,
+    _parse,
     complete_graph,
     cycle_graph,
-    parse,
     path_graph,
     serialize,
 )
@@ -50,10 +50,10 @@ def _parse_jahangir_shorthand(text: str) -> JahangirParams | None:
 def _load_graph(
     source: str, check_order: Callable[[int], None] | None
 ) -> tuple[Graph, dict[int, str], JahangirParams | None]:
-    """The graph of a file path or '-' for stdin, its document's labels and None.
+    """The graph of ``source``, whose order ``check_order`` (the command's cap, if any) checks before the build.
 
-    For 'jahangir:n,m': J(n, m), built once ``check_order`` (the cap of the command's
-    search, if any) accepts its order, no labels (names are built only where printed) and (n, m).
+    A file path or '-' for stdin also gives its document's labels and None; 'jahangir:n,m'
+    gives no labels (names are built only where printed) and (n, m).
     """
     params = _parse_jahangir_shorthand(source)
     if params is not None:
@@ -70,7 +70,7 @@ def _load_graph(
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {source!r}: {exc}") from exc
-    return *parse(text), None
+    return *_parse(text, check_order), None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -139,10 +139,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_sdim(args: argparse.Namespace) -> int:
     brute_cap = _brute_cap(args.brute_cap)
-    if args.method == "formula":  # reads (n, m) only: J(n, m) is never built
+    if args.method == "formula":  # reads (n, m) only: no file or stdin, and J(n, m) is never built
         params = _parse_jahangir_shorthand(args.graph)
         if params is None:
-            _load_graph(args.graph, None)  # a file or stdin still reports its read and parse errors
             raise GraphError("the formula method needs a jahangir:n,m input")
         value = sdim_formula(params)
         if value is None:

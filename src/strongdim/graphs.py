@@ -34,7 +34,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 # Sentinel for "no path".  Compares above any true distance; code must never
 # do arithmetic with it, connectivity is checked explicitly instead.
@@ -399,9 +399,14 @@ def serialize(g: Graph, fmt: str = "edge-json", labels: Mapping[int, str] | None
 def parse(text: str) -> tuple[Graph, dict[int, str]]:
     """Parse an edge-JSON document produced by :func:`serialize` into the graph and its labels.
 
-    The labels are empty when the document has none.  Structural problems
-    are reported with the location of the offending field or edge.
+    The labels are empty when the document has none.  Every field's shape is checked
+    before the build; a problem is reported with the location of the offending field or edge.
     """
+    return _parse(text, None)
+
+
+def _parse(text: str, check_order: Callable[[int], None] | None) -> tuple[Graph, dict[int, str]]:
+    """:func:`parse`, calling ``check_order(n)``, if given, after the shape checks and before the build."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -440,6 +445,8 @@ def parse(text: str) -> tuple[Graph, dict[int, str]]:
             if vid is None or key != str(vid):
                 raise ParseError(f"labels: key {key!r} is not a vertex id")
             labels[vid] = value
+    if check_order is not None:
+        check_order(n)
     try:
         g = build_graph(n, edge_list)
         _check_labels(n, labels)

@@ -302,24 +302,22 @@ def _sphere(balls: list[list[int]], r: int, x: int) -> int:
 def _pairs_at(balls: list[list[int]], params: JahangirParams, family: str, target: int) -> _Pairs:
     """Pairs at distance ``target`` across the cycle pairs or segments ``family`` spans.
 
-    Each vertex ``x`` of a cycle or segment is paired with one mask: the
-    other degree-2 vertices of its segment ("within"), or the union of the
-    cycles its cycle is scanned against.  The pairs are the members of
-    that mask on the sphere of radius ``target`` around ``x``.
+    Each vertex ``x`` of a group (an internal cycle, or for "within" a
+    segment's degree-2 vertices) is paired with one mask, the union of
+    the groups its group is scanned against (itself for "within"); the
+    pairs are that mask's members on the sphere of radius ``target`` around ``x``.
     """
     m = params.m
     if family == "within":
-        segments = [params.inner_cycle_ids(k) for k in range(m)]
-        rows = [(ids, sum(1 << v for v in ids)) for ids in segments]
+        groups, ks = [params.inner_cycle_ids(k) for k in range(m)], [(k, k) for k in range(m)]
     else:
+        groups = [params.cycle_ids(k) for k in range(m)]
         ks = [(k, (k + 1) % m) for k in range(m)] if family == "adjacent" else _nonconsecutive(m)
-        cycles = [params.cycle_ids(k) for k in range(m)]
-        partners = [0] * m
-        for k, k2 in ks:
-            partners[k] |= sum(1 << v for v in cycles[k2])
-        rows = list(zip(cycles, partners))
+    partners = [0] * m
+    for k, k2 in ks:
+        partners[k] |= sum(1 << v for v in groups[k2])
     found: set[tuple[int, int]] = set()
-    for ids, mask in rows:
+    for ids, mask in zip(groups, partners):
         for x in ids:
             for y in members(_sphere(balls, target, x) & mask):
                 found.add((x, y) if x < y else (y, x))

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from strongdim import GraphError, cli, jahangir, strong_metric
+from strongdim import GraphError, StrongBasisResult, build_graph, cli, graphs, jahangir, strong_metric
 from strongdim.cli import main
 
 C4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
 DISCONNECTED_DOC = '{"n": 4, "edges": [[0, 1], [2, 3]]}'
 PATH_257_DOC = json.dumps({"n": 257, "edges": [[i, i + 1] for i in range(256)]})
+MILLION_DOC = '{"n": 1000000}'
 # P4 with three of its four vertices named, keys out of order; its SRG is the
 # one edge (0, 3), so vertex 2 is isolated and unnamed
 LABELLED_P4_DOC = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "labels": {"3": "\\u00e9", "0": "a", "1": "b\\"q"}}'
@@ -21,6 +22,18 @@ LABELLED_P4_SRG = {
     "edge-json": '{"n": 4, "edges": [[0, 3]], "labels": {"0": "a", "1": "b\\"q", "3": "\\u00e9"}}\n',
     "dot": 'graph {\n  "0" [label="a"];\n  "1" [label="b\\"q"];\n  "2";\n  "3" [label="\u00e9"];\n  "0" -- "3";\n}\n',
 }
+
+# verify --n 6 --m 4..5 with J(6,5)'s pipeline skewed (TestVerify.test_failing_cell_table)
+FAILING_TABLE = (
+    "  n   m       srg     cover  alpha  formula  pipeline  result\n"
+    "  6   4        ok        ok      8        8         8  PASS\n"
+    "  6   5  MISMATCH  MISMATCH     11       10        11  FAIL\n"
+    "      srg-edges: predicted but absent: [u2-u6]; computed but unpredicted: [u1-u6]\n"
+    "      cover-invalid: predicted cover misses edge u1-u6\n"
+    "      cover-size: predicted cover has 10 vertices but the optimum is 11\n"
+    "      sdim-formula: closed form gives 10 but the cover pipeline gives 11\n"
+    "1 of 2 cells FAILED\n"
+)
 
 
 def _refuse_build(params):
@@ -133,6 +146,12 @@ class TestSdim:
         code, _, err = run_cli(capsys, ["sdim", str(path), "--method", "formula"])
         assert code == 2
         assert "jahangir:n,m" in err
+
+    def test_formula_reads_no_file(self, capsys):
+        # only a jahangir:n,m argument has (n, m); a path is refused unread
+        assert run_cli(capsys, ["sdim", "no/such/file.json", "--method", "formula"]) == (
+            2, "", "error: the formula method needs a jahangir:n,m input\n"
+        )
 
     def test_formula_outside_known_cases(self, capsys):
         code, _, err = run_cli(capsys, ["sdim", "jahangir:4,4", "--method", "formula"])
@@ -346,6 +365,33 @@ class TestCover:
         monkeypatch.setattr(cli, "build_jahangir", _refuse_build)
         assert run_cli(capsys, argv) == (2, "", f"error: graph has 90001 vertices, {cap}\n")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "argv,doc,cap",
+        [
+            (["sdim"], MILLION_DOC, "graph has 1000000 vertices, exact cover cap is 256"),
+            (["sdim", "--method", "brute", "--brute-cap", "20"], '{"n": 21}',
+             "graph has 21 vertices, brute force cap is 20"),
+            (["cover"], MILLION_DOC, "graph has 1000000 vertices, exact cover cap is 256"),
+        ],
+        ids=["sdim", "sdim-brute", "cover"],
+    )
+    def test_oversize_document_is_refused_before_it_is_built(
+        self, capsys, monkeypatch, tmp_path, argv, doc, cap, source
+    ):
+        def refuse(vertex_count, edge_list):
+            raise AssertionError(f"built a graph of order {vertex_count}")
+
+        monkeypatch.setattr(graphs, "build_graph", refuse)
+        if source == "file":
+            path = tmp_path / "big.json"
+            path.write_text(doc)
+            graph = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode())))
+            graph = "-"
+        assert run_cli(capsys, [argv[0], graph, *argv[1:]]) == (2, "", f"error: {cap}\n")
+
     def test_sdim_refuses_the_cap_before_growing_the_radii(self, capsys, monkeypatch, tmp_path):
         def refuse(g):
             raise AssertionError("sdim grew the radii of a graph above the cover cap")
@@ -420,6 +466,23 @@ class TestVerify:
         assert doc["alpha"] == 12
         assert doc["srg_edges_match"] is True
         assert doc["discrepancies"] == []
+
+    def test_failing_cell_table(self, capsys, monkeypatch):
+        # the skew of test_jahangir.py's TestDiscrepancyReports.test_skewed_pipeline,
+        # on J(6,5) only: one SRG edge too few (u2-u6), one too many (u1-u6), and
+        # a cover one too large
+        real = jahangir._cover_pipeline
+
+        def skewed(g):
+            radii, srg, result = real(g)
+            if g.vertex_count != 31:
+                return radii, srg, result
+            edges = (set(srg.edges()) - {(1, 5)}) | {(0, 5)}
+            bigger = StrongBasisResult(result.size + 1, result.basis, result.method)
+            return radii, build_graph(srg.vertex_count, sorted(edges)), bigger
+
+        monkeypatch.setattr(jahangir, "_cover_pipeline", skewed)
+        assert run_cli(capsys, ["verify", "--n", "6", "--m", "4..5"]) == (1, FAILING_TABLE, "")
 
     def test_exploratory_cell_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--n", "4..4", "--m", "4..4"])

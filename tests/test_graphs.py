@@ -218,6 +218,8 @@ class TestGraphFromMasks:
         jahangir, _ = build_jahangir(JahangirParams(3, 3))
         srg = strong_resolving_graph(jahangir)
         assert len({jahangir, srg, jahangir}) == 2
+        # a non-graph is left to the other operand, even one holding the same key
+        assert g.__eq__((3, g.masks)) is NotImplemented and g != (3, g.masks)
 
     @pytest.mark.parametrize(
         "order,masks,message",
@@ -658,3 +660,19 @@ class TestParse:
     def test_bad_top_level(self):
         with pytest.raises(ParseError, match="top level"):
             parse("[1,2]")
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('{"n": -1}', "'n' must be a nonnegative integer, got -1"),
+            ('{"n": true}', "'n' must be a nonnegative integer, got True"),
+            ('{"n": 2.0}', "'n' must be a nonnegative integer, got 2.0"),
+            ('{"n": 2, "edges": {"0": 1}}', "'edges' must be a list of [u, v] pairs"),
+            ('{"n": 2, "labels": ["a", "b"]}', "'labels' must be an object mapping ids to names"),
+        ],
+        ids=["n-negative", "n-bool", "n-float", "edges-object", "labels-list"],
+    )
+    def test_field_of_the_wrong_shape(self, doc, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse(doc)
+        assert str(excinfo.value) == message

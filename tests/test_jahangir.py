@@ -105,6 +105,12 @@ class TestConstruction:
             assert len(lab.cycle_ids(k)) == 7  # n + 2 vertices
             assert lab.hub in lab.cycle_ids(k)
 
+    def test_pair_refuses_two_positions_of_one_vertex(self):
+        # positions wrap modulo the rim length 6, so 1 and 7 both name u1
+        with pytest.raises(GraphError) as excinfo:
+            JahangirParams(2, 3).pair(1, 7)
+        assert str(excinfo.value) == "rim positions 1 and 7 name the same vertex"
+
 
 class TestFormula:
     @pytest.mark.parametrize(
@@ -387,6 +393,16 @@ class TestExtremalDistancePairs:
     def test_matches_measured_odd_sample(self, n, m, case):
         p = JahangirParams(n, m)
         assert extremal_distance_pairs(p, case) == measured_distance_pairs(p, case)
+
+    @pytest.mark.parametrize("case", ["even-b", "odd-b"])
+    def test_scans_with_nothing_to_find_match_the_scalar_oracle(self, case):
+        # J(2,3) has diameter 3: even-b asks for distance n + 2 = 4, past it,
+        # and odd-b for pairs of non-consecutive cycles, of which m = 3 has none
+        p = JahangirParams(2, 3)
+        g, lab = build_jahangir(p)
+        measured = measured_distance_pairs(p, case)
+        assert measured == scalar_measure(all_pairs_distances(g), lab, case)[0]
+        assert list(measured.values()) == [frozenset()]
 
     @pytest.mark.parametrize("n,m", SCAN_GRID)
     def test_ball_scans_match_scalar_oracle(self, n, m):

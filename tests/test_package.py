@@ -143,6 +143,7 @@ EXPORTS_WITHOUT_A_CALLER = {
     "is_strong_resolving_set": "perfbench's random-sdim and small-brute checks call it",
     "strongly_resolves": "the scalar definition of strong resolution the scans are judged by",
     "is_maximally_distant": "the scalar definition of an MMD pair the scans are judged by",
+    "parse": "the CLI reads documents through graphs._parse, so it can size them before the build",
 }
 
 
