@@ -13,40 +13,39 @@ cover.  The private table ``_REGIMES`` holds one row per regime: the
 condition :func:`regime` looks up, the closed form, the extremal-distance
 cases (merged into ``_CASES``) and the condition's text a refusal names.
 The even and odd edge families differ only in a segment's midpoint
-positions, so :func:`srg_edge_families` builds both, and
-:func:`predicted_cover` lists the rim positions of both regimes' covers
-segment by segment.  :func:`verify_predictions` recomputes all of that
-through the cover pipeline of :mod:`~strongdim.strong_metric` (MMD pairs,
-exact cover, re-check) and reports any disagreement with the closed forms.
+positions, so one builder, ``_family_rows``, makes both as partner bitset
+rows, one per vertex, and :func:`predicted_cover` lists the rim positions
+of both regimes' covers segment by segment.  :func:`verify_predictions`
+recomputes all of that through the cover pipeline of
+:mod:`~strongdim.strong_metric` (MMD pairs, exact cover, re-check) and
+reports any disagreement with the closed forms.
 
-The extremal-distance scans read every radius of
-:func:`~strongdim.graphs.distance_balls`, kept as a list; no cell builds a
-dense all-pairs distance matrix.  :func:`verify_predictions` takes that
-list from the pipeline, which grows it once per cell for its MMD scan and
-re-check, and only after refusing an order above the exact cover cap.  The
-pairs at distance t are read off the spheres ``ball[t][x] ^ ball[t-1][x]``,
-each ANDed with one vertex mask per cycle or segment, the diameter D is the
-number of radii minus one, and the diametrical-path condition of odd-a is
-tested on spheres as well (see :func:`_on_diametrical_path`).
+Every comparison is row by row.  The extremal-distance scans read every
+radius of :func:`~strongdim.graphs.distance_balls`, kept as a list, which
+:func:`verify_predictions` takes from the pipeline: it grows the list once
+per cell, only after refusing an order above the exact cover cap, and no
+cell builds a dense all-pairs distance matrix.  A case's measured row for
+``x`` is its sphere ``ball[t][x] ^ ball[t-1][x]`` ANDed with a partner mask
+made from runs of rim bits, the diameter D is the number of radii minus
+one, and odd-a's diametrical-path condition is tested on spheres as well
+(see :func:`_on_diametrical_path`).  One decoder, ``_pairs``, turns rows
+into pairs: for the public pair-set functions and to name a discrepancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import reduce
+from operator import or_, xor
+from typing import Callable, NamedTuple, Sequence
 
-from .graphs import (
-    Graph,
-    GraphError,
-    build_graph,
-    distance_balls,
-    members,
-)
+from .graphs import Graph, GraphError, build_graph, distance_balls, members
 from .strong_metric import DEFAULT_BRUTE_CAP, _cover_pipeline, brute_force_sdim
 from .vertex_cover import is_vertex_cover
 
 _Pairs = frozenset[tuple[int, int]]  # vertex-id pairs, each as (low, high)
 _Tagged = dict[str, _Pairs]  # pair sets by edge family or case tag
+_Rows = dict[str, list[int]]  # partner bitset rows, one per vertex, by edge family or case tag
 
 @dataclass(frozen=True)
 class JahangirParams:
@@ -149,11 +148,6 @@ def _require_regime(params: JahangirParams, what: str, *kinds: str) -> None:
         raise GraphError(f"{what} predictions need {needs}, got ({params.n}, {params.m})")
 
 
-def _nonconsecutive(m: int) -> list[tuple[int, int]]:
-    """Index pairs k < k2 of internal cycles that share no spoke edge."""
-    return [(k, k2) for k in range(m) for k2 in range(k + 1, m) if k2 - k not in (1, m - 1)]
-
-
 # ---------- predicted strong-resolving-graph edges ----------
 
 
@@ -167,35 +161,45 @@ def srg_edge_families(params: JahangirParams) -> _Tagged:
     "within": same-segment positions i >= 2 and i + d, d a midpoint position.
     """
     _require_regime(params, "edge-family", "even", "odd")
+    rows = _family_rows(params)
+    return {family: _pairs(rows[family]) for family in ("adjacent", "distant", "within")}
+
+
+def _family_rows(params: JahangirParams) -> _Rows:
+    """The families of :func:`srg_edge_families`, one partner bitset row per vertex.
+
+    Offset i of segment k is rim position nk + i.  "longest" holds odd-a's
+    n_plus_1 pairs, offset n//2 + 1 with n//2 + 2 of the next segment.
+    """
     n, m = params.n, params.m
-    pair = params.pair
     half = n // 2
-    mids = (half + 1,) if n % 2 == 0 else (half + 1, half + 2)
-    adjacent = _consecutive_pairs(params, range(len(mids) + 1))
-    distant: set[tuple[int, int]] = set()
-    for k, k2 in _nonconsecutive(m):
-        for a in mids:
-            for b in mids:
-                distant.add(pair(n * k + a, n * k2 + b))
-    within: set[tuple[int, int]] = set()
+    mids = range(half + 1, half + 2 + n % 2)  # one midpoint offset for even n, two for odd
+    rows = {family: [0] * params.order for family in ("adjacent", "distant", "within", "longest")}
+
+    def at(k: int, i: int) -> int:
+        return n * (k % m) + i - 1
+
+    def link(family: str, x: int, y: int) -> None:
+        rows[family][x] |= 1 << y
+        rows[family][y] |= 1 << x
+
+    midpoints = sum(1 << at(k, d) for k in range(m) for d in mids)
+    inner = ((1 << n - 1) - 1) << 1  # offsets 2 .. n of segment 0
     for k in range(m):
-        for i in range(2, half + 1):
-            for d in mids:
-                if i + d <= n:
-                    within.add(pair(n * k + i, n * k + i + d))
-    return {
-        "adjacent": adjacent,
-        "distant": frozenset(distant),
-        "within": frozenset(within),
-    }
+        for j in range(half, half + len(mids) + 1):
+            link("adjacent", at(k, j), at(k + 1, j + 1))
+        link("longest", at(k, half + 1), at(k + 1, half + 2))
+        near = inner << at(k - 1, 1) | inner << at(k, 1) | inner << at(k + 1, 1)
+        for d in mids:
+            for i in range(2, min(half, n - d) + 1):
+                link("within", at(k, i), at(k, i + d))
+            rows["distant"][at(k, d)] = midpoints & ~near
+    return rows
 
 
-def _consecutive_pairs(params: JahangirParams, starts: Sequence[int]) -> _Pairs:
-    """Position n//2 + a of each segment k paired with n//2 + a + 1 of k + 1, a in ``starts``."""
-    n, half = params.n, params.n // 2
-    return frozenset(
-        params.pair(n * k + half + a, n * (k + 1) + half + a + 1) for k in range(params.m) for a in starts
-    )
+def _pairs(rows: Sequence[int]) -> _Pairs:
+    """The pairs (x, y), x < y, with bit y set in row x: the one decoder of partner rows."""
+    return frozenset((x, y) for x, row in enumerate(rows) for y in members(row >> x + 1 << x + 1))
 
 
 # ---------- predicted optimal cover ----------
@@ -278,18 +282,17 @@ def extremal_distance_pairs(params: JahangirParams, case: str) -> _Tagged:
     _check_case(case)
     kind = next(kind for kind, spec in _REGIMES.items() if case in spec.cases)
     _require_regime(params, f"{kind}-n", kind)
-    return _extremal_pairs(params, srg_edge_families(params), case)
+    return {tag: _pairs(rows) for tag, rows in _extremal_rows(_family_rows(params), case).items()}
 
 
-def _extremal_pairs(params: JahangirParams, families: _Tagged, case: str) -> _Tagged:
-    """:func:`extremal_distance_pairs` read off already built edge families."""
+def _extremal_rows(rows: _Rows, case: str) -> _Rows:
+    """:func:`extremal_distance_pairs` as rows, read off the rows of :func:`_family_rows`."""
     tag, family, _, off_tag = _CASES[case]
     if off_tag is None:
-        return {tag: families[family]}
+        return {tag: rows[family]}
     # the odd "adjacent" family splits into the m pairs at distance n+1
     # and the 2m pairs at distance n that avoid every diametrical path
-    longest = _consecutive_pairs(params, (1,))
-    return {tag: longest, off_tag: families[family] - longest}
+    return {tag: rows["longest"], off_tag: list(map(xor, rows[family], rows["longest"]))}
 
 
 def _sphere(balls: list[list[int]], r: int, x: int) -> int:
@@ -299,29 +302,37 @@ def _sphere(balls: list[list[int]], r: int, x: int) -> int:
     return balls[r][x] ^ balls[r - 1][x] if r else balls[0][x]  # each radius holds the one before
 
 
-def _pairs_at(balls: list[list[int]], params: JahangirParams, family: str, target: int) -> _Pairs:
-    """Pairs at distance ``target`` across the cycle pairs or segments ``family`` spans.
+def _partners(params: JahangirParams, family: str) -> list[int]:
+    """Each vertex's partner mask for ``family``: the vertices its measured pairs may per_cycle.
 
-    Each vertex ``x`` of a group (an internal cycle, or for "within" a
-    segment's degree-2 vertices) is paired with one mask, the union of
-    the groups its group is scanned against (itself for "within"); the
-    pairs are that mask's members on the sphere of radius ``target`` around ``x``.
+    Cycle k is the rim ids nk .. nk + n, modulo the rim, plus the hub.  A
+    vertex gets the cycles next to its cycles ("adjacent"), the cycles
+    sharing no spoke with them ("distant"), or its own segment's degree-2
+    vertices ("within").  Each relation is symmetric, so no transpose.
     """
-    m = params.m
+    n, m, rim = params.n, params.m, params.rim_size
+
+    def run(start: int, length: int) -> int:
+        bits = ((1 << length) - 1) << start % rim
+        return (bits | bits >> rim) & ((1 << rim) - 1)
+
+    hub = 1 << rim
     if family == "within":
-        groups, ks = [params.inner_cycle_ids(k) for k in range(m)], [(k, k) for k in range(m)]
+        return [q for k in range(m) for q in [0] + [run(n * k + 1, n - 1)] * (n - 1)] + [0]
+    if family == "adjacent":
+        per_cycle = [run(n * (k - 1), n + 1) | run(n * (k + 1), n + 1) | hub for k in range(m)]
     else:
-        groups = [params.cycle_ids(k) for k in range(m)]
-        ks = [(k, (k + 1) % m) for k in range(m)] if family == "adjacent" else _nonconsecutive(m)
-    partners = [0] * m
-    for k, k2 in ks:
-        partners[k] |= sum(1 << v for v in groups[k2])
-    found: set[tuple[int, int]] = set()
-    for ids, mask in zip(groups, partners):
-        for x in ids:
-            for y in members(_sphere(balls, target, x) & mask):
-                found.add((x, y) if x < y else (y, x))
-    return frozenset(found)
+        per_cycle = [run(n * (k + 2), n * (m - 3) + 1) | hub if m > 3 else 0 for k in range(m)]
+    # segment k's spoke lies on cycles k - 1 and k, the hub on every cycle
+    rows = [q for k in range(m) for q in [per_cycle[k - 1] | per_cycle[k]] + [per_cycle[k]] * (n - 1)]
+    return rows + [reduce(or_, per_cycle)]
+
+
+def _rows_at(balls: list[list[int]], partners: list[int], t: int) -> list[int]:
+    """Each vertex's sphere of radius ``t`` >= 1, ANDed with its partner mask."""
+    if t >= len(balls):
+        return [0] * len(partners)
+    return [(ball ^ inner) & mask for ball, inner, mask in zip(balls[t], balls[t - 1], partners)]
 
 
 def _on_diametrical_path(balls: list[list[int]], x: int, y: int, t: int) -> bool:
@@ -341,18 +352,22 @@ def _on_diametrical_path(balls: list[list[int]], x: int, y: int, t: int) -> bool
     return False
 
 
-def _measure(balls: list[list[int]], params: JahangirParams, case: str) -> tuple[_Tagged, _Pairs]:
-    """The measured pairs of ``case`` and the pairs a diametrical path excluded from them."""
+def _measure(balls: list[list[int]], params: JahangirParams, case: str) -> tuple[_Rows, list[int]]:
+    """The measured rows of ``case`` and the rows of the pairs a diametrical path excluded from them."""
     tag, family, offset, off_tag = _CASES[case]
     target = (params.n // 2 if family == "within" else params.n) + offset
-    measured = {tag: _pairs_at(balls, params, family, target)}
+    partners = _partners(params, family)
+    measured = {tag: _rows_at(balls, partners, target)}
     if off_tag is None:
-        return measured, frozenset()
-    near = _pairs_at(balls, params, family, target - 1)
-    on_path = frozenset(
-        (x, y) for x, y in near if _on_diametrical_path(balls, x, y, target - 1)
-    )
-    measured[off_tag] = near - on_path
+        return measured, []
+    near = _rows_at(balls, partners, target - 1)
+    on_path = [0] * len(near)
+    for x, row in enumerate(near):
+        for y in members(row >> x + 1 << x + 1):
+            if _on_diametrical_path(balls, x, y, target - 1):
+                on_path[x] |= 1 << y
+                on_path[y] |= 1 << x
+    measured[off_tag] = list(map(xor, near, on_path))
     return measured, on_path
 
 
@@ -364,7 +379,8 @@ def measured_distance_pairs(params: JahangirParams, case: str) -> _Tagged:
     checks the characterization in both directions at once.
     """
     _check_case(case)
-    return _measure(list(distance_balls(build_jahangir(params)[0])), params, case)[0]
+    measured, _ = _measure(list(distance_balls(build_jahangir(params)[0])), params, case)
+    return {tag: _pairs(rows) for tag, rows in measured.items()}
 
 
 # ---------- end-to-end verification ----------
@@ -429,9 +445,9 @@ class VerificationReport:
         }
 
 
-def _named_pairs(params: JahangirParams, pairs: Iterable[tuple[int, int]]) -> str:
-    names = sorted(f"{params.name(a)}-{params.name(b)}" for a, b in pairs)
-    return ", ".join(names)
+def _only_in(params: JahangirParams, rows: Sequence[int], other: Sequence[int]) -> str:
+    """The sorted names of the pairs that ``rows`` holds and ``other`` lacks, for a report."""
+    return ", ".join(sorted(f"{params.name(a)}-{params.name(b)}" for a, b in _pairs(rows) - _pairs(other)))
 
 
 def verify_predictions(
@@ -445,8 +461,8 @@ def verify_predictions(
     predicted cover, and the extremal-distance pair characterizations
     against the computed structures.  Graphs small enough for brute force
     are cross-checked against exhaustive search as well.  The families and
-    the predicted cover are checked against the SRG's bitset rows, so the
-    SRG is decoded into pairs only to name a difference in its edges.
+    the predicted cover are checked against the SRG's bitset rows and each
+    case against its measured rows; rows become pairs only to name a difference.
     """
     n, m = params.n, params.m
     g, _ = build_jahangir(params)
@@ -462,59 +478,41 @@ def verify_predictions(
 
     spec = _REGIMES[kind] if kind is not None else None
     if spec is not None and spec.cases:
-        families = srg_edge_families(params)
+        rows = _family_rows(params)
         cover = predicted_cover(params)
-        predicted_edges = frozenset().union(*families.values())
-        predicted_rows = [0] * srg.vertex_count
-        for a, b in predicted_edges:
-            predicted_rows[a] |= 1 << b
-            predicted_rows[b] |= 1 << a
+        predicted_rows = [a | d | w for a, d, w in zip(rows["adjacent"], rows["distant"], rows["within"])]
         # row by row against the SRG's bitsets; its pairs are listed only to
         # name the difference
         srg_match = tuple(predicted_rows) == srg.masks
         if not srg_match:
-            actual_edges = frozenset(srg.edges())
-            missing = predicted_edges - actual_edges
-            extra = actual_edges - predicted_edges
-            discrepancies.append(
-                Discrepancy(
-                    "srg-edges",
-                    f"predicted but absent: [{_named_pairs(params, missing)}]; "
-                    f"computed but unpredicted: [{_named_pairs(params, extra)}]",
-                )
-            )
+            absent = _only_in(params, predicted_rows, srg.masks)
+            extra = _only_in(params, srg.masks, predicted_rows)
+            detail = f"predicted but absent: [{absent}]; computed but unpredicted: [{extra}]"
+            discrepancies.append(Discrepancy("srg-edges", detail))
         cover_valid, uncovered = is_vertex_cover(srg, cover)
         cover_size = len(cover)
         if not cover_valid:
             assert uncovered is not None
-            discrepancies.append(
-                Discrepancy(
-                    "cover-invalid",
-                    f"predicted cover misses edge {params.name(uncovered[0])}-{params.name(uncovered[1])}",
-                )
-            )
+            edge = "-".join(map(params.name, uncovered))
+            discrepancies.append(Discrepancy("cover-invalid", f"predicted cover misses edge {edge}"))
         if cover_size != alpha:
-            discrepancies.append(
-                Discrepancy(
-                    "cover-size",
-                    f"predicted cover has {cover_size} vertices but the optimum is {alpha}",
-                )
-            )
+            detail = f"predicted cover has {cover_size} vertices but the optimum is {alpha}"
+            discrepancies.append(Discrepancy("cover-size", detail))
         for case in spec.cases:
-            expected = _extremal_pairs(params, families, case)
+            expected = _extremal_rows(rows, case)
             observed, excluded = _measure(radii, params, case)
-            if excluded:
+            if excluded_count := sum(row.bit_count() for row in excluded) // 2:
                 # the "lies on no diametrical path" side condition is resolved
                 # by an endpoint scan; say so whenever it excluded pairs (the
                 # one case with that condition scans distance n)
                 notes.append(
-                    f"{len(excluded)} distance-{n} pairs lie on a diametrical path "
+                    f"{excluded_count} distance-{n} pairs lie on a diametrical path "
                     "(endpoint-scan criterion) and are excluded from the MMD prediction"
                 )
             if expected != observed:
                 parts = [  # both sides carry the case's tags
-                    f"{tag}: predicted-only [{_named_pairs(params, want - observed[tag])}], "
-                    f"observed-only [{_named_pairs(params, observed[tag] - want)}]"
+                    f"{tag}: predicted-only [{_only_in(params, want, observed[tag])}], "
+                    f"observed-only [{_only_in(params, observed[tag], want)}]"
                     for tag, want in sorted(expected.items())
                     if want != observed[tag]
                 ]

@@ -40,6 +40,7 @@ still exponential in the worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable
 
 from .graphs import (
@@ -115,9 +116,11 @@ def is_strong_resolving_set(
     radius-k sphere, otherwise the sphere ANDed with the union of its
     neighbours' ``reach`` at radius k + 1, since the next vertex towards
     ``w`` is such a neighbour.  Only one radius of ``reach`` is live at a
-    time.  Cost: O(diam * (V + E)) big-integer operations plus at most
-    V^2 / 2 single-bit tests, against O(V^2 * |subset|) comparisons for
-    the scalar definition.  The radii are grown here.  The re-check shares
+    time, and only the unchosen vertices are walked: a chosen vertex's
+    ``hit`` is the union of its spheres, every vertex.  Cost:
+    O(diam * (V + E)) big-integer operations plus at most V^2 / 2
+    single-bit tests, against O(V^2 * |subset|) comparisons for the scalar
+    definition.  The radii are grown here.  The re-check shares
     no code with :func:`strong_resolving_graph` or the bit-matrix transpose
     it uses (:func:`~strongdim.graphs.transpose_rows`), so it judges the
     cover independently of MMD detection even when both read the same
@@ -142,24 +145,24 @@ def _recheck(
     for w in ids:  # in the order given, before hashing: the first bad id is named
         check_vertex(n, w)
     chosen = set(ids)
+    rest = [v for v in range(n) if v not in chosen]
     adj = g.adjacency
     hit = [0] * n
     reach = [0] * n  # radius k + 1; nothing lies beyond the last radius
     empty = [0] * n
     for k in range(len(radii) - 1, -1, -1):
-        ball = radii[k]
-        inner = radii[k - 1] if k else empty
-        nxt = []
-        for v in range(n):
-            sphere = ball[v] ^ inner[v]  # inner[v] is a subset of ball[v]
-            if sphere and v not in chosen:
+        # a chosen vertex reaches its whole sphere; inner[v] is a subset of ball[v]
+        spheres = list(map(xor, radii[k], radii[k - 1] if k else empty))
+        for v in rest:
+            if sphere := spheres[v]:
                 via = 0
                 for x in adj[v]:
                     via |= reach[x]
-                sphere &= via
-            nxt.append(sphere)
-            hit[v] |= sphere
-        reach = nxt
+                spheres[v] = sphere = sphere & via
+                hit[v] |= sphere
+        reach = spheres
+    for w in chosen:
+        hit[w] = full
     for u in range(n):
         # pairs (u, v), v > u, not resolved through hit[u]; ascending v
         for v in members((full >> (u + 1) << (u + 1)) & ~hit[u]):

@@ -28,7 +28,7 @@ from strongdim import (
     path_graph,
 )
 from strongdim.graphs import check_vertex, graph_from_masks, members
-from strongdim.jahangir import _CASES, _nonconsecutive
+from strongdim.jahangir import _CASES
 from strongdim.vertex_cover import EXACT_COVER_CAP
 
 
@@ -440,6 +440,63 @@ def balls_from_distances(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     ]
 
 
+def nonconsecutive(m: int) -> list[tuple[int, int]]:
+    """Index pairs k < k2 of internal cycles that share no spoke edge."""
+    return [(k, k2) for k in range(m) for k2 in range(k + 1, m) if k2 - k not in (1, m - 1)]
+
+
+# The pair-set family builder ``srg_edge_families`` ran before it decoded
+# one partner bitset row per vertex, kept as the oracle for those rows.
+
+
+def consecutive_pairs(params: JahangirParams, starts: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """Position n//2 + a of each segment k paired with n//2 + a + 1 of k + 1, a in ``starts``."""
+    n, half = params.n, params.n // 2
+    return frozenset(
+        params.pair(n * k + half + a, n * (k + 1) + half + a + 1) for k in range(params.m) for a in starts
+    )
+
+
+def pair_set_families(params: JahangirParams) -> dict[str, frozenset[tuple[int, int]]]:
+    """Predicted MMD pairs by family, built pair by pair.  Callers pass even and odd cells only."""
+    n, m = params.n, params.m
+    pair = params.pair
+    half = n // 2
+    mids = (half + 1,) if n % 2 == 0 else (half + 1, half + 2)
+    adjacent = consecutive_pairs(params, range(len(mids) + 1))
+    distant: set[tuple[int, int]] = set()
+    for k, k2 in nonconsecutive(m):
+        for a in mids:
+            for b in mids:
+                distant.add(pair(n * k + a, n * k2 + b))
+    within: set[tuple[int, int]] = set()
+    for k in range(m):
+        for i in range(2, half + 1):
+            for d in mids:
+                if i + d <= n:
+                    within.add(pair(n * k + i, n * k + i + d))
+    return {
+        "adjacent": adjacent,
+        "distant": frozenset(distant),
+        "within": frozenset(within),
+    }
+
+
+def pair_set_extremal(
+    params: JahangirParams, families: dict[str, frozenset[tuple[int, int]]], case: str
+) -> dict[str, frozenset[tuple[int, int]]]:
+    """The closed-form pairs of ``case`` read off the ``families`` of :func:`pair_set_families`.
+
+    Odd-a splits the "adjacent" family into the pairs at distance n + 1 and
+    the rest, those at distance n on no diametrical path.
+    """
+    tag, family, _, off_tag = _CASES[case]
+    if off_tag is None:
+        return {tag: families[family]}
+    longest = consecutive_pairs(params, (1,))
+    return {tag: longest, off_tag: families[family] - longest}
+
+
 # The scalar extremal-distance scans ``jahangir`` ran on a dense distance
 # matrix before it read distance balls, kept verbatim as the oracle for them.
 
@@ -453,7 +510,7 @@ def scalar_pairs_at(
         inner = [lab.inner_cycle_ids(k) for k in range(m)]
         rows = ((x, ids[i + 1 :]) for ids in inner for i, x in enumerate(ids))
     else:
-        ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else _nonconsecutive(m)
+        ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else nonconsecutive(m)
         cycles = [lab.cycle_ids(k) for k in range(m)]
         rows = ((x, cycles[k2]) for k, k2 in ks for x in cycles[k])
     found: set[tuple[int, int]] = set()
@@ -463,6 +520,28 @@ def scalar_pairs_at(
             if x != y and row[y] == target:
                 found.add((x, y) if x < y else (y, x))
     return frozenset(found)
+
+
+def partner_masks(lab: JahangirParams, family: str) -> list[int]:
+    """Each vertex's partner mask summed from id tuples: the oracle for ``jahangir._partners``.
+
+    Every vertex of a group (an internal cycle, or for "within" a segment's
+    degree-2 vertices) gets the groups its group is paired with, in both
+    directions: the next cycle ("adjacent"), the cycles sharing no spoke
+    edge ("distant"), or its own segment ("within").
+    """
+    m = lab.m
+    if family == "within":
+        groups, ks = [lab.inner_cycle_ids(k) for k in range(m)], [(k, k) for k in range(m)]
+    else:
+        groups = [lab.cycle_ids(k) for k in range(m)]
+        ks = [(k, (k + 1) % m) for k in range(m)] if family == "adjacent" else nonconsecutive(m)
+    rows = [0] * lab.order
+    for k, k2 in ks:
+        for a, b in ((k, k2), (k2, k)):
+            for x in groups[a]:
+                rows[x] |= sum(1 << v for v in groups[b])
+    return rows
 
 
 def scalar_measure(

@@ -36,6 +36,9 @@ from helpers import (
     balls_from_distances,
     id_pairs,
     id_set,
+    pair_set_extremal,
+    pair_set_families,
+    partner_masks,
     per_regime_cover_even,
     per_regime_cover_odd,
     scalar_measure,
@@ -280,6 +283,21 @@ def test_families_match_computed_srg_beyond_the_goldens(n):
         assert len(cover) == sdim_formula(p), (n, m)
 
 
+def test_family_rows_match_the_pair_set_builder():
+    # the rows, decoded, against the pair-set builder they replaced, on every
+    # even and odd cell of n 5..40 x m 4..40, odd-a's split included
+    for n in range(5, 41):
+        cases = jahangir._REGIMES["even" if n % 2 == 0 else "odd"].cases
+        for m in range(4, 41):
+            p = JahangirParams(n, m)
+            rows = jahangir._family_rows(p)
+            oracle = pair_set_families(p)
+            assert {family: jahangir._pairs(rows[family]) for family in oracle} == oracle, (n, m)
+            for case in cases:
+                decoded = {tag: jahangir._pairs(r) for tag, r in jahangir._extremal_rows(rows, case).items()}
+                assert decoded == pair_set_extremal(p, oracle, case), (n, m, case)
+
+
 def test_cover_matches_the_per_regime_builders():
     # the one builder against the two it replaced, on every even and odd cell
     # of n 5..40 x m 4..40
@@ -404,6 +422,14 @@ class TestExtremalDistancePairs:
         assert measured == scalar_measure(all_pairs_distances(g), lab, case)[0]
         assert list(measured.values()) == [frozenset()]
 
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 4), (2, 8)] + SCAN_GRID)
+    def test_partner_masks_match_the_cycle_ids(self, n, m):
+        # spokes and the hub lie on no pair the scans find, so only this
+        # comparison pins their masks
+        p = JahangirParams(n, m)
+        for family in ("adjacent", "distant", "within"):
+            assert jahangir._partners(p, family) == partner_masks(p, family), family
+
     @pytest.mark.parametrize("n,m", SCAN_GRID)
     def test_ball_scans_match_scalar_oracle(self, n, m):
         p = JahangirParams(n, m)
@@ -411,8 +437,9 @@ class TestExtremalDistancePairs:
         balls = list(distance_balls(g))
         dm = all_pairs_distances(g)
         for case in jahangir._REGIMES[regime(p)].cases:
-            measured, excluded = jahangir._measure(balls, lab, case)
-            assert (measured, excluded) == scalar_measure(dm, lab, case)
+            rows, excluded = jahangir._measure(balls, lab, case)
+            measured = {tag: jahangir._pairs(tag_rows) for tag, tag_rows in rows.items()}
+            assert (measured, jahangir._pairs(excluded)) == scalar_measure(dm, lab, case)
             assert measured_distance_pairs(lab, case) == measured
 
 
@@ -501,6 +528,22 @@ class TestVerifyPredictions:
         monkeypatch.setattr(graphs_module, "members", refuse)
         report = verify_predictions(JahangirParams(n, m))
         assert report.passed and report.srg_edges_match and report.predicted_cover_valid
+
+    @pytest.mark.parametrize("n,m,excluded", [(6, 5, None), (5, 5, 20), (7, 4, 16)])  # even, odd, odd
+    def test_a_passing_cell_decodes_no_rows(self, monkeypatch, n, m, excluded):
+        # predictions and measurements are compared as partner rows; odd-a's
+        # near pairs go to the diametrical scan straight off their rows
+        def refuse(rows):
+            raise AssertionError("a passing cell decoded partner rows into pairs")
+
+        monkeypatch.setattr(jahangir, "_pairs", refuse)
+        report = verify_predictions(JahangirParams(n, m))
+        assert report.passed
+        note = (
+            f"{excluded} distance-{n} pairs lie on a diametrical path (endpoint-scan criterion) "
+            "and are excluded from the MMD prediction"
+        )
+        assert report.notes == (() if excluded is None else (note,))
 
     @pytest.mark.parametrize("n,m", [(6, 5), (5, 5)])  # even, odd
     def test_builds_no_vertex_names(self, monkeypatch, n, m):

@@ -139,6 +139,7 @@ def test_every_definition_is_used():
 EXPORTS_WITHOUT_A_CALLER = {
     "diameter": "the red acceptance check of the closed-form diameter uses it",
     "extremal_distance_pairs": "the paper's lemma pair sets, judged in the acceptance checks",
+    "srg_edge_families": "the paper's published edge families as pair sets; verify reads them as rows",
     "measured_distance_pairs": "perfbench's only jahangir.measure wrap point",
     "is_strong_resolving_set": "perfbench's random-sdim and small-brute checks call it",
     "strongly_resolves": "the scalar definition of strong resolution the scans are judged by",
