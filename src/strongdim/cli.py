@@ -19,6 +19,7 @@ from .graphs import (
     FORMATS,
     Graph,
     GraphError,
+    SizeLimitError,
     _parse,
     complete_graph,
     cycle_graph,
@@ -35,6 +36,17 @@ from .vertex_cover import check_cover_cap, exact_min_vertex_cover, greedy_cover
 # case and has no node budget yet, so --brute-cap has a hard ceiling
 MAX_BRUTE_CAP = 20
 
+# srg and cover --mode greedy have no search cap, so an order guard bounds the
+# memory they take: Graph.masks and each radius of the balls are V^2 / 8 bytes,
+# 32 MB at the guard, and srg's transpose caches about 470 MB there
+MEMORY_GUARD_CAP = 1 << 14
+
+
+def _check_memory_guard(order: int) -> None:
+    """Raise :class:`SizeLimitError` above :data:`MEMORY_GUARD_CAP`: the order check of ``srg`` and greedy ``cover``."""
+    if order > MEMORY_GUARD_CAP:
+        raise SizeLimitError(f"graph has {order} vertices, memory guard cap is {MEMORY_GUARD_CAP}")
+
 
 def _parse_jahangir_shorthand(text: str) -> JahangirParams | None:
     if not text.startswith("jahangir:"):  # a file path or '-'
@@ -48,17 +60,16 @@ def _parse_jahangir_shorthand(text: str) -> JahangirParams | None:
 
 
 def _load_graph(
-    source: str, check_order: Callable[[int], None] | None
+    source: str, check_order: Callable[[int], None]
 ) -> tuple[Graph, dict[int, str], JahangirParams | None]:
-    """The graph of ``source``, whose order ``check_order`` (the command's cap, if any) checks before the build.
+    """The graph of ``source``, whose order ``check_order`` (the command's cap) checks before the build.
 
     A file path or '-' for stdin also gives its document's labels and None; 'jahangir:n,m'
     gives no labels (names are built only where printed) and (n, m).
     """
     params = _parse_jahangir_shorthand(source)
     if params is not None:
-        if check_order is not None:
-            check_order(params.order)
+        check_order(params.order)
         return build_jahangir(params)[0], {}, params
     try:
         if source == "-":
@@ -169,14 +180,14 @@ def _cmd_sdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_srg(args: argparse.Namespace) -> int:
-    g, labels, params = _load_graph(args.graph, None)
+    g, labels, params = _load_graph(args.graph, _check_memory_guard)
     labels = labels if params is None else params.labels()
     _emit(serialize(strong_resolving_graph(g), args.format, labels), args.output)
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    g, _, _ = _load_graph(args.graph, check_cover_cap if args.mode == "exact" else None)
+    g, _, _ = _load_graph(args.graph, check_cover_cap if args.mode == "exact" else _check_memory_guard)
     result = greedy_cover(g) if args.mode == "greedy" else exact_min_vertex_cover(g)
     print(f"size = {result.size}")
     print(f"optimal = {'true' if result.optimal else 'false'}")

@@ -98,15 +98,6 @@ class JahangirParams:
     def spoke_ids(self) -> tuple[int, ...]:
         return tuple(self.rim_id(self.n * k + 1) for k in range(self.m))
 
-    def cycle_ids(self, k: int) -> tuple[int, ...]:
-        """Ids of internal cycle ``k``: the hub plus rim positions nk+1 .. n(k+1)+1."""
-        rim = [self.rim_id(self.n * k + 1 + t) for t in range(self.n + 1)]
-        return tuple(rim + [self.hub])
-
-    def inner_cycle_ids(self, k: int) -> tuple[int, ...]:
-        """The degree-2 rim vertices of internal cycle ``k`` (spokes and hub excluded)."""
-        return tuple(self.rim_id(self.n * k + i) for i in range(2, self.n + 1))
-
 
 def build_jahangir(params: JahangirParams) -> tuple[Graph, JahangirParams]:
     """Construct J(n, m).

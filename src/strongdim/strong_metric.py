@@ -31,10 +31,19 @@ the MMD scan, so it still judges the cover independently of MMD detection.
 definitions both are tested against.
 
 :func:`brute_force_sdim` is the independent judge: it works from the
-definition alone and shares no code with the scans above or the cover
-search.  It looks for a smallest set meeting every inclusion-minimal
-resolver bitset of the vertex pairs, by a pruned depth-first search that is
-still exponential in the worst case.
+definition alone, on the rows of
+:func:`~strongdim.graphs.all_pairs_distances`, and shares no code with the
+scans above or the cover search.  It looks for a smallest set meeting every
+inclusion-minimal resolver bitset of the vertex pairs, by a pruned
+depth-first search that is still exponential in the worst case.  The
+bitsets test the two equalities of :func:`strongly_resolves` rearranged as
+``d(u, w) - d(v, w) = +-d(u, v)``, for all ``w`` of a pair at once, on
+distance rows packed a byte per vertex (:func:`_byte_resolver_masks`).
+That is exact while every distance is below 128, so at any order up to
+128, which covers every brute-force cap of the CLI and ``verify``.  A graph
+with a distance of 128 or more, or a disconnected one, takes the per-``w``
+loop of :func:`_loop_resolver_masks` instead, which is also the reference
+the byte pass is tested against.
 """
 
 from __future__ import annotations
@@ -171,17 +180,90 @@ def _recheck(
     return True, None
 
 
+_BYTE_PASS_LIMIT = 128  # the byte pass is exact while every distance is below this
+
+
+def _mark_tables() -> list[bytes]:
+    """``bytes.translate`` tables by distance ``t``: bytes ``128 +- t`` to ``b"1"``, every other to ``b"0"``.
+
+    Built once, at import, by two strided slice assignments.
+    """
+    marks = bytearray(b"0" * 256 * _BYTE_PASS_LIMIT)
+    # table t is marks[256 t : 256 t + 256]; 128 + t sits at 128 + 257 t, 128 - t at 128 + 255 t
+    marks[128::257] = marks[128::255] = b"1" * _BYTE_PASS_LIMIT
+    return [bytes(marks[i : i + 256]) for i in range(0, len(marks), 256)]
+
+
+_MARK_TABLES = _mark_tables()
+
+
 def _minimal_resolver_masks(g: Graph) -> list[int]:
-    """Inclusion-minimal resolver bitsets of the vertex pairs, by popcount.
+    """Inclusion-minimal resolver bitsets of the vertex pairs, by popcount, then value.
 
     The resolver bitset of a pair {u, v} holds every ``w`` that strongly
-    resolves it, tested with the scalar inequality of
-    :func:`strongly_resolves`.  A set meets every bitset iff it meets every
-    inclusion-minimal one, so duplicates and supersets are dropped.  Every
-    bitset holds ``u`` and ``v`` themselves, so none is empty.
+    resolves it.  When every distance is below :data:`_BYTE_PASS_LIMIT`,
+    which holds at any order up to 128, the bitsets come from
+    :func:`_byte_resolver_masks`; otherwise (a distance of 128 or more, or
+    :data:`~strongdim.graphs.UNREACHABLE`) from the per-``w`` loop
+    :func:`_loop_resolver_masks`, the two equalities of
+    :func:`strongly_resolves` as written.  A set meets every bitset iff it
+    meets every inclusion-minimal one, so duplicates and supersets are
+    dropped.  Every bitset holds ``u`` and ``v`` themselves, so none is
+    empty.
     """
-    n = g.vertex_count
     d = all_pairs_distances(g)
+    if max(map(max, d), default=0) < _BYTE_PASS_LIMIT:
+        masks = _byte_resolver_masks(d)
+    else:
+        masks = _loop_resolver_masks(d)
+    minimal: list[int] = []
+    # a stable sort by popcount of the value-sorted masks: (popcount, value)
+    # order, and a proper subset has a smaller popcount, so it is kept
+    # before its supersets
+    for mask in sorted(sorted(masks), key=int.bit_count):
+        for kept in minimal:
+            if kept & mask == kept:
+                break
+        else:
+            minimal.append(mask)
+    return minimal
+
+
+def _byte_resolver_masks(d: tuple[tuple[int, ...], ...]) -> set[int]:
+    """The distinct resolver bitsets of the vertex pairs of the distance rows ``d``, a byte per vertex.
+
+    Every distance must be below :data:`_BYTE_PASS_LIMIT`.  Row ``u`` is
+    packed into one int with ``d(u, w)`` in byte ``w`` (byte 0 least
+    significant), so byte ``w`` of ``packed[u] + 0x80...80 - packed[v]`` is
+    ``128 + d(u, w) - d(v, w)``: each such byte lies in 1 .. 255, so no
+    byte borrows from the next.  The two equalities of
+    :func:`strongly_resolves`, rearranged as ``d(u, w) - d(v, w) = +-d(u, v)``,
+    hold exactly at the bytes ``128 +- d(u, v)``.  One ``bytes.translate``
+    with the table of ``d(u, v)`` in :data:`_MARK_TABLES` turns those bytes
+    into ``b"1"`` and every other into ``b"0"``; written most significant
+    byte first, vertex ``w`` lands at the ``w``-th digit from the right, so
+    the text read in base 2 is the pair's bitset.
+    """
+    n = len(d)
+    packed = [int.from_bytes(bytes(row), "little") for row in d]
+    bias = int.from_bytes(b"\x80" * n, "little")
+    masks = set()
+    for u in range(n):
+        high = packed[u] + bias
+        du = d[u]
+        for v in range(u + 1, n):
+            masks.add(int((high - packed[v]).to_bytes(n, "big").translate(_MARK_TABLES[du[v]]), 2))
+    return masks
+
+
+def _loop_resolver_masks(d: tuple[tuple[int, ...], ...]) -> set[int]:
+    """The distinct resolver bitsets of the vertex pairs of the distance rows ``d``, one ``w`` at a time.
+
+    Tests the scalar equalities of :func:`strongly_resolves` for every
+    pair and every ``w``: V^3 / 2 comparisons, exact at any distance,
+    :data:`~strongdim.graphs.UNREACHABLE` included.
+    """
+    n = len(d)
     bits = [1 << w for w in range(n)]
     masks = set()
     for u in range(n):
@@ -194,12 +276,7 @@ def _minimal_resolver_masks(g: Graph) -> list[int]:
                 if duw == duv + dvw or dvw == duv + duw:
                     mask |= bit
             masks.add(mask)
-    minimal: list[int] = []
-    # a proper subset has a smaller popcount, so it is kept before its supersets
-    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        if all(kept & mask != kept for kept in minimal):
-            minimal.append(mask)
-    return minimal
+    return masks
 
 
 def _first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None, int]:

@@ -243,6 +243,36 @@ def enumerate_brute_force_sdim(g: Graph, size_cap: int = 16) -> StrongBasisResul
     raise InternalInconsistencyError("the full vertex set failed to strongly resolve the graph")
 
 
+def scratch_minimal_resolver_masks(g: Graph) -> list[int]:
+    """Per-``w`` resolver bitsets and an ``all()`` minimality filter: the oracle for ``_minimal_resolver_masks``.
+
+    The body ``_minimal_resolver_masks`` ran before it packed distance rows
+    into bytes, kept verbatim: the scalar equalities of ``strongly_resolves``
+    for every pair and every ``w``, then the inclusion-minimal masks in
+    (popcount, value) order.
+    """
+    n = g.vertex_count
+    d = all_pairs_distances(g)
+    bits = [1 << w for w in range(n)]
+    masks = set()
+    for u in range(n):
+        du = d[u]
+        for v in range(u + 1, n):
+            dv = d[v]
+            duv = du[v]
+            mask = 0
+            for duw, dvw, bit in zip(du, dv, bits):
+                if duw == duv + dvw or dvw == duv + duw:
+                    mask |= bit
+            masks.add(mask)
+    minimal: list[int] = []
+    # a proper subset has a smaller popcount, so it is kept before its supersets
+    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if all(kept & mask != kept for kept in minimal):
+            minimal.append(mask)
+    return minimal
+
+
 def scratch_first_hitting_set(masks: list[int], k: int) -> tuple[tuple[int, ...] | None, int]:
     """Recursive take-then-skip search: the oracle for ``_first_hitting_set``.
 
@@ -497,6 +527,17 @@ def pair_set_extremal(
     return {tag: longest, off_tag: families[family] - longest}
 
 
+def cycle_ids(lab: JahangirParams, k: int) -> tuple[int, ...]:
+    """Ids of internal cycle ``k``: the hub plus rim positions nk+1 .. n(k+1)+1."""
+    rim = [lab.rim_id(lab.n * k + 1 + t) for t in range(lab.n + 1)]
+    return tuple(rim + [lab.hub])
+
+
+def inner_cycle_ids(lab: JahangirParams, k: int) -> tuple[int, ...]:
+    """The degree-2 rim vertices of internal cycle ``k`` (spokes and hub excluded)."""
+    return tuple(lab.rim_id(lab.n * k + i) for i in range(2, lab.n + 1))
+
+
 # The scalar extremal-distance scans ``jahangir`` ran on a dense distance
 # matrix before it read distance balls, kept verbatim as the oracle for them.
 
@@ -507,11 +548,11 @@ def scalar_pairs_at(
     """Pairs at distance ``target`` across the cycle pairs or segments of ``scope``."""
     m = lab.m
     if scope == "within":
-        inner = [lab.inner_cycle_ids(k) for k in range(m)]
+        inner = [inner_cycle_ids(lab, k) for k in range(m)]
         rows = ((x, ids[i + 1 :]) for ids in inner for i, x in enumerate(ids))
     else:
         ks = [(k, (k + 1) % m) for k in range(m)] if scope == "consecutive" else nonconsecutive(m)
-        cycles = [lab.cycle_ids(k) for k in range(m)]
+        cycles = [cycle_ids(lab, k) for k in range(m)]
         rows = ((x, cycles[k2]) for k, k2 in ks for x in cycles[k])
     found: set[tuple[int, int]] = set()
     for x, ys in rows:
@@ -532,9 +573,9 @@ def partner_masks(lab: JahangirParams, family: str) -> list[int]:
     """
     m = lab.m
     if family == "within":
-        groups, ks = [lab.inner_cycle_ids(k) for k in range(m)], [(k, k) for k in range(m)]
+        groups, ks = [inner_cycle_ids(lab, k) for k in range(m)], [(k, k) for k in range(m)]
     else:
-        groups = [lab.cycle_ids(k) for k in range(m)]
+        groups = [cycle_ids(lab, k) for k in range(m)]
         ks = [(k, (k + 1) % m) for k in range(m)] if family == "adjacent" else nonconsecutive(m)
     rows = [0] * lab.order
     for k, k2 in ks:

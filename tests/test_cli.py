@@ -307,6 +307,12 @@ class TestSrg:
             2, "", "error: MMD pairs are defined for connected graphs\n"
         )
 
+    def test_srg_runs_above_the_exact_cover_cap(self, capsys):
+        # srg has only the memory guard; J(20,13) has 261 vertices
+        code, out, err = run_cli(capsys, ["srg", "jahangir:20,13"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 261
+
     def test_mmd_command_is_gone(self, capsys):
         # srg prints the same sorted MMD pairs, as edges
         with pytest.raises(SystemExit) as exc:
@@ -358,8 +364,10 @@ class TestCover:
             (["sdim", "jahangir:300,300"], "exact cover cap is 256"),
             (["sdim", "jahangir:300,300", "--method", "brute"], "brute force cap is 16"),
             (["cover", "jahangir:300,300"], "exact cover cap is 256"),
+            (["cover", "jahangir:300,300", "--mode", "greedy"], "memory guard cap is 16384"),
+            (["srg", "jahangir:300,300"], "memory guard cap is 16384"),
         ],
-        ids=["sdim", "sdim-brute", "cover"],
+        ids=["sdim", "sdim-brute", "cover", "cover-greedy", "srg"],
     )
     def test_oversize_jahangir_is_refused_before_it_is_built(self, capsys, monkeypatch, argv, cap):
         monkeypatch.setattr(cli, "build_jahangir", _refuse_build)
@@ -373,8 +381,10 @@ class TestCover:
             (["sdim", "--method", "brute", "--brute-cap", "20"], '{"n": 21}',
              "graph has 21 vertices, brute force cap is 20"),
             (["cover"], MILLION_DOC, "graph has 1000000 vertices, exact cover cap is 256"),
+            (["cover", "--mode", "greedy"], MILLION_DOC, "graph has 1000000 vertices, memory guard cap is 16384"),
+            (["srg"], MILLION_DOC, "graph has 1000000 vertices, memory guard cap is 16384"),
         ],
-        ids=["sdim", "sdim-brute", "cover"],
+        ids=["sdim", "sdim-brute", "cover", "cover-greedy", "srg"],
     )
     def test_oversize_document_is_refused_before_it_is_built(
         self, capsys, monkeypatch, tmp_path, argv, doc, cap, source
@@ -391,6 +401,13 @@ class TestCover:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode())))
             graph = "-"
         assert run_cli(capsys, [argv[0], graph, *argv[1:]]) == (2, "", f"error: {cap}\n")
+
+    def test_memory_guard_admits_its_own_order(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": cli.MEMORY_GUARD_CAP}))
+        assert run_cli(capsys, ["cover", str(path), "--mode", "greedy"]) == (
+            0, "size = 0\noptimal = true\ncover = \n", ""
+        )
 
     def test_sdim_refuses_the_cap_before_growing_the_radii(self, capsys, monkeypatch, tmp_path):
         def refuse(g):

@@ -34,6 +34,7 @@ from helpers import (
     ODD_55_DISTANT,
     ODD_55_WITHIN,
     balls_from_distances,
+    cycle_ids,
     id_pairs,
     id_set,
     pair_set_extremal,
@@ -105,8 +106,8 @@ class TestConstruction:
     def test_cycle_ids_have_expected_size(self):
         _, lab = build_jahangir(JahangirParams(5, 4))
         for k in range(4):
-            assert len(lab.cycle_ids(k)) == 7  # n + 2 vertices
-            assert lab.hub in lab.cycle_ids(k)
+            assert len(cycle_ids(lab, k)) == 7  # n + 2 vertices
+            assert lab.hub in cycle_ids(lab, k)
 
     def test_pair_refuses_two_positions_of_one_vertex(self):
         # positions wrap modulo the rim length 6, so 1 and 7 both name u1

@@ -27,8 +27,9 @@ from strongdim import (
     strong_resolving_graph,
     strongly_resolves,
 )
+from strongdim import cli
 from strongdim import graphs as graphs_module
-from strongdim import strong_metric
+from strongdim import strong_metric, vertex_cover
 from strongdim.graphs import UNREACHABLE, members
 from strongdim.strong_metric import _first_hitting_set, _minimal_resolver_masks
 from helpers import (
@@ -47,6 +48,7 @@ from helpers import (
     random_connected_graph,
     random_tree,
     scratch_first_hitting_set,
+    scratch_minimal_resolver_masks,
 )
 
 
@@ -352,6 +354,19 @@ class TestIsStrongResolvingSet:
             is_strong_resolving_set(build_graph(3, [(1, 2)]), None, [0])
 
 
+def refuse_call(message):
+    def refuse(*args):
+        raise AssertionError(message)
+
+    return refuse
+
+
+# the seeded random corpora of the brute-force tests, order 12-20
+BRUTE_CORPUS = [random_connected_graph(random.Random(1300 + seed), 13, 16) for seed in range(20)]
+BRUTE_CORPUS += [random_connected_graph(random.Random(1700 + seed), 17, 20) for seed in range(20)]
+BRUTE_CORPUS += [random_connected_graph(random.Random(seed), 12, 16) for seed in range(40)]
+
+
 class TestBruteForce:
     def test_k2(self):
         result = brute_force_sdim(build_graph(2, [(0, 1)]))
@@ -394,10 +409,85 @@ class TestBruteForce:
             dm = all_pairs_distances(g)
             assert is_strong_resolving_set(g, dm, result.basis) == (True, None)
 
+    def test_shares_no_code_with_the_scans_or_the_cover_search(self, monkeypatch):
+        graphs = BRUTE_CORPUS[:20] + [cycle_graph(9), complete_graph(6), path_graph(16)]
+        expected = [brute_force_sdim(g, size_cap=20) for g in graphs]
+        refuse = refuse_call("the judge ran pipeline code")
+        for name in ("distance_balls", "transpose_rows", "_pack_rows", "_transpose", "_swap_masks"):
+            monkeypatch.setattr(graphs_module, name, refuse)
+        for name in ("distance_balls", "transpose_rows", "_mmd_graph", "_recheck"):
+            monkeypatch.setattr(strong_metric, name, refuse)
+        monkeypatch.setattr(vertex_cover, "_mis_search", refuse)
+        assert [brute_force_sdim(g, size_cap=20) for g in graphs] == expected
+        # the patches bite: the scans and the cover search run them
+        g = graphs[0]
+        for call in (sdim_via_cover, strong_resolving_graph, lambda g: is_strong_resolving_set(g, None, [0]),
+                     vertex_cover.exact_min_vertex_cover):
+            with pytest.raises(AssertionError, match="judge ran pipeline code"):
+                call(g)
+
     def test_cycles_and_complete_graphs_above_old_cap(self):
         for n in range(17, 21):
             assert brute_force_sdim(cycle_graph(n), size_cap=20).size == (n + 1) // 2
             assert brute_force_sdim(complete_graph(n), size_cap=20).size == n - 1
+
+
+class TestResolverMasks:
+    """The byte pass and the per-w loop of ``_minimal_resolver_masks`` against the scalar loop it replaced."""
+
+    def test_matches_the_scalar_loop_on_the_random_corpora(self):
+        for g in BRUTE_CORPUS:
+            want = scratch_minimal_resolver_masks(g)
+            masks = _minimal_resolver_masks(g)
+            assert masks == want, g.edges()
+            # the hitting-set search reads mask order: same result, same nodes
+            for k in range(brute_force_sdim(g, size_cap=20).size + 1):
+                assert _first_hitting_set(masks, k) == _first_hitting_set(want, k), (g.edges(), k)
+
+    def test_the_loop_path_matches_the_byte_path(self, monkeypatch):
+        byte_lists = [_minimal_resolver_masks(g) for g in BRUTE_CORPUS]
+        monkeypatch.setattr(strong_metric, "_BYTE_PASS_LIMIT", 0)
+        monkeypatch.setattr(strong_metric, "_byte_resolver_masks", refuse_call("the byte pass ran"))
+        assert [_minimal_resolver_masks(g) for g in BRUTE_CORPUS] == byte_lists
+
+    @pytest.mark.parametrize("build", [path_graph, cycle_graph])
+    @pytest.mark.parametrize("order", [126, 127, 128])
+    def test_largest_distances_the_bytes_hold(self, build, order):
+        # P128's distance 127 is the largest a byte pass may read
+        d = all_pairs_distances(build(order))
+        assert strong_metric._byte_resolver_masks(d) == strong_metric._loop_resolver_masks(d)
+
+    @pytest.mark.parametrize("order", [129, 130])
+    def test_a_distance_of_128_takes_the_loop(self, order, monkeypatch):
+        monkeypatch.setattr(strong_metric, "_byte_resolver_masks", refuse_call("the byte pass ran"))
+        # every pair's resolvers hold both ends of the path
+        assert _minimal_resolver_masks(path_graph(order)) == [1 | 1 << (order - 1)]
+
+    @pytest.mark.parametrize("build", [path_graph, cycle_graph])
+    def test_order_128_never_takes_the_loop(self, build, monkeypatch):
+        g = build(128)
+        want = scratch_minimal_resolver_masks(g)
+        monkeypatch.setattr(strong_metric, "_loop_resolver_masks", refuse_call("the per-w loop ran"))
+        assert _minimal_resolver_masks(g) == want
+
+    def test_mark_tables_mark_the_two_rearranged_equalities(self):
+        tables = strong_metric._MARK_TABLES
+        assert len(tables) == strong_metric._BYTE_PASS_LIMIT
+        for t, table in enumerate(tables):
+            assert table == bytes(b"1"[0] if c - 128 in (t, -t) else b"0"[0] for c in range(256)), t
+
+    def test_every_brute_cap_is_within_the_byte_pass(self):
+        # an order-V graph has no distance above V - 1, so a raised cap
+        # cannot quietly move CLI or verify brute runs onto the loop
+        limit = strong_metric._BYTE_PASS_LIMIT
+        assert limit == 128
+        assert cli.MAX_BRUTE_CAP <= limit and strong_metric.DEFAULT_BRUTE_CAP <= limit
+
+    @pytest.mark.parametrize("g", TWO_COMPONENT_GRAPHS)
+    def test_unreachable_rows_take_the_loop(self, g, monkeypatch):
+        want = scratch_minimal_resolver_masks(g)
+        monkeypatch.setattr(strong_metric, "_byte_resolver_masks", refuse_call("the byte pass ran"))
+        assert _minimal_resolver_masks(g) == want
 
 
 class TestBruteForceSearch:
@@ -810,6 +900,11 @@ class TestEverySmallGraph:
     def test_pipeline_matches_brute_force(self, order):
         for g in SMALL_GRAPHS[order]:
             assert sdim_via_cover(g).size == brute_force_sdim(g).size, g.edges()
+
+    @SMALL_ORDERS
+    def test_resolver_masks_match_the_scalar_loop(self, order):
+        for g in SMALL_GRAPHS[order]:
+            assert _minimal_resolver_masks(g) == scratch_minimal_resolver_masks(g), g.edges()
 
     @SMALL_ORDERS
     def test_srg_is_the_resolver_two_sets(self, order):
